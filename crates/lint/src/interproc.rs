@@ -67,8 +67,7 @@ const H2_ENTRY_NAMES: &[&str] = &[
     "render_depth_image",
     "render_views_into",
     "trace_frame",
-    "shade_ray",
-    "shade_ray_depth",
+    "shade_row",
     "forward_batch",
     "forward_batch_infer",
     "backward_batch",

@@ -2,8 +2,9 @@
 //! NeRF hot path.
 //!
 //! The batched compute core ([`crate::encoding`] gathers,
-//! [`crate::mlp`] GEMMs, [`crate::render`] compositing) operates on a
-//! whole ray's samples at once instead of one point per call. The
+//! [`crate::mlp`] GEMMs, [`crate::render`] compositing) operates on
+//! many samples at once instead of one point per call: a ray's samples
+//! in training, a round of a pixel row's live samples in rendering. The
 //! types here own every buffer those kernels touch:
 //!
 //! * [`SampleBatch`] — Stage I output as parallel `t`/`δt`/position
@@ -11,8 +12,7 @@
 //! * [`KernelScratch`] — all Stage II/III working memory (encoded
 //!   features, MLP activation caches, per-sample densities/colors and
 //!   their gradients), allocated once and reused across rays and
-//!   training steps;
-//! * [`RayScratch`] — the pair of them, one per worker thread.
+//!   training steps.
 //!
 //! The batched kernels take a capacity fingerprint of the scratch on
 //! entry and `debug_assert` it unchanged on exit, so any allocation
@@ -234,23 +234,6 @@ impl KernelScratch {
             + self.d_color_in.capacity()
             + self.d_density_out.capacity()
             + self.d_encoded.capacity()
-    }
-}
-
-/// One worker's complete per-ray working set: the Stage-I sample
-/// batch plus the Stage-II/III kernel scratch.
-#[derive(Debug, Clone, Default)]
-pub struct RayScratch {
-    /// Stage-I output buffers.
-    pub(crate) samples: SampleBatch,
-    /// Stage-II/III working memory.
-    pub(crate) kernel: KernelScratch,
-}
-
-impl RayScratch {
-    /// Creates an empty scratch sized lazily on first use.
-    pub fn new() -> Self {
-        RayScratch::default()
     }
 }
 

@@ -65,7 +65,7 @@ pub mod sampler;
 pub mod scenes;
 pub mod trainer;
 
-pub use batch::{KernelScratch, RayScratch, SampleBatch};
+pub use batch::{KernelScratch, SampleBatch};
 pub use camera::{Camera, Pose};
 pub use dataset::Dataset;
 pub use dense_grid::{DenseGrid, DenseGridConfig};

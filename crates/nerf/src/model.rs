@@ -18,6 +18,15 @@ use rand::Rng;
 /// Clamp on the raw density logit before the exponential.
 const RAW_DENSITY_CLAMP: f32 = 12.0;
 
+/// The spherical-harmonics view encoding of a ray direction, the
+/// color network's per-ray input.
+#[inline]
+pub(crate) fn sh_row(direction: Vec3) -> [f32; SH_DIM] {
+    let mut sh = [0.0f32; SH_DIM];
+    sh_encode(direction.to_array(), &mut sh);
+    sh
+}
+
 /// Architecture of a [`NerfModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -391,7 +400,8 @@ impl<E: Encoding> NerfModel<E> {
     /// Bitwise-identical to looping the scalar forward over the batch
     /// — the `reference` module's differential tests enforce this.
     pub fn forward_batch(&self, positions: &[Vec3], direction: Vec3, scratch: &mut KernelScratch) {
-        self.forward_batch_impl(positions, direction, scratch, true);
+        let sh = sh_row(direction);
+        self.forward_batch_impl(positions, |_| &sh, scratch, true);
     }
 
     /// [`NerfModel::forward_batch`] for inference: identical results,
@@ -405,13 +415,21 @@ impl<E: Encoding> NerfModel<E> {
         direction: Vec3,
         scratch: &mut KernelScratch,
     ) {
-        self.forward_batch_impl(positions, direction, scratch, false);
+        let sh = sh_row(direction);
+        self.forward_batch_impl(positions, |_| &sh, scratch, false);
     }
 
-    fn forward_batch_impl(
+    /// The batched forward behind [`NerfModel::forward_batch`],
+    /// [`NerfModel::forward_batch_infer`] and the render pipeline's row
+    /// wavefront. `sh_of(s)` yields sample `s`'s view encoding (see
+    /// [`sh_row`]), so one batch may mix samples of many rays; each
+    /// sample's result is bit-identical to a one-ray call with its
+    /// ray's direction. `retain` keeps the encoding state a backward
+    /// pass needs.
+    pub(crate) fn forward_batch_impl<'a>(
         &self,
         positions: &[Vec3],
-        direction: Vec3,
+        sh_of: impl Fn(usize) -> &'a [f32; SH_DIM],
         scratch: &mut KernelScratch,
         retain: bool,
     ) {
@@ -450,10 +468,8 @@ impl<E: Encoding> NerfModel<E> {
         );
 
         // Density activation + color-network input assembly. The SH
-        // view encoding depends only on the ray direction, so it is
-        // evaluated once and broadcast to every sample.
-        let mut sh = [0.0f32; SH_DIM];
-        sh_encode(direction.to_array(), &mut sh);
+        // view encoding depends only on the ray direction, so callers
+        // evaluate it once per ray and every sample copies its ray's.
         let d_out_dim = self.density_mlp.output_dim();
         let c_in = self.color_mlp.input_dim();
         {
@@ -465,7 +481,7 @@ impl<E: Encoding> NerfModel<E> {
                 scratch.raw_clamped[s] = clamped;
                 let ci = &mut scratch.color_input[s * c_in..(s + 1) * c_in];
                 ci[..self.geo_feature_dim].copy_from_slice(&row[1..]);
-                ci[self.geo_feature_dim..].copy_from_slice(&sh);
+                ci[self.geo_feature_dim..].copy_from_slice(sh_of(s));
             }
         }
 

@@ -11,16 +11,18 @@
 //! raster-order merge are independent of the thread count, so a frame
 //! is bitwise-identical whether rendered on one core or sixteen.
 
-use crate::batch::RayScratch;
+use crate::batch::{KernelScratch, SampleBatch};
 use crate::camera::Camera;
 use crate::encoding::Encoding;
 use crate::image::Image;
 use crate::math::{Ray, Vec3};
-use crate::model::NerfModel;
+use crate::mlp::SH_DIM;
+use crate::model::{sh_row, NerfModel};
 use crate::occupancy::OccupancyGrid;
-use crate::render::composite_into;
-use crate::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
+use crate::render::{CompositeState, ShadedSample};
+use crate::sampler::{sample_ray, sample_ray_append, RayWorkload, SamplerConfig};
 use fusion3d_par::Pool;
+use std::ops::Range;
 
 /// Configuration shared by rendering and tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,60 +45,180 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Runs all three stages for one ray through the batched kernels:
-/// Stage-I sampling into the scratch's [`crate::batch::SampleBatch`],
-/// one batched Stage-II/III model forward over every retained sample,
-/// and compositing. Returns the pixel color and final transmittance;
-/// the per-sample weights stay in `scratch.kernel.weights` for depth
-/// queries. The caller owns `scratch` so frame loops reuse one
-/// working set per worker instead of allocating per pixel.
-fn shade_ray<E: Encoding>(
-    model: &NerfModel<E>,
-    occupancy: &OccupancyGrid,
-    ray: &Ray,
-    config: &PipelineConfig,
-    early_stop: bool,
-    scratch: &mut RayScratch,
-) -> (Vec3, f32) {
-    sample_ray_into(ray, occupancy, &config.sampler, &mut scratch.samples);
-    model.forward_batch_infer(scratch.samples.positions(), ray.direction, &mut scratch.kernel);
-    scratch.kernel.build_shaded(scratch.samples.dts());
-    let result = composite_into(
-        &scratch.kernel.shaded,
-        config.background,
-        early_stop,
-        &mut scratch.kernel.weights,
-    );
-    crate::probe!({
-        scratch.kernel.probes.rays += 1;
-        if result.1 < 1e-4 {
-            scratch.kernel.probes.rays_saturated += 1;
-        }
-    });
-    result
+/// Samples each live ray contributes to one wavefront round. A ray
+/// that saturates inside a round wastes at most `WAVEFRONT_K - 1`
+/// model evaluations, while a round over a pixel row still gathers
+/// hundreds of samples into one model call.
+const WAVEFRONT_K: usize = 4;
+
+/// One ray of a row wavefront.
+#[derive(Debug, Clone, Copy)]
+struct RayState {
+    /// The ray's spherical-harmonics view encoding.
+    sh: [f32; SH_DIM],
+    /// Compositing state, carried from round to round.
+    composite: CompositeState,
+    /// `Σ t·w` over the composited samples: the depth numerator.
+    depth_sum: f32,
+    /// The ray's next unevaluated sample in the row's Stage-I batch.
+    next: usize,
+    /// One past the ray's last sample in the row's Stage-I batch.
+    end: usize,
 }
 
-/// The blend-weighted mean sample parameter of one ray, or `None` for
-/// rays that never absorb. Shared by [`render_pixel_depth`] and the
-/// frame-level [`render_depth_image`].
-fn shade_ray_depth<E: Encoding>(
+impl RayState {
+    /// The blend-weighted mean sample parameter, or `None` for a ray
+    /// that never absorbs. Exact only when every sample was composited
+    /// (early termination off).
+    fn depth(&self) -> Option<f32> {
+        let opacity = 1.0 - self.composite.transmittance;
+        if opacity < 1e-3 {
+            None
+        } else {
+            Some(self.depth_sum / opacity)
+        }
+    }
+}
+
+/// One worker's row-wavefront working set, reused across rows.
+#[derive(Debug, Default)]
+struct RowScratch {
+    /// Stage-I output of the whole row, ray after ray.
+    samples: SampleBatch,
+    /// Per-ray state in row order; retired rays keep their slot.
+    rays: Vec<RayState>,
+    /// Indices of the live rays, in row order.
+    live: Vec<u32>,
+    /// One round's gathered positions, sized for one row ×
+    /// `WAVEFRONT_K`.
+    positions: Vec<Vec3>,
+    /// The ray each gathered position belongs to.
+    ray_of: Vec<u32>,
+    /// Stage-II/III working memory.
+    kernel: KernelScratch,
+}
+
+impl RowScratch {
+    /// The pixel colors of the row [`shade_row`] finished last.
+    fn pixels(&self, background: Vec3) -> impl Iterator<Item = Vec3> + '_ {
+        self.rays.iter().map(move |ray| ray.composite.pixel(background))
+    }
+}
+
+/// The render kernel behind every render entry point: shades one row
+/// of rays as a wavefront.
+///
+/// * **Sample** — Stage I marches every ray into one row batch and
+///   evaluates each ray's view encoding once.
+/// * **Gather** — each round takes the next `WAVEFRONT_K` samples of
+///   every live ray.
+/// * **Evaluate** — one model forward runs over the whole gather; each
+///   sample reads its own ray's view encoding.
+/// * **Composite and retire** — each ray composites its share in
+///   marching order and carries its state to the next round. A ray
+///   retires when its samples run out or, with `early_stop`, once its
+///   transmittance falls below the early-stop threshold. Retired rays
+///   leave the live list, so their remaining samples are never
+///   evaluated.
+///
+/// A sample's model output does not depend on the batch around it, and
+/// every ray composites through [`CompositeState::step`] in the order
+/// `composite_into` uses, so each pixel is bit-identical to shading
+/// its ray on its own. Leaves one finished [`RayState`] per ray in
+/// `scratch.rays`, in the order of `rays`, and returns the number of
+/// samples Stage I retained.
+fn shade_row<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
-    ray: &Ray,
+    rays: impl Iterator<Item = Ray>,
     config: &PipelineConfig,
-    scratch: &mut RayScratch,
-) -> Option<f32> {
-    // Early stop must be off: the weighted-mean depth needs every
-    // sample's exact blend weight.
-    let (_, final_transmittance) = shade_ray(model, occupancy, ray, config, false, scratch);
-    let opacity = 1.0 - final_transmittance;
-    if opacity < 1e-3 {
-        return None;
+    early_stop: bool,
+    scratch: &mut RowScratch,
+) -> usize {
+    let RowScratch { samples, rays: states, live, positions, ray_of, kernel } = scratch;
+    samples.clear();
+    states.clear();
+    for ray in rays {
+        let next = samples.len();
+        sample_ray_append(&ray, occupancy, &config.sampler, samples);
+        // lint: allow(h2): amortized — the per-ray state vector is
+        // cleared per row within its retained capacity
+        states.push(RayState {
+            sh: sh_row(ray.direction),
+            composite: CompositeState::START,
+            depth_sum: 0.0,
+            next,
+            end: samples.len(),
+        });
     }
-    let depth: f32 =
-        scratch.samples.ts().iter().zip(&scratch.kernel.weights).map(|(&t, &w)| t * w).sum::<f32>()
-            / opacity;
-    Some(depth)
+    live.clear();
+    live.extend(
+        states.iter().enumerate().filter(|(_, ray)| ray.next < ray.end).map(|(r, _)| r as u32),
+    );
+    let round = states.len() * WAVEFRONT_K;
+    if positions.len() < round {
+        positions.resize(round, Vec3::ZERO);
+        ray_of.resize(round, 0);
+    }
+
+    let (ts, dts, points) = (samples.ts(), samples.dts(), samples.positions());
+    while !live.is_empty() {
+        let mut n = 0;
+        for &r in live.iter() {
+            let ray = &states[r as usize];
+            let take = (ray.end - ray.next).min(WAVEFRONT_K);
+            positions[n..n + take].copy_from_slice(&points[ray.next..ray.next + take]);
+            ray_of[n..n + take].fill(r);
+            n += take;
+        }
+
+        model.forward_batch_impl(
+            &positions[..n],
+            |s| &states[ray_of[s] as usize].sh,
+            kernel,
+            false,
+        );
+
+        let mut at = 0;
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let r = live[i];
+            let ray = &mut states[r as usize];
+            let take = (ray.end - ray.next).min(WAVEFRONT_K);
+            for (j, s) in (ray.next..ray.next + take).enumerate() {
+                if early_stop && ray.composite.saturated() {
+                    break;
+                }
+                let sample = ShadedSample {
+                    sigma: kernel.sigma[at + j],
+                    color: kernel.color[at + j],
+                    dt: dts[s],
+                };
+                ray.depth_sum += ts[s] * ray.composite.step(&sample);
+            }
+            at += take;
+            ray.next += take;
+            if ray.next < ray.end && !(early_stop && ray.composite.saturated()) {
+                live[kept] = r;
+                kept += 1;
+            }
+        }
+        live.truncate(kept);
+    }
+
+    crate::probe!({
+        kernel.probes.samples_retained += samples.len() as u64;
+        kernel.probes.rays += states.len() as u64;
+        kernel.probes.rays_saturated +=
+            states.iter().filter(|ray| ray.composite.saturated()).count() as u64;
+    });
+    samples.len()
+}
+
+/// The camera rays of the raster-order pixels `range`.
+fn pixel_rays(camera: &Camera, range: Range<usize>) -> impl Iterator<Item = Ray> + '_ {
+    let width = camera.width() as usize;
+    range.map(move |i| camera.ray_for_pixel((i % width) as u32, (i / width) as u32))
 }
 
 /// Renders a single pixel: runs all three stages for one ray.
@@ -106,8 +228,10 @@ pub fn render_pixel<E: Encoding>(
     ray: &Ray,
     config: &PipelineConfig,
 ) -> Vec3 {
-    let mut scratch = RayScratch::new();
-    shade_ray(model, occupancy, ray, config, config.early_stop, &mut scratch).0
+    let mut scratch = RowScratch::default();
+    shade_row(model, occupancy, std::iter::once(*ray), config, config.early_stop, &mut scratch);
+    let pixel = scratch.pixels(config.background).next();
+    pixel.unwrap_or(config.background)
 }
 
 /// Renders a full frame through the end-to-end pipeline, dispatching
@@ -124,17 +248,20 @@ pub fn render_image<E: Encoding>(
     let pixels = Pool::new().parallel_flat_map_with(
         count,
         width.max(1),
-        RayScratch::new,
+        RowScratch::default,
         |_, range, scratch| {
-            range
-                .map(|i| {
-                    let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                    shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0
-                })
-                // lint: allow(h2): per-chunk pixel buffer is the
-                // parallel dispatch's return convention — one
-                // allocation per chunk, amortized over its rays
-                .collect()
+            shade_row(
+                model,
+                occupancy,
+                pixel_rays(camera, range),
+                config,
+                config.early_stop,
+                scratch,
+            );
+            // lint: allow(h2): per-chunk pixel buffer is the
+            // parallel dispatch's return convention — one
+            // allocation per chunk, amortized over its rays
+            scratch.pixels(config.background).collect()
         },
     );
     let mut img = Image::new(camera.width(), camera.height());
@@ -151,10 +278,11 @@ pub fn render_image<E: Encoding>(
 /// per camera, each exactly `width * height` long) and each view's
 /// retained Stage-II/III sample total lands in `samples_out` — the
 /// quantity the serving scheduler's cost model charges cycles for.
-/// Output slices shorter or longer than their camera's frame are
-/// skipped rather than partially filled. Chunk geometry and the merge
-/// order depend only on the camera list, so the result is
-/// bitwise-identical for any `FUSION3D_THREADS` setting.
+/// A view whose output slice is shorter or longer than its camera's
+/// frame is skipped whole: its slice is left untouched and its sample
+/// total is zero. Chunk geometry and the merge order depend only on
+/// the camera list, so the result is bitwise-identical for any
+/// `FUSION3D_THREADS` setting.
 pub fn render_views_into<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
@@ -170,6 +298,10 @@ pub fn render_views_into<E: Encoding>(
     let mut rows: Vec<(usize, u32)> =
         Vec::with_capacity(cameras.iter().map(|c| c.height() as usize).sum());
     for (view, camera) in cameras.iter().enumerate() {
+        let fits = pixels_out.get(view).map(|out| out.len() as u64) == Some(camera.pixel_count());
+        if !fits {
+            continue;
+        }
         for y in 0..camera.height() {
             // lint: allow(h2): per-dispatch row table — one entry per
             // pixel row, amortized over that row's rays
@@ -179,24 +311,18 @@ pub fn render_views_into<E: Encoding>(
     let chunks = Pool::new().parallel_chunks_with(
         rows.len(),
         1,
-        RayScratch::new,
-        |_, range, scratch: &mut RayScratch| {
+        RowScratch::default,
+        |_, range, scratch: &mut RowScratch| {
             let (view, y) = rows[range.start];
             let Some(camera) = cameras.get(view) else {
                 return (view, 0u32, Vec::new(), 0u64);
             };
-            let mut samples = 0u64;
-            let row: Vec<Vec3> = (0..camera.width())
-                .map(|x| {
-                    let ray = camera.ray_for_pixel(x, y);
-                    let p = shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0;
-                    samples += scratch.samples.len() as u64;
-                    p
-                })
-                // lint: allow(h2): per-chunk pixel buffer — see
-                // render_image
-                .collect();
-            (view, y, row, samples)
+            let rays = (0..camera.width()).map(|x| camera.ray_for_pixel(x, y));
+            let samples = shade_row(model, occupancy, rays, config, config.early_stop, scratch);
+            // lint: allow(h2): per-chunk pixel buffer — see
+            // render_image
+            let row: Vec<Vec3> = scratch.pixels(config.background).collect();
+            (view, y, row, samples as u64)
         },
     );
     for slot in samples_out.iter_mut() {
@@ -236,17 +362,14 @@ pub fn render_image_probed<E: Encoding>(
         .parallel_chunks_with_stats(
             count,
             width.max(1),
-            RayScratch::new,
-            |_, range, scratch: &mut RayScratch| {
+            RowScratch::default,
+            |_, range, scratch: &mut RowScratch| {
                 let before = scratch.kernel.probes;
-                let pixels = range
-                    .map(|i| {
-                        let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                        shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0
-                    })
-                    // lint: allow(h2): per-chunk pixel buffer — see
-                    // render_image
-                    .collect();
+                let rays = pixel_rays(camera, range);
+                shade_row(model, occupancy, rays, config, config.early_stop, scratch);
+                // lint: allow(h2): per-chunk pixel buffer — see
+                // render_image
+                let pixels = scratch.pixels(config.background).collect();
                 (pixels, scratch.kernel.probes.diff(&before))
             },
         );
@@ -274,8 +397,11 @@ pub fn render_pixel_depth<E: Encoding>(
     ray: &Ray,
     config: &PipelineConfig,
 ) -> Option<f32> {
-    let mut scratch = RayScratch::new();
-    shade_ray_depth(model, occupancy, ray, config, &mut scratch)
+    let mut scratch = RowScratch::default();
+    // Early termination off: the weighted-mean depth needs every
+    // sample's exact blend weight.
+    shade_row(model, occupancy, std::iter::once(*ray), config, false, &mut scratch);
+    scratch.rays.first().and_then(RayState::depth)
 }
 
 /// Renders a normalized depth map: nearer surfaces brighter, rays
@@ -294,16 +420,13 @@ pub fn render_depth_image<E: Encoding>(
     let depths: Vec<Option<f32>> = Pool::new().parallel_flat_map_with(
         count,
         width.max(1),
-        RayScratch::new,
+        RowScratch::default,
         |_, range, scratch| {
-            range
-                .map(|i| {
-                    let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                    shade_ray_depth(model, occupancy, &ray, config, scratch)
-                })
-                // lint: allow(h2): per-chunk depth buffer — see
-                // render_image
-                .collect()
+            // Early termination off, as in render_pixel_depth.
+            shade_row(model, occupancy, pixel_rays(camera, range), config, false, scratch);
+            // lint: allow(h2): per-chunk depth buffer — see
+            // render_image
+            scratch.rays.iter().map(RayState::depth).collect()
         },
     );
     let max = depths.iter().flatten().cloned().fold(0.0f32, f32::max).max(1e-6);
@@ -484,6 +607,25 @@ mod tests {
             assert_eq!(frames[i].as_slice(), solo.pixels(), "view {i} pixels diverge");
             assert!(samples[i] > 0, "view {i} retained no samples");
         }
+    }
+
+    #[test]
+    fn render_views_skips_a_wrongly_sized_slice_whole() {
+        let model = tiny_model();
+        let mut occ = OccupancyGrid::new(8, 0.0);
+        occ.fill();
+        let cfg = PipelineConfig::default();
+        let poses = orbit_poses(Vec3::splat(0.5), 1.2, 2);
+        let cameras: Vec<Camera> = poses.iter().map(|&p| Camera::new(p, 8, 6, 0.8)).collect();
+        let sentinel = Vec3::splat(-7.0);
+        let mut short = vec![sentinel; 47];
+        let mut fits = vec![sentinel; 48];
+        let mut samples = vec![9u64; 2];
+        render_views_into(&model, &occ, &cameras, &cfg, &mut [&mut short, &mut fits], &mut samples);
+        assert!(short.iter().all(|&p| p == sentinel), "a one-pixel-short slice was written");
+        assert_eq!(samples[0], 0);
+        assert_eq!(fits.as_slice(), render_image(&model, &occ, &cameras[1], &cfg).pixels());
+        assert!(samples[1] > 0);
     }
 
     #[test]

@@ -24,8 +24,11 @@
 pub struct ProbeCounters {
     /// Batched encoding invocations (one per model forward).
     pub encode_batches: u64,
-    /// Points encoded across those batches.
+    /// Points encoded across those batches: the samples evaluated.
     pub encode_points: u64,
+    /// Samples Stage I retained for rendering. With early termination
+    /// on, rendering evaluates at most this many (`encode_points`).
+    pub samples_retained: u64,
     /// Point×level gather groups that hit *dense* levels (every corner
     /// lands in a contiguous per-level row — the local case).
     pub gathers_dense: u64,
@@ -56,6 +59,7 @@ impl ProbeCounters {
         ProbeCounters {
             encode_batches: self.encode_batches - before.encode_batches,
             encode_points: self.encode_points - before.encode_points,
+            samples_retained: self.samples_retained - before.samples_retained,
             gathers_dense: self.gathers_dense - before.gathers_dense,
             gathers_hashed: self.gathers_hashed - before.gathers_hashed,
             mlp_forward_batches: self.mlp_forward_batches - before.mlp_forward_batches,
@@ -71,6 +75,7 @@ impl ProbeCounters {
     pub fn add(&mut self, other: &ProbeCounters) {
         self.encode_batches += other.encode_batches;
         self.encode_points += other.encode_points;
+        self.samples_retained += other.samples_retained;
         self.gathers_dense += other.gathers_dense;
         self.gathers_hashed += other.gathers_hashed;
         self.mlp_forward_batches += other.mlp_forward_batches;
@@ -96,6 +101,7 @@ impl ProbeCounters {
     pub fn record(&self, metrics: &mut fusion3d_obs::Metrics) {
         metrics.counter_add("kernel.encode.batches", "batches", self.encode_batches);
         metrics.counter_add("kernel.encode.points", "points", self.encode_points);
+        metrics.counter_add("kernel.render.samples_retained", "samples", self.samples_retained);
         metrics.counter_add("kernel.gathers.dense", "groups", self.gathers_dense);
         metrics.counter_add("kernel.gathers.hashed", "groups", self.gathers_hashed);
         metrics.gauge_set("kernel.gathers.hashed_fraction", "ratio", self.hashed_gather_fraction());

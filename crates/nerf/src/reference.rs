@@ -16,9 +16,13 @@
 //! must use the batched kernels.
 
 use crate::encoding::Encoding;
-use crate::math::Vec3;
+use crate::math::{Ray, Vec3};
 use crate::mlp::{Mlp, MlpCache};
 use crate::model::{ModelGrads, NerfModel, PointContext};
+use crate::occupancy::OccupancyGrid;
+use crate::pipeline::PipelineConfig;
+use crate::render::{composite, ShadedSample};
+use crate::sampler::sample_ray;
 
 /// Encodes every position through the scalar [`Encoding::interpolate`]
 /// path, returning point-major rows of `encoding.output_dim()`
@@ -147,4 +151,36 @@ pub fn model_backward<E: Encoding>(
         model.backward(p, &ctx, ds, dc, &mut grads);
     }
     grads
+}
+
+/// Renders one ray through the scalar pieces alone — [`sample_ray`],
+/// [`model_forward`] and [`composite`] — returning its pixel color and
+/// its depth: the blend-weighted mean sample parameter with early
+/// termination off, or `None` for a ray that never absorbs.
+///
+/// This is the oracle the render pipeline's entry points must match
+/// bit for bit, whatever the batching and thread count.
+pub fn render_ray<E: Encoding>(
+    model: &NerfModel<E>,
+    occupancy: &OccupancyGrid,
+    ray: &Ray,
+    config: &PipelineConfig,
+) -> (Vec3, Option<f32>) {
+    let (samples, _) = sample_ray(ray, occupancy, &config.sampler);
+    let positions: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
+    let (sigmas, colors) = model_forward(model, &positions, ray.direction);
+    let shaded: Vec<ShadedSample> = samples
+        .iter()
+        .zip(sigmas.iter().zip(&colors))
+        .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
+        .collect();
+    let color = composite(&shaded, config.background, config.early_stop).color;
+    let exact = composite(&shaded, config.background, false);
+    let opacity = 1.0 - exact.final_transmittance;
+    let depth = if opacity < 1e-3 {
+        None
+    } else {
+        Some(samples.iter().zip(&exact.weights).map(|(s, &w)| s.t * w).sum::<f32>() / opacity)
+    };
+    (color, depth)
 }

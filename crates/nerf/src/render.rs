@@ -55,6 +55,50 @@ pub struct SampleGrad {
     pub d_color: Vec3,
 }
 
+/// Transmittance below which early ray termination skips every later
+/// sample.
+const EARLY_STOP_TRANSMITTANCE: f32 = 1e-4;
+
+/// Front-to-back compositing state of one ray: the color blended so
+/// far and the transmittance left. [`composite_into`] and the render
+/// pipeline's row wavefront both advance it one sample at a time
+/// through [`CompositeState::step`], so they share one order of
+/// operations and agree bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CompositeState {
+    pub(crate) color: Vec3,
+    pub(crate) transmittance: f32,
+}
+
+impl CompositeState {
+    /// The state before the first sample.
+    pub(crate) const START: CompositeState =
+        CompositeState { color: Vec3::ZERO, transmittance: 1.0 };
+
+    /// Whether early ray termination skips every later sample.
+    #[inline]
+    pub(crate) fn saturated(&self) -> bool {
+        self.transmittance < EARLY_STOP_TRANSMITTANCE
+    }
+
+    /// Blends one sample behind everything composited so far and
+    /// returns its weight `w = T · α`.
+    #[inline]
+    pub(crate) fn step(&mut self, s: &ShadedSample) -> f32 {
+        let alpha = 1.0 - (-(s.sigma * s.dt).min(MAX_SIGMA_DT)).exp();
+        let w = self.transmittance * alpha;
+        self.color += s.color * w;
+        self.transmittance *= 1.0 - alpha;
+        w
+    }
+
+    /// The pixel color with `background` behind the last sample.
+    #[inline]
+    pub(crate) fn pixel(&self, background: Vec3) -> Vec3 {
+        self.color + background * self.transmittance
+    }
+}
+
 /// Composites samples front to back.
 ///
 /// `early_stop` enables inference-mode early ray termination: once the
@@ -80,22 +124,16 @@ pub fn composite_into(
     early_stop: bool,
     weights: &mut Vec<f32>,
 ) -> (Vec3, f32) {
-    let mut color = Vec3::ZERO;
-    let mut transmittance = 1.0f32;
+    let mut state = CompositeState::START;
     weights.clear();
     weights.resize(samples.len(), 0.0);
     for (s, w_out) in samples.iter().zip(weights.iter_mut()) {
-        if early_stop && transmittance < 1e-4 {
+        if early_stop && state.saturated() {
             break;
         }
-        let alpha = 1.0 - (-(s.sigma * s.dt).min(MAX_SIGMA_DT)).exp();
-        let w = transmittance * alpha;
-        color += s.color * w;
-        *w_out = w;
-        transmittance *= 1.0 - alpha;
+        *w_out = state.step(s);
     }
-    color += background * transmittance;
-    (color, transmittance)
+    (state.pixel(background), state.transmittance)
 }
 
 /// Backward pass of [`composite`]: given `d_color = ∂L/∂C`, returns

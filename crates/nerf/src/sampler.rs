@@ -207,6 +207,20 @@ pub fn sample_ray_into(
     out: &mut SampleBatch,
 ) {
     out.clear();
+    sample_ray_append(ray, occupancy, config, out);
+}
+
+/// [`sample_ray_into`] without the clear: appends the ray's samples
+/// behind those already in `out`, so the render pipeline can lay a
+/// whole pixel row's Stage-I output end to end in one batch. The
+/// `max_samples_per_ray` cap counts this ray's samples only.
+pub(crate) fn sample_ray_append(
+    ray: &Ray,
+    occupancy: &OccupancyGrid,
+    config: &SamplerConfig,
+    out: &mut SampleBatch,
+) {
+    let start = out.len();
     let mut pairs = std::mem::take(&mut out.pairs);
     ray_cube_pairs_into(ray, &mut pairs);
     let dt = config.step();
@@ -219,9 +233,9 @@ pub fn sample_ray_into(
             let p = ray.at(t);
             if occupancy.is_occupied(p) {
                 // lint: allow(h2): amortized — caller-owned
-                // SampleBatch cleared per ray within capacity
+                // SampleBatch cleared per ray or row within capacity
                 out.push(t, dt, p);
-                if out.len() >= config.max_samples_per_ray {
+                if out.len() - start >= config.max_samples_per_ray {
                     break 'pairs;
                 }
                 t += dt;

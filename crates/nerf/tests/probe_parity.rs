@@ -59,11 +59,34 @@ fn probed_render_matches_unprobed_bitwise() {
     let probed = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
     assert_eq!(bits(&plain), bits(&probed), "probes changed the rendered pixels");
     // The probed run actually observed the work it shadowed.
-    let rays = match report.metrics.get("kernel.rays") {
-        Some(fusion3d_obs::Metric { value: fusion3d_obs::MetricValue::Counter(n), .. }) => *n,
-        other => panic!("probed render must record kernel.rays, got {other:?}"),
-    };
+    let rays = counter(&report, "kernel.rays");
     assert_eq!(rays, u64::from(camera.width()) * u64::from(camera.height()));
+}
+
+fn counter(report: &Report, name: &str) -> u64 {
+    match report.metrics.get(name) {
+        Some(fusion3d_obs::Metric { value: fusion3d_obs::MetricValue::Counter(n), .. }) => *n,
+        other => panic!("probed render must record {name}, got {other:?}"),
+    }
+}
+
+#[test]
+fn early_termination_evaluates_no_more_than_stage_one_retains() {
+    let (model, occupancy, camera, config) = setup();
+    let evaluated_and_retained = |early_stop| {
+        let mut report = Report::new("probe_parity");
+        let config = PipelineConfig { early_stop, ..config };
+        let _ = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
+        (
+            counter(&report, "kernel.encode.points"),
+            counter(&report, "kernel.render.samples_retained"),
+        )
+    };
+    let (evaluated, retained) = evaluated_and_retained(true);
+    assert!(retained > 0, "Stage I retained no samples");
+    assert!(evaluated <= retained, "evaluated {evaluated} of {retained} retained samples");
+    let (evaluated, retained) = evaluated_and_retained(false);
+    assert_eq!(evaluated, retained, "without early termination every retained sample is evaluated");
 }
 
 #[test]

@@ -22,6 +22,10 @@ cargo test --workspace --doc -q
 # The obs feature is off by default (probes compile out); make sure the
 # instrumented build stays green too.
 cargo test -q -p fusion3d-nerf --features obs
+# The benchmark package (benchmark/) is not a workspace member, so the
+# workspace commands above never build it; test it on its own so a
+# library API change cannot break it unnoticed.
+cargo test -q --manifest-path benchmark/Cargo.toml
 # Keep the throughput harness runnable; the smoke run takes ~a second
 # and writes its report under target/ (full runs write BENCH_perf.json).
 cargo run --release -q -p fusion3d-bench --bin perf -- --smoke --out target/BENCH_perf_smoke.json
