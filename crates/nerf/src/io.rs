@@ -67,6 +67,8 @@ pub enum DecodeError {
     UnsupportedVersion(u16),
     /// Unknown precision tag.
     BadPrecision(u8),
+    /// The occupancy-grid resolution is zero.
+    ZeroResolution,
     /// The stored parameter counts do not match the target model.
     ShapeMismatch {
         /// Expected (encoding, density, color) counts.
@@ -83,6 +85,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a Fusion-3D model container"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             DecodeError::BadPrecision(t) => write!(f, "unknown precision tag {t}"),
+            DecodeError::ZeroResolution => write!(f, "occupancy resolution is zero"),
             DecodeError::ShapeMismatch { expected, found } => {
                 write!(f, "parameter shape mismatch: expected {expected:?}, found {found:?}")
             }
@@ -285,41 +288,30 @@ pub fn decode_model_into<E: Encoding>(
     model: &mut NerfModel<E>,
 ) -> Result<OccupancyGrid, DecodeError> {
     let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let precision = match r.take(2)?[0] {
-        0 => Precision::F32,
-        1 => Precision::F16,
-        t => return Err(DecodeError::BadPrecision(t)),
-    };
-    let _geo = r.u32()?;
-    let counts = (r.u64()?, r.u64()?, r.u64()?);
+    // The whole container is there (checked against the header's
+    // resolution), so the grid allocated below is bounded by the input.
+    let header = read_header(&mut r)?;
     let expected = (
         model.grid().param_count() as u64,
         model.density_mlp().param_count() as u64,
         model.color_mlp().param_count() as u64,
     );
-    if counts != expected {
-        return Err(DecodeError::ShapeMismatch { expected, found: counts });
+    if header.param_counts != expected {
+        return Err(DecodeError::ShapeMismatch { expected, found: header.param_counts });
     }
-    let resolution = r.u32()?;
     let threshold = r.f32()?;
-    let mut occupancy = OccupancyGrid::new(resolution, threshold.max(0.0));
-    let cells = occupancy.cell_count();
+    let resolution = header.occupancy_resolution;
+    let cells = (resolution as usize).pow(3);
     let bitmap = r.take(cells.div_ceil(8))?;
+    let mut occupancy = OccupancyGrid::new(resolution, threshold.max(0.0));
     for cell in 0..cells {
         if bitmap[cell / 8] >> (cell % 8) & 1 == 1 {
             occupancy.set_cell(cell, true);
         }
     }
-    r.params(model.grid_mut().params_mut(), precision)?;
-    r.params(model.density_mlp_mut().params_mut(), precision)?;
-    r.params(model.color_mlp_mut().params_mut(), precision)?;
+    r.params(model.grid_mut().params_mut(), header.precision)?;
+    r.params(model.density_mlp_mut().params_mut(), header.precision)?;
+    r.params(model.color_mlp_mut().params_mut(), header.precision)?;
     Ok(occupancy)
 }
 
@@ -365,22 +357,31 @@ impl ContainerHeader {
     }
 
     /// Exact byte size of a well-formed container with this header —
-    /// the unit the registry's LRU byte budget is charged in.
+    /// the unit the registry's LRU byte budget is charged in. The
+    /// arithmetic saturates, so a hostile resolution or parameter count
+    /// gives a size no input reaches instead of overflowing.
     pub fn container_bytes(&self) -> u64 {
-        let cells = (self.occupancy_resolution as u64).pow(3);
-        44 + cells.div_ceil(8)
-            + self.param_count().saturating_mul(self.precision.bytes_per_param() as u64)
+        let cells = (self.occupancy_resolution as u64).saturating_pow(3);
+        let params = self.param_count().saturating_mul(self.precision.bytes_per_param() as u64);
+        44u64.saturating_add(cells.div_ceil(8)).saturating_add(params)
     }
 }
 
-/// Decodes only the fixed-size container header.
+/// Decodes only the fixed-size container header, and checks that
+/// `data` is as long as the header says the container is.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] when the prefix is truncated, the magic
-/// or version is wrong, or the precision tag is unknown.
+/// or version is wrong, the precision tag is unknown, the occupancy
+/// resolution is zero, or `data` is shorter than
+/// [`ContainerHeader::container_bytes`].
 pub fn peek_header(data: &[u8]) -> Result<ContainerHeader, DecodeError> {
-    let mut r = Reader { data, pos: 0 };
+    read_header(&mut Reader { data, pos: 0 })
+}
+
+/// [`peek_header`] leaving `r` just past the occupancy resolution.
+fn read_header(r: &mut Reader<'_>) -> Result<ContainerHeader, DecodeError> {
     if r.take(4)? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
@@ -396,7 +397,15 @@ pub fn peek_header(data: &[u8]) -> Result<ContainerHeader, DecodeError> {
     let geo_feature_dim = r.u32()?;
     let param_counts = (r.u64()?, r.u64()?, r.u64()?);
     let occupancy_resolution = r.u32()?;
-    Ok(ContainerHeader { version, precision, geo_feature_dim, param_counts, occupancy_resolution })
+    if occupancy_resolution == 0 {
+        return Err(DecodeError::ZeroResolution);
+    }
+    let header =
+        ContainerHeader { version, precision, geo_feature_dim, param_counts, occupancy_resolution };
+    if (r.data.len() as u64) < header.container_bytes() {
+        return Err(DecodeError::Truncated);
+    }
+    Ok(header)
 }
 
 #[cfg(test)]
@@ -526,6 +535,29 @@ mod tests {
         // Truncation.
         let bad = &bytes[..bytes.len() - 3];
         assert!(matches!(decode_model_into(bad, &mut m), Err(DecodeError::Truncated)));
+        assert_eq!(peek_header(bad), Err(DecodeError::Truncated));
+        // Hostile occupancy resolutions (bytes 36..40): zero, one whose
+        // grid would need 4096³ densities, and one whose cube overflows
+        // `u64`. None may panic or allocate before failing.
+        for (resolution, error) in [
+            (0u32, DecodeError::ZeroResolution),
+            (4096, DecodeError::Truncated),
+            (u32::MAX, DecodeError::Truncated),
+        ] {
+            let mut bad = bytes.clone();
+            bad[36..40].copy_from_slice(&resolution.to_le_bytes());
+            assert_eq!(peek_header(&bad), Err(error.clone()), "resolution {resolution}");
+            assert_eq!(
+                decode_model_into(&bad, &mut m).err(),
+                Some(error),
+                "resolution {resolution}"
+            );
+        }
+        let huge = ContainerHeader {
+            occupancy_resolution: u32::MAX,
+            ..peek_header(&bytes).expect("header")
+        };
+        assert!(huge.container_bytes() >= u64::MAX / 8);
         // Shape mismatch.
         let mut rng = SmallRng::seed_from_u64(8);
         let mut other = NerfModel::new(

@@ -7,9 +7,21 @@
 //! *Mixture-of-Experts gating function* in the multi-chip system: a
 //! chip whose expert has an empty cell contributes nothing for samples
 //! in that cell, so expert outputs can be fused by simple addition.
+//!
+//! Beside the bits the grid keeps a coarse empty-space summary: for
+//! each block of `BLOCK`³ cells, the number of occupied cells within
+//! one cell of the block. The summary is derived from the bits, kept
+//! in sync by every bit write and never serialized; the sampler walks
+//! it to skip ray spans that cannot hold a sample.
 
-use crate::math::Vec3;
+use crate::math::{Ray, TSpan, Vec3};
 use rand::Rng;
+
+/// Side of the empty-space summary's blocks, in cells.
+const BLOCK: usize = 2;
+
+// A block's count covers at most `(BLOCK + 2)³` cells.
+const _: () = assert!((BLOCK + 2).pow(3) <= u8::MAX as usize);
 
 /// A cubical occupancy grid over `[0,1]^3`.
 #[derive(Debug, Clone)]
@@ -17,6 +29,11 @@ pub struct OccupancyGrid {
     resolution: u32,
     /// One bit per cell, X-major within Y within Z.
     bits: Vec<u64>,
+    /// Empty-space summary, one count per block of `BLOCK`³ cells in
+    /// the same order: the occupied cells within one cell of the
+    /// block. Every write to `bits` goes through [`Self::set_cell`] or
+    /// [`Self::fill`], which keep it in sync.
+    blocks: Vec<u8>,
     /// Exponential-moving-average density estimate per cell, updated
     /// by [`OccupancyGrid::update`].
     densities: Vec<f32>,
@@ -39,6 +56,7 @@ impl OccupancyGrid {
         OccupancyGrid {
             resolution,
             bits: vec![0; cells.div_ceil(64)],
+            blocks: vec![0; (resolution as usize).div_ceil(BLOCK).pow(3)],
             densities: vec![0.0; cells],
             threshold,
         }
@@ -118,10 +136,9 @@ impl OccupancyGrid {
     /// Panics if the index is out of range.
     pub fn set_cell(&mut self, index: usize, occupied: bool) {
         assert!(index < self.cell_count(), "cell index out of range");
-        if occupied {
-            self.bits[index / 64] |= 1 << (index % 64);
-        } else {
-            self.bits[index / 64] &= !(1 << (index % 64));
+        if self.is_cell_occupied(index) != occupied {
+            self.bits[index / 64] ^= 1 << (index % 64);
+            self.count_into_blocks(index, occupied);
         }
     }
 
@@ -132,6 +149,28 @@ impl OccupancyGrid {
         for (i, word) in self.bits.iter_mut().enumerate() {
             let remaining = cells - (i * 64).min(cells);
             *word = if remaining >= 64 { u64::MAX } else { (1u64 << remaining) - 1 };
+        }
+        self.blocks.fill(0);
+        for i in 0..cells {
+            self.count_into_blocks(i, true);
+        }
+    }
+
+    /// Adds cell `index` to (or, when `occupied` is false, removes it
+    /// from) the summary count of every block within one cell of it.
+    fn count_into_blocks(&mut self, index: usize, occupied: bool) {
+        let r = self.resolution as usize;
+        let blocks = r.div_ceil(BLOCK);
+        debug_assert!(index < r * r * r, "cell index out of range");
+        // The blocks holding cells `c - 1 ..= c + 1` of one axis.
+        let near = |c: usize| c.saturating_sub(1) / BLOCK..=(c + 1).min(r - 1) / BLOCK;
+        for bz in near(index / (r * r)) {
+            for by in near(index / r % r) {
+                for bx in near(index % r) {
+                    let count = &mut self.blocks[bx + blocks * (by + blocks * bz)];
+                    *count = if occupied { *count + 1 } else { *count - 1 };
+                }
+            }
         }
     }
 
@@ -177,7 +216,7 @@ impl OccupancyGrid {
     /// Returns a value strictly greater than `t`. If the point lies
     /// outside the grid or the direction is zero, returns `t` plus one
     /// cell size as a safe fallback.
-    pub fn cell_exit_t(&self, ray: &crate::math::Ray, t: f32) -> f32 {
+    pub fn cell_exit_t(&self, ray: &Ray, t: f32) -> f32 {
         let p = ray.at(t);
         let size = self.cell_size();
         if self.cell_index(p).is_none() {
@@ -201,6 +240,103 @@ impl OccupancyGrid {
             exit
         } else {
             t + size
+        }
+    }
+
+    /// The ray parameter at which `ray` leaves the last summary block
+    /// with a nonzero count that it crosses inside `span`, its pair
+    /// with octant `cube` (indexed as [`crate::math::Aabb::octants`]),
+    /// or `None` when every block it crosses there is empty. The exit
+    /// of the block the span ends in counts as `INFINITY`.
+    ///
+    /// Walks the octant's blocks back to front with an incremental DDA,
+    /// from the span's end to the first nonzero block, so a span that
+    /// ends in occupied space costs one lookup. A point in an occupied
+    /// cell lies in a nonzero block, and so does every point within one
+    /// cell of it. So every point of the span in an occupied cell comes
+    /// before the returned parameter, by about a cell: far more than
+    /// the rounding of the walk, which does not accumulate because each
+    /// crossing is computed afresh from its block plane. The walk never
+    /// steps out of the blocks that overlap the octant, so it cannot
+    /// stray into a neighbour's blocks where the span ends on their
+    /// shared face.
+    pub(crate) fn last_occupied_block_exit(&self, ray: &Ray, cube: u8, span: TSpan) -> Option<f32> {
+        let r = self.resolution;
+        let blocks = (r as usize).div_ceil(BLOCK);
+        // Per axis, walking backwards: the block plane crossed next (in
+        // blocks), its step, the move of the linear block index, and
+        // the steps left before the octant's first block.
+        let mut plane = [0.0f32; 3];
+        let mut step = [0.0f32; 3];
+        let mut stride = [0isize; 3];
+        let mut left = [0usize; 3];
+        let mut block = 0;
+        let mut axis_stride = 1;
+        for axis in 0..3 {
+            // The blocks overlapping the octant's lower or upper half.
+            let (lo, hi) = if cube >> axis & 1 == 0 {
+                (0, (r as usize).div_ceil(2 * BLOCK) - 1)
+            } else {
+                (r as usize / (2 * BLOCK), blocks - 1)
+            };
+            let (o, d) = (ray.origin[axis], ray.direction[axis]);
+            // Where the span ends (`ray.at(span.t_far)`, also when an
+            // axis-parallel span is unbounded), looked up as in
+            // `cell_index` and clamped into the octant's blocks.
+            let end = if d == 0.0 { o } else { o + d * span.t_far };
+            let b = (((end * r as f32) as u32).min(r - 1) as usize / BLOCK).clamp(lo, hi);
+            block += b * axis_stride;
+            if d > 0.0 {
+                (plane[axis], step[axis], left[axis]) = (b as f32, -1.0, b - lo);
+                stride[axis] = -(axis_stride as isize);
+            } else if d < 0.0 {
+                (plane[axis], step[axis], left[axis]) = ((b + 1) as f32, 1.0, hi - b);
+                stride[axis] = axis_stride as isize;
+            }
+            axis_stride *= blocks;
+        }
+        if self.blocks[block] != 0 {
+            return Some(f32::INFINITY);
+        }
+        // Each axis's next crossing is at `plane * scale + offset`.
+        let side = BLOCK as f32 / r as f32;
+        let mut scale = [0.0f32; 3];
+        let mut offset = [0.0f32; 3];
+        let mut t_cross = [f32::NEG_INFINITY; 3];
+        for axis in 0..3 {
+            if left[axis] > 0 {
+                let d = ray.direction[axis];
+                scale[axis] = side / d;
+                offset[axis] = -ray.origin[axis] / d;
+                t_cross[axis] = plane[axis] * scale[axis] + offset[axis];
+            }
+        }
+        loop {
+            let axis = if t_cross[0] >= t_cross[1] && t_cross[0] >= t_cross[2] {
+                0
+            } else if t_cross[1] >= t_cross[2] {
+                1
+            } else {
+                2
+            };
+            // The latest crossing is the exit of the block behind it;
+            // a finite one means the axis has that block left to enter.
+            let exit = t_cross[axis];
+            if exit > span.t_near {
+                block = block.wrapping_add_signed(stride[axis]);
+                if self.blocks[block] != 0 {
+                    return Some(exit);
+                }
+                left[axis] -= 1;
+                plane[axis] += step[axis];
+                t_cross[axis] = if left[axis] > 0 {
+                    plane[axis] * scale[axis] + offset[axis]
+                } else {
+                    f32::NEG_INFINITY
+                };
+            } else {
+                return None;
+            }
         }
     }
 
@@ -233,6 +369,9 @@ impl OccupancyGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::HashGridConfig;
+    use crate::io::{decode_model_into, encode_model, Precision};
+    use crate::model::{ModelConfig, NerfModel};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -326,6 +465,103 @@ mod tests {
         // the count slightly because corners are also tested).
         let r = g.occupancy_ratio();
         assert!(r > 0.45 && r < 0.65, "ratio {r}");
+    }
+
+    /// The summary recounted from the bits alone.
+    fn recounted_blocks(g: &OccupancyGrid) -> Vec<u8> {
+        let r = g.resolution() as usize;
+        let blocks = r.div_ceil(BLOCK);
+        // Cells of one axis within one cell of block `b`.
+        let near = |b: usize| (b * BLOCK).saturating_sub(1)..(b * BLOCK + BLOCK + 1).min(r);
+        let mut out = Vec::new();
+        for bz in 0..blocks {
+            for by in 0..blocks {
+                for bx in 0..blocks {
+                    let mut count = 0;
+                    for z in near(bz) {
+                        for y in near(by) {
+                            for x in near(bx) {
+                                count += u8::from(g.is_cell_occupied(x + r * (y + r * z)));
+                            }
+                        }
+                    }
+                    out.push(count);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_summary_in_sync(g: &OccupancyGrid, step: &str) {
+        assert_eq!(
+            g.blocks,
+            recounted_blocks(g),
+            "res {}: summary out of sync after {step}",
+            g.resolution()
+        );
+    }
+
+    #[test]
+    fn summary_matches_a_recount_after_every_write() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for r in [1u32, 2, 5, 7, 24, 25] {
+            let mut g = OccupancyGrid::new(r, 0.5);
+            assert_summary_in_sync(&g, "new");
+            // Every corner and face-centre cell on, then off again.
+            let (m, e) = (r / 2, r - 1);
+            let mut edges: Vec<[u32; 3]> =
+                (0..8).map(|k| [(k & 1) * e, (k >> 1 & 1) * e, (k >> 2 & 1) * e]).collect();
+            edges.extend([[0, m, m], [e, m, m], [m, 0, m], [m, e, m], [m, m, 0], [m, m, e]]);
+            for on in [true, false] {
+                for &[x, y, z] in &edges {
+                    g.set_cell((x + r * (y + r * z)) as usize, on);
+                    assert_summary_in_sync(&g, "a face or corner write");
+                }
+            }
+            // Random on/off writes, repeats of the current value included.
+            for _ in 0..300 {
+                g.set_cell(rng.gen_range(0..g.cell_count()), rng.gen_bool(0.6));
+                assert_summary_in_sync(&g, "a random write");
+            }
+            let random_bits: Vec<usize> = g.occupied_cells().collect();
+            g.fill();
+            assert_summary_in_sync(&g, "fill");
+            // A density that decays: each update clears more cells.
+            for step in 0..6 {
+                let radius = 0.6 - 0.1 * step as f32;
+                let density = |p: Vec3| if p.distance(Vec3::ZERO) < radius { 1.0 } else { 0.0 };
+                g.update(density, 0.3, &mut rng);
+                assert_summary_in_sync(&g, "update");
+            }
+            let oracle = OccupancyGrid::from_oracle(r, 0.0, |p| p.x + p.y * p.z < 0.4);
+            assert_summary_in_sync(&oracle, "from_oracle");
+
+            let mut random = OccupancyGrid::new(r, 0.0);
+            for &i in &random_bits {
+                random.set_cell(i, true);
+            }
+            let model = NerfModel::new(
+                ModelConfig {
+                    grid: HashGridConfig {
+                        levels: 2,
+                        features_per_level: 2,
+                        log2_table_size: 6,
+                        base_resolution: 2,
+                        max_resolution: 4,
+                    },
+                    hidden_dim: 4,
+                    geo_feature_dim: 2,
+                },
+                &mut rng,
+            );
+            for grid in [&random, &oracle] {
+                let bytes = encode_model(&model, grid, Precision::F16);
+                let mut shell = model.clone();
+                let decoded = decode_model_into(&bytes, &mut shell).expect("decode");
+                assert_eq!(decoded.bits, grid.bits);
+                assert_summary_in_sync(&decoded, "decode");
+            }
+        }
     }
 
     #[test]

@@ -200,6 +200,10 @@ pub fn sample_ray(
 /// allocation-free Stage-I entry point of the batched render/train
 /// hot path. Produces exactly the `t`/`δt`/position sequence of
 /// [`sample_ray`]; per-cube statistics stay with the tracing path.
+/// It takes fewer steps: the occupancy grid's empty-space summary
+/// lets it skip spans and span tails that hold no sample, which
+/// [`sample_ray`] still marches because its step counts are the
+/// sampling cores' job lengths.
 pub fn sample_ray_into(
     ray: &Ray,
     occupancy: &OccupancyGrid,
@@ -224,12 +228,19 @@ pub(crate) fn sample_ray_append(
     let mut pairs = std::mem::take(&mut out.pairs);
     ray_cube_pairs_into(ray, &mut pairs);
     let dt = config.step();
-    'pairs: for &(_, span) in pairs.iter() {
+    'pairs: for &(cube, span) in pairs.iter() {
+        // Past the span's last non-empty summary block no lattice point
+        // lies in an occupied cell, so the march ends there; a span
+        // with no such block is skipped whole. The head is not skipped:
+        // where a march lands after empty cells depends on its chain of
+        // cell exits, so only marching from `t0` gives the same points.
+        let Some(exit) = occupancy.last_occupied_block_exit(ray, cube, span) else { continue };
+        let end = span.t_far.min(exit);
         // Same lattice as `sample_ray`: first sample half a step into
         // the span, empty-cell DDA skips land back on the lattice.
         let t0 = span.t_near + dt * 0.5;
         let mut t = t0;
-        while t < span.t_far {
+        while t < end {
             let p = ray.at(t);
             if occupancy.is_occupied(p) {
                 // lint: allow(h2): amortized — caller-owned

@@ -244,25 +244,153 @@ fn model_backward_batch_is_bitwise_scalar() {
     }
 }
 
-#[test]
-fn sample_ray_into_matches_sample_ray() {
-    let occupancy = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.4);
-    let config = SamplerConfig { steps_per_diagonal: 64, max_samples_per_ray: 48 };
-    let mut batch = SampleBatch::new();
-    let mut rng = SmallRng::seed_from_u64(37);
-    for _ in 0..64 {
-        let origin = Vec3::new(rng.gen::<f32>() * 4.0 - 1.5, rng.gen(), rng.gen());
-        let target = Vec3::new(rng.gen(), rng.gen(), rng.gen());
-        let ray = Ray::new(origin, (target - origin).normalize());
-        let (scalar, _) = sample_ray(&ray, &occupancy, &config);
-        sample_ray_into(&ray, &occupancy, &config, &mut batch);
-        assert_eq!(batch.len(), scalar.len(), "sample count diverged");
-        for (i, s) in scalar.iter().enumerate() {
-            assert_eq!(batch.ts()[i].to_bits(), s.t.to_bits(), "t[{i}]");
-            assert_eq!(batch.dts()[i].to_bits(), s.dt.to_bits(), "dt[{i}]");
-            assert_eq!(batch.positions()[i], s.position, "position[{i}]");
+/// A grid of resolution `r` with exactly the given cells occupied.
+fn grid_with(r: u32, cells: &[[u32; 3]]) -> OccupancyGrid {
+    let mut grid = OccupancyGrid::new(r, 0.0);
+    for &[x, y, z] in cells {
+        grid.set_cell((x + r * (y + r * z)) as usize, true);
+    }
+    grid
+}
+
+/// Every corner of the grid plus the centre cell of every face.
+fn face_and_corner_cells(r: u32) -> Vec<[u32; 3]> {
+    let (m, e) = (r / 2, r - 1);
+    let mut cells: Vec<[u32; 3]> =
+        (0..8).map(|k| [(k & 1) * e, (k >> 1 & 1) * e, (k >> 2 & 1) * e]).collect();
+    cells.extend([[0, m, m], [e, m, m], [m, 0, m], [m, e, m], [m, m, 0], [m, m, e]]);
+    cells
+}
+
+/// Two 2×2×2 clusters far apart along X, both in the low-X octants for
+/// `r >= 12`, so an X-aligned ray samples both in one ray–octant pair
+/// with an empty gap between them.
+fn two_cluster_cells(r: u32) -> Vec<[u32; 3]> {
+    let far = r / 2 - 2;
+    let mut cells = Vec::new();
+    for k in 0..8 {
+        let (dx, dy, dz) = (k & 1, k >> 1 & 1, k >> 2 & 1);
+        cells.push([1 + dx, 4 + dy, 3 + dz]);
+        cells.push([far + dx, 4 + dy, 3 + dz]);
+    }
+    cells
+}
+
+/// Rays aimed at (and along the edges of) up to 24 occupied cells of
+/// `grid`: from outside and inside the cube, axis-parallel, with one
+/// zero direction component, grazing the cell's edges, and random.
+fn sweep_rays(grid: &OccupancyGrid, rng: &mut SmallRng) -> Vec<Ray> {
+    let (n, r) = (grid.resolution() as usize, grid.resolution() as f32);
+    let axes = [Vec3::X, Vec3::Y, Vec3::Z];
+    let stride = grid.occupied_cells().count().div_ceil(24);
+    let mut rays = Vec::new();
+    for cell in grid.occupied_cells().step_by(stride) {
+        let center = grid.cell_center(cell);
+        // The cell's low corner, exactly on cell planes (and on the
+        // octant planes for cells starting at 0.5).
+        let corner = Vec3::new(
+            (cell % n) as f32 / r,
+            (cell / n % n) as f32 / r,
+            (cell / (n * n)) as f32 / r,
+        );
+        for axis in axes {
+            for dir in [axis, -axis] {
+                // Straight through the centre, from outside and inside.
+                rays.push(Ray::new(center - dir * 2.0, dir));
+                rays.push(Ray::new(center - dir * 0.05, dir));
+                // Along an edge of the cell: the two coordinates off
+                // the ray axis sit exactly on cell planes, or a hair
+                // beside them.
+                let edge = corner - dir * 2.0;
+                for nudge in [0.0, 1e-6, -1e-6] {
+                    rays.push(Ray::new(edge + (Vec3::ONE - axis) * nudge, dir));
+                }
+            }
+        }
+        // One zero direction component, through the centre and in a
+        // plane of the cell's faces.
+        for dir in [Vec3::new(1.0, 1.0, 0.0), Vec3::new(0.0, -1.0, 2.0), Vec3::new(-3.0, 0.0, 1.0)]
+        {
+            let dir = dir.normalize();
+            rays.push(Ray::new(center - dir * 1.7, dir));
+            rays.push(Ray::new(corner - dir * 1.7, dir));
+        }
+        // Random directions through a random point of the cell.
+        for _ in 0..4 {
+            let jitter = Vec3::new(rng.gen(), rng.gen(), rng.gen()) * (1.0 / r);
+            let target = corner + jitter;
+            let origin =
+                Vec3::new(rng.gen::<f32>() * 4.0 - 1.5, rng.gen(), rng.gen::<f32>() * 3.0 - 1.0);
+            rays.push(Ray::new(origin, (target - origin).normalize()));
         }
     }
+    // Random rays starting inside the cube.
+    for _ in 0..64 {
+        let origin = Vec3::new(rng.gen(), rng.gen(), rng.gen());
+        let dir = Vec3::new(rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5);
+        rays.push(Ray::new(origin, dir.normalize()));
+    }
+    rays
+}
+
+/// `sample_ray_into` skips the ray–octant spans and span tails that the
+/// occupancy grid's empty-space summary rules out, yet must emit
+/// exactly `sample_ray`'s samples: t, δt and positions bit for bit.
+/// The grids put occupied cells where that skip is tightest (alone, on
+/// faces and corners, on octant planes, with a gap inside one pair),
+/// at resolutions that do and do not divide into summary blocks.
+#[test]
+fn sample_ray_into_matches_sample_ray() {
+    let sphere = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.4);
+    let mut grids = vec![sphere, grid_with(24, &[[7, 11, 3]]), grid_with(25, &[[12, 12, 12]])];
+    for r in [5, 7, 24, 25] {
+        grids.push(grid_with(r, &face_and_corner_cells(r)));
+    }
+    for r in [24, 25] {
+        grids.push(grid_with(r, &two_cluster_cells(r)));
+    }
+    let configs = [
+        SamplerConfig { steps_per_diagonal: 64, max_samples_per_ray: 48 },
+        SamplerConfig { steps_per_diagonal: 192, max_samples_per_ray: 128 },
+        SamplerConfig { steps_per_diagonal: 97, max_samples_per_ray: 3 },
+    ];
+    let mut batch = SampleBatch::new();
+    let mut rng = SmallRng::seed_from_u64(37);
+    let (mut rays_with_samples, mut capped, mut gaps) = (0, 0, 0);
+    for grid in &grids {
+        for ray in sweep_rays(grid, &mut rng) {
+            for config in &configs {
+                let (scalar, _) = sample_ray(&ray, grid, config);
+                sample_ray_into(&ray, grid, config, &mut batch);
+                let what = format!(
+                    "res {} ray {ray:?} cap {}",
+                    grid.resolution(),
+                    config.max_samples_per_ray
+                );
+                assert_eq!(batch.len(), scalar.len(), "sample count diverged: {what}");
+                for (i, s) in scalar.iter().enumerate() {
+                    assert_eq!(batch.ts()[i].to_bits(), s.t.to_bits(), "t[{i}]: {what}");
+                    assert_eq!(batch.dts()[i].to_bits(), s.dt.to_bits(), "dt[{i}]: {what}");
+                    let p = batch.positions()[i];
+                    assert_eq!(
+                        [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()],
+                        [s.position.x.to_bits(), s.position.y.to_bits(), s.position.z.to_bits()],
+                        "position[{i}]: {what}"
+                    );
+                }
+                rays_with_samples += usize::from(!scalar.is_empty());
+                capped += usize::from(scalar.len() == config.max_samples_per_ray);
+                gaps += scalar
+                    .windows(2)
+                    .filter(|w| w[0].cube == w[1].cube && w[1].t - w[0].t > 1.5 * config.step())
+                    .count();
+            }
+        }
+    }
+    // The sweep reaches every case it is built for.
+    assert!(rays_with_samples > 5000, "only {rays_with_samples} rays sampled anything");
+    assert!(capped > 1000, "only {capped} rays reached the sample cap");
+    assert!(gaps > 100, "only {gaps} empty gaps inside a ray–octant pair");
 }
 
 /// Renders a frame and runs a few training steps with `threads`

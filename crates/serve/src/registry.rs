@@ -217,6 +217,7 @@ impl SceneRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion3d_nerf::math::Vec3;
 
     fn fixture() -> (SceneStore, u64) {
         let store = SceneStore::synthetic(4);
@@ -277,6 +278,23 @@ mod tests {
         let (store, per_scene) = fixture();
         let err = SceneRegistry::new(&store, per_scene - 1).expect_err("too small");
         assert!(matches!(err, ServeError::BudgetTooSmall { scene: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn hostile_occupancy_resolution_is_an_error_not_a_panic() {
+        let (store, _) = fixture();
+        let id = SceneId(0);
+        let container = store.container(id).expect("container");
+        for resolution in [0u32, 4096, u32::MAX] {
+            // The resolution sits at bytes 36..40 of the header.
+            let mut bytes = container.to_vec();
+            bytes[36..40].copy_from_slice(&resolution.to_le_bytes());
+            let mut hostile = SceneStore::new();
+            let config = *store.config(id).expect("config");
+            hostile.register("hostile", config, Vec3::ZERO, bytes);
+            let err = SceneRegistry::new(&hostile, u64::MAX).expect_err("hostile header");
+            assert!(matches!(err, ServeError::Decode { scene: 0, .. }), "{resolution}: {err}");
+        }
     }
 
     #[test]
