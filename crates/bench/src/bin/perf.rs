@@ -23,7 +23,7 @@ use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache, MlpCache};
 use fusion3d_nerf::mlp_int8::QuantizedMlp;
-use fusion3d_nerf::model::{ModelConfig, ModelOptimizer, NerfModel, PointContext};
+use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, PipelineConfig};
 use fusion3d_nerf::reference;
@@ -280,23 +280,31 @@ fn bench_render(smoke: bool) -> BenchLine {
     }
 }
 
+/// Per-sample gradient rows reused by every ray of the scalar
+/// training baseline.
+#[derive(Default)]
+struct GradRows {
+    d_sigma: Vec<f32>,
+    d_color: Vec<Vec3>,
+}
+
 /// One training step through the scalar reference kernels: per ray,
 /// Stage I via [`sample_ray`], a scalar forward per sample for
-/// compositing, the allocating [`composite_backward`], then a second
-/// scalar forward feeding [`NerfModel::backward`] per sample — the
-/// O(1)-context design the batched trainer replaced. Gradients merge
-/// into one accumulator and Adam applies once, matching
-/// [`Trainer::step`]'s update structure. Returns the processed sample
-/// count.
+/// compositing, the allocating [`composite_backward`], then
+/// [`reference::model_backward`]'s second scalar forward and backward
+/// per sample — the O(1)-context design the batched trainer replaced.
+/// Gradients accumulate into one buffer and Adam applies once,
+/// matching [`Trainer::step`]'s update structure. Returns the
+/// processed sample count.
 #[allow(clippy::too_many_arguments)]
 fn scalar_train_step<R: Rng>(
     model: &mut NerfModel,
     optimizer: &mut ModelOptimizer,
-    grads: &mut fusion3d_nerf::model::ModelGrads,
+    grads: &mut ModelGrads,
     occupancy: &OccupancyGrid,
     dataset: &Dataset,
     config: &TrainerConfig,
-    ctx: &mut PointContext,
+    rows: &mut GradRows,
     rng: &mut R,
 ) -> usize {
     let batch = dataset.sample_batch(config.rays_per_batch, rng);
@@ -317,10 +325,18 @@ fn scalar_train_step<R: Rng>(
         let err = out.color - *target;
         let d_pixel = err * (2.0 * inv_norm);
         let sample_grads = composite_backward(&shaded, config.background, d_pixel);
-        for (s, g) in samples.iter().zip(sample_grads.iter()) {
-            model.forward(s.position, ray.direction, ctx);
-            model.backward(s.position, ctx, g.d_sigma, g.d_color, grads);
-        }
+        rows.d_sigma.clear();
+        rows.d_sigma.extend(sample_grads.iter().map(|g| g.d_sigma));
+        rows.d_color.clear();
+        rows.d_color.extend(sample_grads.iter().map(|g| g.d_color));
+        reference::model_backward(
+            model,
+            &positions,
+            ray.direction,
+            &rows.d_sigma,
+            &rows.d_color,
+            grads,
+        );
     }
     optimizer.step(model, grads);
     total
@@ -351,7 +367,7 @@ fn bench_train_step(smoke: bool) -> BenchLine {
     let mut grads = scalar_model.alloc_grads();
     let mut occupancy = OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
     occupancy.fill();
-    let mut ctx = PointContext::new();
+    let mut rows = GradRows::default();
     let mut scalar_rng = SmallRng::seed_from_u64(29);
 
     let steps = if smoke { 1 } else { 10 };
@@ -371,7 +387,7 @@ fn bench_train_step(smoke: bool) -> BenchLine {
                 &occupancy,
                 &dataset,
                 &config,
-                &mut ctx,
+                &mut rows,
                 &mut scalar_rng,
             ));
         },

@@ -18,49 +18,41 @@ use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::model::ModelConfig;
-use fusion3d_nerf::render::{composite, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, SamplerConfig};
+use fusion3d_nerf::pipeline::render_layer;
+use fusion3d_nerf::sampler::SamplerConfig;
 use fusion3d_nerf::scenes::{LargeScene, ProceduralScene};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Renders the per-pixel dominant-expert map of a trained MoE.
+///
+/// Dominance is by per-expert opacity, `1 − T` of the expert's own
+/// layer: the expert whose field absorbs the ray the most owns the
+/// pixel, regardless of its color brightness.
 pub fn dominance_map(
     moe: &MoeNerf,
     camera: &Camera,
     sampler: &SamplerConfig,
 ) -> Vec<Option<usize>> {
-    let mut ctx = fusion3d_nerf::model::PointContext::new();
-    camera
-        .rays()
-        .map(|(_, _, ray)| {
-            // Dominance by per-expert opacity (1 - transmittance):
-            // the expert whose own field absorbs the ray the most owns
-            // the pixel, regardless of its color brightness.
-            let mut best: Option<(usize, f32)> = None;
-            let mut total_opacity = 0.0f32;
-            for (e, expert) in moe.experts().iter().enumerate() {
-                let (samples, _) = sample_ray(&ray, &expert.occupancy, sampler);
-                let shaded: Vec<ShadedSample> = samples
-                    .iter()
-                    .map(|s| {
-                        let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                        ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                    })
-                    .collect();
-                let out = composite(&shaded, Vec3::ZERO, false);
-                let opacity = 1.0 - out.final_transmittance;
-                total_opacity += opacity;
-                if best.is_none_or(|(_, b)| opacity > b) {
-                    best = Some((e, opacity));
-                }
+    // Per pixel: the most opaque expert so far, and the total opacity.
+    let mut pixels = vec![(None::<(usize, f32)>, 0.0f32); camera.pixel_count() as usize];
+    for (e, expert) in moe.experts().iter().enumerate() {
+        let layer = render_layer(&expert.model, &expert.occupancy, camera, sampler);
+        for ((best, total_opacity), (_, transmittance)) in pixels.iter_mut().zip(layer) {
+            let opacity = 1.0 - transmittance;
+            *total_opacity += opacity;
+            if best.is_none_or(|(_, b)| opacity > b) {
+                *best = Some((e, opacity));
             }
-            // Background-dominated pixels absorb almost nothing.
-            match best {
-                Some((e, o)) if o > 0.2 && total_opacity > 0.3 => Some(e),
-                _ => None,
-            }
+        }
+    }
+    pixels
+        .into_iter()
+        // Background-dominated pixels absorb almost nothing.
+        .map(|(best, total_opacity)| match best {
+            Some((e, o)) if o > 0.2 && total_opacity > 0.3 => Some(e),
+            _ => None,
         })
         .collect()
 }

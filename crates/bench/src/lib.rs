@@ -12,8 +12,9 @@
 //! cargo run -p fusion3d-bench --release --bin table3
 //! ```
 //!
-//! or everything at once with `--bin all_experiments` (also executed
-//! by `cargo bench` through the `paper_tables` bench target).
+//! or everything at once with `--bin all_experiments`, whose output
+//! is committed as `BENCH_tables.txt` and compared byte for byte by
+//! `scripts/check.sh`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -62,10 +62,9 @@ use crate::SourceFile;
 const H2_ENTRY_NAMES: &[&str] = &[
     "render_image",
     "render_image_probed",
-    "render_pixel",
-    "render_pixel_depth",
     "render_depth_image",
     "render_views_into",
+    "render_layer",
     "trace_frame",
     "shade_row",
     "forward_batch",

@@ -316,7 +316,7 @@ fn reports_are_deterministic_and_ordered() {
     let sources = [
         (
             "crates/nerf/src/b.rs".to_string(),
-            "pub fn render_pixel(out: &mut Vec<f32>) { out.push(1.0); }\n".to_string(),
+            "pub fn render_layer(out: &mut Vec<f32>) { out.push(1.0); }\n".to_string(),
         ),
         (
             "crates/core/src/a.rs".to_string(),
@@ -440,7 +440,7 @@ fn p2_allow_comment_and_continuation_suppress() {
 
 #[test]
 fn h2_flags_allocation_reachable_from_render_entries() {
-    let src = "pub fn render_pixel(out: &mut Vec<f32>) {\n\
+    let src = "pub fn render_layer(out: &mut Vec<f32>) {\n\
                shade(out);\n\
                }\n\
                fn shade(out: &mut Vec<f32>) {\n\
@@ -470,7 +470,7 @@ fn h2_ignores_unreachable_code_and_the_dispatch_crate() {
     let sources = [
         (
             "crates/nerf/src/pipeline.rs".to_string(),
-            "pub fn render_pixel(out: &mut Vec<f32>) { dispatch(out); }\n".to_string(),
+            "pub fn render_layer(out: &mut Vec<f32>) { dispatch(out); }\n".to_string(),
         ),
         (
             "crates/par/src/lib.rs".to_string(),
@@ -482,7 +482,7 @@ fn h2_ignores_unreachable_code_and_the_dispatch_crate() {
 
 #[test]
 fn h2_allow_comment_suppresses() {
-    let src = "pub fn render_pixel(out: &mut Vec<f32>) {\n\
+    let src = "pub fn render_layer(out: &mut Vec<f32>) {\n\
                out.push(1.0); // lint: allow(h2): amortized into caller capacity\n\
                }\n";
     assert!(rules_at("crates/nerf/src/pipeline.rs", src).is_empty());

@@ -13,23 +13,29 @@
 //! ```
 //!
 //! where `C_e` is expert `e`'s composited radiance (black background)
-//! and `T_e` its residual transmittance. Only per-pixel partial sums
-//! ever cross chips, which is what slashes chip-to-chip communication
-//! by ~94 % (Fig. 12(a)). During training, gradients flow to each
+//! and `T_e` its residual transmittance. Each expert renders its layer
+//! on the unchanged single-chip pipeline
+//! ([`fusion3d_nerf::pipeline::render_layer`]) and trains on the same
+//! batched kernels as [`fusion3d_nerf::trainer::Trainer`]. Only
+//! per-pixel partial sums ever cross chips, which is what slashes
+//! chip-to-chip communication by ~94 % (Fig. 12(a)). During training, gradients flow to each
 //! expert through its own compositing (including the shared
 //! background product), and the per-expert occupancy grids gradually
 //! prune the regions an expert does not own — the specialization
 //! visualized in the paper's Fig. 8.
 
 use fusion3d_nerf::adam::AdamConfig;
+use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
+use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::{Encoding, HashGrid};
 use fusion3d_nerf::image::Image;
-use fusion3d_nerf::math::{Ray, Vec3};
-use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel, PointContext};
+use fusion3d_nerf::math::Vec3;
+use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::render::{composite, composite_backward, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, RayWorkload, SamplerConfig};
+use fusion3d_nerf::pipeline::render_layer;
+use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
+use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::Rng;
 
@@ -154,37 +160,26 @@ impl<E: Encoding> MoeNerf<E> {
         self.experts.iter().map(|e| e.model.param_count()).sum()
     }
 
-    /// Renders one pixel by fusing per-expert composites.
-    pub fn render_pixel(&self, ray: &Ray, sampler: &SamplerConfig, background: Vec3) -> Vec3 {
-        let mut ctx = PointContext::new();
-        let mut color = Vec3::ZERO;
-        let mut trans_product = 1.0f32;
-        for expert in &self.experts {
-            let (samples, _) = sample_ray(ray, &expert.occupancy, sampler);
-            let shaded: Vec<ShadedSample> = samples
-                .iter()
-                .map(|s| {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                })
-                .collect();
-            let out = composite(&shaded, Vec3::ZERO, false);
-            color += out.color;
-            trans_product *= out.final_transmittance;
-        }
-        color + background * trans_product
-    }
-
-    /// Renders a full frame.
+    /// Renders a full frame: every expert renders its layer on the
+    /// single-chip pipeline, and the layers fuse per pixel in expert
+    /// order as `Σ C_e + background · Π T_e`.
     pub fn render_image(
         &self,
-        camera: &fusion3d_nerf::camera::Camera,
+        camera: &Camera,
         sampler: &SamplerConfig,
         background: Vec3,
     ) -> Image {
+        let mut fused = vec![(Vec3::ZERO, 1.0f32); camera.pixel_count() as usize];
+        for expert in &self.experts {
+            let layer = render_layer(&expert.model, &expert.occupancy, camera, sampler);
+            for ((color, transmittance), (c, t)) in fused.iter_mut().zip(layer) {
+                *color += c;
+                *transmittance *= t;
+            }
+        }
         let mut img = Image::new(camera.width(), camera.height());
-        for (x, y, ray) in camera.rays() {
-            img.set(x, y, self.render_pixel(&ray, sampler, background));
+        for (pixel, (color, transmittance)) in img.pixels_mut().iter_mut().zip(fused) {
+            *pixel = color + background * transmittance;
         }
         img
     }
@@ -193,7 +188,7 @@ impl<E: Encoding> MoeNerf<E> {
     /// for the multi-chip workload-balance analysis.
     pub fn per_chip_workloads(
         &self,
-        camera: &fusion3d_nerf::camera::Camera,
+        camera: &Camera,
         sampler: &SamplerConfig,
     ) -> Vec<Vec<RayWorkload>> {
         self.experts
@@ -205,12 +200,29 @@ impl<E: Encoding> MoeNerf<E> {
     }
 }
 
+/// One expert's training working set, reused by every step: its
+/// Stage-I samples, the forward state its backward pass reuses, and
+/// the per-sample rows between compositing and the model.
+#[derive(Debug, Default)]
+struct ExpertScratch {
+    samples: SampleBatch,
+    kernel: KernelScratch,
+    shaded: Vec<ShadedSample>,
+    weights: Vec<f32>,
+    sample_grads: Vec<SampleGrad>,
+    d_sigma: Vec<f32>,
+    d_color: Vec<Vec3>,
+    /// The expert's transmittance behind the current ray.
+    transmittance: f32,
+}
+
 /// Trains a [`MoeNerf`] end to end with pixel-sum fusion.
 #[derive(Debug)]
 pub struct MoeTrainer<E: Encoding = HashGrid> {
     moe: MoeNerf<E>,
     optimizers: Vec<ModelOptimizer>,
     grads: Vec<ModelGrads>,
+    scratch: Vec<ExpertScratch>,
     config: TrainerConfig,
     iteration: u32,
 }
@@ -220,7 +232,8 @@ impl<E: Encoding> MoeTrainer<E> {
     pub fn new(moe: MoeNerf<E>, config: TrainerConfig, adam: AdamConfig) -> Self {
         let optimizers = moe.experts.iter().map(|e| ModelOptimizer::new(adam, &e.model)).collect();
         let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
-        MoeTrainer { moe, optimizers, grads, config, iteration: 0 }
+        let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
+        MoeTrainer { moe, optimizers, grads, scratch, config, iteration: 0 }
     }
 
     /// The MoE model.
@@ -249,7 +262,10 @@ impl<E: Encoding> MoeTrainer<E> {
         }
     }
 
-    /// One optimization step on a random ray batch.
+    /// One optimization step on a random ray batch. Every expert runs
+    /// each ray through the batched kernels — Stage I, one model
+    /// forward, compositing over black — and keeps its forward state
+    /// for the backward pass that follows the fused loss.
     pub fn step<R: Rng>(&mut self, dataset: &Dataset, rng: &mut R) -> f64 {
         self.maybe_refresh_occupancy(rng);
         let batch = dataset.sample_batch(self.config.rays_per_batch, rng);
@@ -258,33 +274,28 @@ impl<E: Encoding> MoeTrainer<E> {
         }
         let mut loss_sum = 0.0f64;
         let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
-        let n = self.moe.experts.len();
-        let mut ctx = PointContext::new();
+        let MoeTrainer { moe, grads, scratch, config, .. } = &mut *self;
 
         for (ray, target) in &batch {
-            // Forward each expert, retaining its samples and shading.
-            let mut per_expert: Vec<(Vec<fusion3d_nerf::sampler::RaySample>, Vec<ShadedSample>)> =
-                Vec::with_capacity(n);
             let mut color = Vec3::ZERO;
-            // lint: allow(h2): reference MoE trainer keeps per-ray
-            // clarity; the batched SoA trainer is the measured path
-            let mut trans = vec![1.0f32; n];
-            for (e, expert) in self.moe.experts.iter().enumerate() {
-                let (samples, _) = sample_ray(ray, &expert.occupancy, &self.config.sampler);
-                let mut shaded = Vec::with_capacity(samples.len());
-                for s in &samples {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    // lint: allow(h2): reference path — see `trans` above
-                    shaded.push(ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt });
-                }
-                let out = composite(&shaded, Vec3::ZERO, false);
-                color += out.color;
-                trans[e] = out.final_transmittance;
-                // lint: allow(h2): reference path — see `trans` above
-                per_expert.push((samples, shaded));
+            for (expert, s) in moe.experts.iter().zip(scratch.iter_mut()) {
+                sample_ray_into(ray, &expert.occupancy, &config.sampler, &mut s.samples);
+                expert.model.forward_batch(s.samples.positions(), ray.direction, &mut s.kernel);
+                s.shaded.clear();
+                s.shaded.extend(
+                    s.kernel
+                        .sigma()
+                        .iter()
+                        .zip(s.kernel.color())
+                        .zip(s.samples.dts())
+                        .map(|((&sigma, &color), &dt)| ShadedSample { sigma, color, dt }),
+                );
+                let (c, t) = composite_into(&s.shaded, Vec3::ZERO, false, &mut s.weights);
+                color += c;
+                s.transmittance = t;
             }
-            let trans_product: f32 = trans.iter().product();
-            color += self.config.background * trans_product;
+            let trans_product: f32 = scratch.iter().map(|s| s.transmittance).product();
+            color += config.background * trans_product;
 
             let err = color - *target;
             loss_sum += (err.length_squared() / 3.0) as f64;
@@ -294,24 +305,27 @@ impl<E: Encoding> MoeTrainer<E> {
             // background attenuated by the other experts'
             // transmittances, so composite_backward's background term
             // carries exactly ∂(bg · Π T)/∂(this expert).
-            for (e, expert) in self.moe.experts.iter().enumerate() {
-                let others: f32 =
-                    trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
-                let effective_bg = self.config.background * others;
-                let (samples, shaded) = &per_expert[e];
-                let sample_grads = composite_backward(shaded, effective_bg, d_pixel);
-                for (s, g) in samples.iter().zip(&sample_grads) {
-                    // Re-run the forward pass for this sample to fill
-                    // the context, then backpropagate.
-                    expert.model.forward(s.position, ray.direction, &mut ctx);
-                    expert.model.backward(
-                        s.position,
-                        &ctx,
-                        g.d_sigma,
-                        g.d_color,
-                        &mut self.grads[e],
-                    );
-                }
+            for (e, (expert, g)) in moe.experts.iter().zip(grads.iter_mut()).enumerate() {
+                let others: f32 = scratch
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != e)
+                    .map(|(_, s)| s.transmittance)
+                    .product();
+                let effective_bg = config.background * others;
+                let s = &mut scratch[e];
+                composite_backward_into(&s.shaded, effective_bg, d_pixel, &mut s.sample_grads);
+                s.d_sigma.clear();
+                s.d_sigma.extend(s.sample_grads.iter().map(|g| g.d_sigma));
+                s.d_color.clear();
+                s.d_color.extend(s.sample_grads.iter().map(|g| g.d_color));
+                expert.model.backward_batch(
+                    s.samples.positions(),
+                    &s.d_sigma,
+                    &s.d_color,
+                    &mut s.kernel,
+                    g,
+                );
             }
         }
 
@@ -356,7 +370,11 @@ impl<E: Encoding> MoeTrainer<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion3d_nerf::camera::orbit_poses;
     use fusion3d_nerf::encoding::HashGridConfig;
+    use fusion3d_nerf::math::Ray;
+    use fusion3d_nerf::reference;
+    use fusion3d_nerf::render::{composite, composite_backward};
     use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -403,6 +421,10 @@ mod tests {
         MoeNerf::new(0, small_expert_config(), 12, 0.5, &mut rng);
     }
 
+    fn test_camera(size: u32) -> Camera {
+        Camera::new(orbit_poses(Vec3::splat(0.5), 1.2, 1)[0], size, size, 0.8)
+    }
+
     #[test]
     fn empty_gates_render_pure_background() {
         let mut rng = SmallRng::seed_from_u64(1);
@@ -410,35 +432,168 @@ mod tests {
         for e in &mut moe.experts {
             e.occupancy = OccupancyGrid::new(8, 0.5); // all empty
         }
-        let ray = Ray::new(Vec3::new(-1.0, 0.4, 0.45), Vec3::X);
         let bg = Vec3::new(0.2, 0.5, 0.8);
-        let c = moe.render_pixel(&ray, &SamplerConfig::default(), bg);
-        assert_eq!(c, bg);
+        let img = moe.render_image(&test_camera(8), &SamplerConfig::default(), bg);
+        assert!(img.pixels().iter().all(|&p| p == bg));
+    }
+
+    /// One expert's samples along `ray`, shaded one sample at a time
+    /// through the scalar oracle.
+    fn oracle_shade(
+        expert: &Expert,
+        ray: &Ray,
+        sampler: &SamplerConfig,
+    ) -> (Vec<Vec3>, Vec<ShadedSample>) {
+        let (samples, _) = sample_ray(ray, &expert.occupancy, sampler);
+        let positions: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
+        let (sigmas, colors) = reference::model_forward(&expert.model, &positions, ray.direction);
+        let shaded = samples
+            .iter()
+            .zip(sigmas.iter().zip(&colors))
+            .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
+            .collect();
+        (positions, shaded)
+    }
+
+    /// The per-sample MoE step: the same RNG draws, occupancy refreshes
+    /// and Adam steps as [`MoeTrainer::step`], with every expert's
+    /// samples evaluated through `reference::model_forward` and
+    /// backpropagated through `reference::model_backward`.
+    fn oracle_step(trainer: &mut MoeTrainer, dataset: &Dataset, rng: &mut SmallRng) -> f64 {
+        trainer.maybe_refresh_occupancy(rng);
+        let config = trainer.config;
+        let batch = dataset.sample_batch(config.rays_per_batch, rng);
+        for g in &mut trainer.grads {
+            g.zero();
+        }
+        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
+        let mut loss_sum = 0.0f64;
+        for (ray, target) in &batch {
+            let layers: Vec<_> = trainer
+                .moe
+                .experts
+                .iter()
+                .map(|expert| oracle_shade(expert, ray, &config.sampler))
+                .collect();
+            let mut color = Vec3::ZERO;
+            let mut trans = Vec::new();
+            for (_, shaded) in &layers {
+                let out = composite(shaded, Vec3::ZERO, false);
+                color += out.color;
+                trans.push(out.final_transmittance);
+            }
+            color += config.background * trans.iter().product::<f32>();
+            let err = color - *target;
+            loss_sum += (err.length_squared() / 3.0) as f64;
+            let d_pixel = err * (2.0 * inv_norm);
+            for (e, (expert, (positions, shaded))) in
+                trainer.moe.experts.iter().zip(&layers).enumerate()
+            {
+                let others: f32 =
+                    trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
+                let grads = composite_backward(shaded, config.background * others, d_pixel);
+                let d_sigma: Vec<f32> = grads.iter().map(|g| g.d_sigma).collect();
+                let d_color: Vec<Vec3> = grads.iter().map(|g| g.d_color).collect();
+                reference::model_backward(
+                    &expert.model,
+                    positions,
+                    ray.direction,
+                    &d_sigma,
+                    &d_color,
+                    &mut trainer.grads[e],
+                );
+            }
+        }
+        for (expert, (opt, grads)) in
+            trainer.moe.experts.iter_mut().zip(trainer.optimizers.iter_mut().zip(&trainer.grads))
+        {
+            opt.step(&mut expert.model, grads);
+        }
+        trainer.iteration += 1;
+        loss_sum / batch.len() as f64
+    }
+
+    /// The MoE frame through the scalar oracle: per pixel, every
+    /// expert composites over black and the layers fuse in expert
+    /// order.
+    fn oracle_render(
+        moe: &MoeNerf,
+        camera: &Camera,
+        sampler: &SamplerConfig,
+        bg: Vec3,
+    ) -> Vec<Vec3> {
+        camera
+            .rays()
+            .map(|(_, _, ray)| {
+                let mut color = Vec3::ZERO;
+                let mut transmittance = 1.0f32;
+                for expert in moe.experts() {
+                    let out = composite(&oracle_shade(expert, &ray, sampler).1, Vec3::ZERO, false);
+                    color += out.color;
+                    transmittance *= out.final_transmittance;
+                }
+                color + bg * transmittance
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn fusion_is_additive_across_experts() {
-        // With a black background, the MoE pixel is the sum of the
-        // per-expert pixels.
-        let mut rng = SmallRng::seed_from_u64(2);
-        let moe = MoeNerf::new(3, small_expert_config(), 8, 0.5, &mut rng);
-        let ray = Ray::new(Vec3::new(-1.0, 0.3, 0.6), Vec3::X);
-        let sampler = SamplerConfig::default();
-        let fused = moe.render_pixel(&ray, &sampler, Vec3::ZERO);
-        let mut ctx = PointContext::new();
-        let mut manual = Vec3::ZERO;
-        for expert in moe.experts() {
-            let (samples, _) = sample_ray(&ray, &expert.occupancy, &sampler);
-            let shaded: Vec<ShadedSample> = samples
-                .iter()
-                .map(|s| {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                })
-                .collect();
-            manual += composite(&shaded, Vec3::ZERO, false).color;
+    fn batched_step_matches_the_per_sample_oracle() {
+        let scene = ProceduralScene::synthetic(SyntheticScene::Hotdog);
+        let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
+        let config =
+            TrainerConfig { background: Vec3::new(0.55, 0.7, 0.9), ..quick_trainer_config() };
+        let trainer = || {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let moe = MoeNerf::with_partitioned_gates(3, small_expert_config(), 12, 0.5, &mut rng);
+            MoeTrainer::new(moe, config, AdamConfig::default())
+        };
+        let (mut batched, mut oracle) = (trainer(), trainer());
+        let gate = |x: &Expert| -> Vec<bool> {
+            (0..x.occupancy.cell_count()).map(|c| x.occupancy.is_cell_occupied(c)).collect()
+        };
+        let initial_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
+        let (mut batched_rng, mut oracle_rng) =
+            (SmallRng::seed_from_u64(6), SmallRng::seed_from_u64(6));
+        let mut refreshes = 0;
+        for step in 0..120u32 {
+            refreshes += u32::from(
+                step >= config.occupancy_warmup
+                    && step.is_multiple_of(config.occupancy_update_interval),
+            );
+            let loss = batched.step(&dataset, &mut batched_rng);
+            let expected = oracle_step(&mut oracle, &dataset, &mut oracle_rng);
+            assert_eq!(loss.to_bits(), expected.to_bits(), "loss of step {step}");
         }
-        assert!((fused - manual).length() < 1e-5);
+        assert!(refreshes >= 3, "{refreshes} occupancy refreshes");
+
+        for (e, (b, o)) in batched.moe().experts().iter().zip(oracle.moe().experts()).enumerate() {
+            assert_eq!(bits(b.model.grid().params()), bits(o.model.grid().params()), "grid {e}");
+            assert_eq!(
+                bits(b.model.density_mlp().params()),
+                bits(o.model.density_mlp().params()),
+                "density MLP {e}"
+            );
+            assert_eq!(
+                bits(b.model.color_mlp().params()),
+                bits(o.model.color_mlp().params()),
+                "color MLP {e}"
+            );
+            assert_eq!(gate(b), gate(o), "gate {e}");
+        }
+        let final_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
+        assert_ne!(final_gates, initial_gates, "the refreshes never moved a gate");
+
+        let camera = test_camera(12);
+        let image = batched.moe().render_image(&camera, &config.sampler, config.background);
+        let expected = oracle_render(oracle.moe(), &camera, &config.sampler, config.background);
+        let flat =
+            |pixels: &[Vec3]| bits(&pixels.iter().flat_map(|p| p.to_array()).collect::<Vec<_>>());
+        assert_eq!(flat(image.pixels()), flat(&expected), "fused pixels");
     }
 
     #[test]

@@ -92,6 +92,14 @@ impl SampleBatch {
     }
 }
 
+/// Resizes `buf` to exactly `len` elements, leaving a buffer of that
+/// length untouched.
+fn fit<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() != len {
+        buf.resize(len, T::default());
+    }
+}
+
 /// All Stage II/III working memory for one worker: encoded features,
 /// MLP activation caches, per-sample outputs, and the gradient
 /// buffers of the backward pass — allocated once and resized only
@@ -174,30 +182,31 @@ impl KernelScratch {
         &self.probes
     }
 
-    /// Sizes every per-sample buffer for a batch of `n` samples with
-    /// the given feature dimensions. Idempotent for a matching shape.
-    pub(crate) fn resize(
-        &mut self,
-        n: usize,
-        enc_dim: usize,
-        density_out_dim: usize,
-        color_in_dim: usize,
-    ) {
-        fn fit<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
-            if buf.len() != len {
-                buf.resize(len, T::default());
-            }
-        }
+    /// Sizes every forward buffer for a batch of `n` samples with the
+    /// given feature dimensions. Idempotent for a matching shape.
+    pub(crate) fn resize(&mut self, n: usize, enc_dim: usize, color_in_dim: usize) {
         fit(&mut self.encoded, n * enc_dim);
         fit(&mut self.color_input, n * color_in_dim);
         fit(&mut self.sigma, n);
         fit(&mut self.color, n);
         fit(&mut self.raw_clamped, n);
+        self.batch = n;
+    }
+
+    /// Sizes the backward-only gradient buffers for the current batch.
+    /// Only a backward pass calls this, so inference never grows or
+    /// zero-fills memory it does not read.
+    pub(crate) fn resize_backward(
+        &mut self,
+        enc_dim: usize,
+        density_out_dim: usize,
+        color_in_dim: usize,
+    ) {
+        let n = self.batch;
         fit(&mut self.d_rgb, n * 3);
         fit(&mut self.d_color_in, n * color_in_dim);
         fit(&mut self.d_density_out, n * density_out_dim);
         fit(&mut self.d_encoded, n * enc_dim);
-        self.batch = n;
     }
 
     /// Builds the compositing input from the forward results and the
@@ -258,12 +267,14 @@ mod tests {
     #[test]
     fn kernel_scratch_resize_is_idempotent() {
         let mut scratch = KernelScratch::new();
-        scratch.resize(5, 4, 3, 7);
+        scratch.resize(5, 4, 7);
+        scratch.resize_backward(4, 3, 7);
         assert_eq!(scratch.batch_len(), 5);
         assert_eq!(scratch.sigma().len(), 5);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
-        scratch.resize(5, 4, 3, 7);
+        scratch.resize(5, 4, 7);
+        scratch.resize_backward(4, 3, 7);
         #[cfg(debug_assertions)]
         assert_eq!(scratch.capacity_fingerprint(), stamp, "matching shape must not reallocate");
     }
@@ -271,7 +282,7 @@ mod tests {
     #[test]
     fn build_shaded_mirrors_forward_outputs() {
         let mut scratch = KernelScratch::new();
-        scratch.resize(2, 2, 2, 2);
+        scratch.resize(2, 2, 2);
         scratch.sigma.copy_from_slice(&[1.0, 2.0]);
         scratch.color.copy_from_slice(&[Vec3::X, Vec3::Y]);
         scratch.build_shaded(&[0.25, 0.5]);

@@ -51,6 +51,15 @@ impl EncodingScratch {
         self.addrs.capacity() + self.weights.capacity()
     }
 
+    /// Reserves capacity for `points * levels * 8` corner entries
+    /// without touching the buffers' contents, so corners a forward
+    /// pass prepared stay valid for the backward pass.
+    fn reserve_for(&mut self, points: usize, levels: usize) {
+        let need = points * levels * 8;
+        self.addrs.reserve(need.saturating_sub(self.addrs.len()));
+        self.weights.reserve(need.saturating_sub(self.weights.len()));
+    }
+
     /// Sizes the buffers for `points * levels * 8` corner entries and
     /// marks them unprepared.
     fn resize_for(&mut self, points: usize, levels: usize) {
@@ -316,9 +325,10 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
         }
     }
 
-    /// Pre-sizes `scratch` for a batch of `n` points so the batched
-    /// kernels never grow a buffer inside their per-sample loops.
-    /// Default: no scratch is used, nothing to reserve.
+    /// Reserves `scratch`'s capacity for a batch of `n` points so the
+    /// batched kernels never grow a buffer inside their per-sample
+    /// loops. Capacity only: corners a forward pass prepared stay
+    /// valid. Default: no scratch is used, nothing to reserve.
     fn reserve_batch_scratch(&self, _scratch: &mut EncodingScratch, _n: usize) {}
 
     /// Number of learnable parameters.
@@ -560,10 +570,8 @@ impl HashGrid {
     }
 
     /// Encodes point `p` (normalized coordinates) into `out`, which
-    /// must have length [`HashGridConfig::output_dim`].
-    ///
-    /// This is the allocation-free replacement for the deprecated
-    /// [`HashGrid::encode`]: size the buffer once, reuse it per point.
+    /// must have length [`HashGridConfig::output_dim`]: size the buffer
+    /// once, reuse it per point.
     ///
     /// # Examples
     ///
@@ -600,20 +608,6 @@ impl HashGrid {
                 }
             }
         }
-    }
-
-    /// Convenience wrapper allocating the output vector.
-    ///
-    /// Migrate to the into-buffer API — see the example on
-    /// [`HashGrid::interpolate`]; batches should use
-    /// [`HashGrid::interpolate_batch_infer`].
-    #[deprecated(note = "allocates a Vec per point; interpolate into a reused buffer or use \
-                interpolate_batch for batches")]
-    pub fn encode(&self, p: Vec3) -> Vec<f32> {
-        // lint: allow(h1): deprecated compatibility shim — hot paths use interpolate_batch
-        let mut out = vec![0.0; self.config.output_dim()];
-        self.interpolate(p, &mut out);
-        out
     }
 
     /// Fills `scratch` with the corner addresses and trilinear weights
@@ -1010,7 +1004,7 @@ impl Encoding for HashGrid {
     }
 
     fn reserve_batch_scratch(&self, scratch: &mut EncodingScratch, n: usize) {
-        scratch.resize_for(n, self.config.levels);
+        scratch.reserve_for(n, self.config.levels);
     }
 
     fn param_count(&self) -> usize {
@@ -1042,8 +1036,7 @@ mod tests {
         }
     }
 
-    /// Allocating per-point encode, replacing the deprecated
-    /// `HashGrid::encode` in tests.
+    /// Allocating per-point encode.
     fn encode(grid: &HashGrid, p: Vec3) -> Vec<f32> {
         let mut out = vec![0.0; grid.config().output_dim()];
         grid.interpolate(p, &mut out);

@@ -154,10 +154,10 @@ impl MlpBatchCache {
             + self.wt.capacity()
     }
 
-    /// Sizes every buffer for a batch of `n` samples of an MLP with
-    /// layer dimensions `dims`. Idempotent: a matching shape leaves
-    /// the buffers untouched, so pre-sizing here keeps the kernels
-    /// allocation-free afterwards.
+    /// Sizes the forward buffers for a batch of `n` samples of an MLP
+    /// with layer dimensions `dims`. Idempotent: a matching shape
+    /// leaves the buffers untouched, so pre-sizing here keeps the
+    /// kernels allocation-free afterwards.
     pub(crate) fn begin(&mut self, dims: &[usize], n: usize) {
         self.activations.resize_with(dims.len(), Vec::default);
         for (a, &d) in self.activations.iter_mut().zip(dims.iter()) {
@@ -165,18 +165,24 @@ impl MlpBatchCache {
                 a.resize(n * d, 0.0);
             }
         }
-        let max_dim = dims.iter().copied().max().unwrap_or(0);
-        if self.delta.len() != n * max_dim {
-            self.delta.resize(n * max_dim, 0.0);
-        }
-        if self.d_prev.len() != n * max_dim {
-            self.d_prev.resize(n * max_dim, 0.0);
-        }
         let max_weights = dims.windows(2).map(|w| w[0] * w[1]).max().unwrap_or(0);
         if self.wt.len() != max_weights {
             self.wt.resize(max_weights, 0.0);
         }
         self.batch = n;
+    }
+
+    /// Sizes the backward-only gradient buffers for the cached batch,
+    /// so inference never grows or zero-fills them. Idempotent like
+    /// [`MlpBatchCache::begin`].
+    pub(crate) fn begin_backward(&mut self, dims: &[usize]) {
+        let len = self.batch * dims.iter().copied().max().unwrap_or(0);
+        if self.delta.len() != len {
+            self.delta.resize(len, 0.0);
+        }
+        if self.d_prev.len() != len {
+            self.d_prev.resize(len, 0.0);
+        }
     }
 
     /// The sample-major output batch (`batch_len() * output_dim`
@@ -538,6 +544,7 @@ impl Mlp {
         d_input: &mut [f32],
         grads: &mut [f32],
     ) {
+        cache.begin_backward(&self.dims);
         let MlpBatchCache { activations, delta, d_prev, batch, .. } = cache;
         let n = *batch;
         assert_eq!(d_output.len(), n * self.output_dim(), "output gradient size mismatch");

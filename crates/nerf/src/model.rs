@@ -68,19 +68,20 @@ impl ModelConfig {
     }
 }
 
-/// Density and color of a point evaluated by the field.
+/// Density and color of a point evaluated by the per-sample field.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointEval {
+pub(crate) struct PointEval {
     /// Volume density `σ ≥ 0`.
-    pub sigma: f32,
+    pub(crate) sigma: f32,
     /// RGB radiance in `[0, 1]`.
-    pub color: Vec3,
+    pub(crate) color: Vec3,
 }
 
-/// Forward-pass state for one sample point, retained for the backward
-/// pass. Reusable across points to avoid allocation.
+/// Forward-pass state for one sample point, retained for the
+/// per-sample backward pass. Reusable across points to avoid
+/// allocation.
 #[derive(Debug, Clone, Default)]
-pub struct PointContext {
+pub(crate) struct PointContext {
     encoded: Vec<f32>,
     density_cache: MlpCache,
     color_cache: MlpCache,
@@ -91,7 +92,7 @@ pub struct PointContext {
 
 impl PointContext {
     /// Creates an empty context.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PointContext::default()
     }
 }
@@ -311,8 +312,15 @@ impl<E: Encoding> NerfModel<E> {
     }
 
     /// Full forward pass for one sample point, retaining the state
-    /// needed by [`NerfModel::backward`] in `ctx`.
-    pub fn forward(&self, position: Vec3, direction: Vec3, ctx: &mut PointContext) -> PointEval {
+    /// needed by [`NerfModel::backward`] in `ctx`: the per-sample
+    /// oracle behind `reference`, which the batched kernels must match
+    /// bit for bit.
+    pub(crate) fn forward(
+        &self,
+        position: Vec3,
+        direction: Vec3,
+        ctx: &mut PointContext,
+    ) -> PointEval {
         ctx.encoded.resize(self.encoding.output_dim(), 0.0);
         self.encoding.interpolate(position, &mut ctx.encoded);
         let d_out: Vec<f32> = {
@@ -340,7 +348,7 @@ impl<E: Encoding> NerfModel<E> {
     /// `d_sigma` and `d_color` are the loss gradients w.r.t. the
     /// point's density and color; parameter gradients are accumulated
     /// into `grads`.
-    pub fn backward(
+    pub(crate) fn backward(
         &self,
         position: Vec3,
         ctx: &PointContext,
@@ -376,29 +384,29 @@ impl<E: Encoding> NerfModel<E> {
         self.encoding.backward(position, &d_encoded, &mut grads.grid);
     }
 
-    /// Sizes `scratch` for a batch of `n` samples of this model so the
-    /// batched kernels never allocate inside their sample loops.
-    fn begin_batch(&self, scratch: &mut KernelScratch, n: usize) {
-        scratch.resize(
-            n,
-            self.encoding.output_dim(),
-            self.density_mlp.output_dim(),
-            self.color_mlp.input_dim(),
-        );
-        self.encoding.reserve_batch_scratch(&mut scratch.enc, n);
+    /// Sizes the forward buffers of `scratch` for a batch of `n`
+    /// samples of this model so the batched forward never allocates
+    /// inside its sample loops. With `retain`, also reserves the
+    /// encoding's corner spill; inference touches neither it nor the
+    /// backward buffers, which [`NerfModel::backward_batch`] sizes.
+    fn begin_batch(&self, scratch: &mut KernelScratch, n: usize, retain: bool) {
+        scratch.resize(n, self.encoding.output_dim(), self.color_mlp.input_dim());
+        if retain {
+            self.encoding.reserve_batch_scratch(&mut scratch.enc, n);
+        }
         scratch.density_cache.begin(self.density_mlp.dims(), n);
         scratch.color_cache.begin(self.color_mlp.dims(), n);
     }
 
-    /// Full forward pass for one ray's batch of sample points, the
-    /// batched counterpart of [`NerfModel::forward`]: all positions
-    /// share `direction` (one SH evaluation per ray instead of one per
-    /// sample). Results land in [`KernelScratch::sigma`] /
+    /// Full forward pass for one ray's batch of sample points: all
+    /// positions share `direction` (one SH evaluation per ray instead
+    /// of one per sample). Results land in [`KernelScratch::sigma`] /
     /// [`KernelScratch::color`]; the scratch retains everything
     /// [`NerfModel::backward_batch`] needs.
     ///
-    /// Bitwise-identical to looping the scalar forward over the batch
-    /// — the `reference` module's differential tests enforce this.
+    /// Bitwise-identical to evaluating each sample on its own through
+    /// [`crate::reference::model_forward`] — the `reference` module's
+    /// differential tests enforce this.
     pub fn forward_batch(&self, positions: &[Vec3], direction: Vec3, scratch: &mut KernelScratch) {
         let sh = sh_row(direction);
         self.forward_batch_impl(positions, |_| &sh, scratch, true);
@@ -434,7 +442,7 @@ impl<E: Encoding> NerfModel<E> {
         retain: bool,
     ) {
         let n = positions.len();
-        self.begin_batch(scratch, n);
+        self.begin_batch(scratch, n, retain);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
 
@@ -503,14 +511,13 @@ impl<E: Encoding> NerfModel<E> {
     }
 
     /// Backward pass for the batch previously run through
-    /// [`NerfModel::forward_batch`] with `scratch`, the batched
-    /// counterpart of [`NerfModel::backward`].
+    /// [`NerfModel::forward_batch`] with `scratch`.
     ///
     /// `d_sigma[i]` / `d_color[i]` are the loss gradients w.r.t.
     /// sample `i`'s density and color; parameter gradients accumulate
     /// into `grads` with every element's per-sample contributions in
     /// ascending sample order, so the result is bitwise-identical to
-    /// looping the scalar backward.
+    /// [`crate::reference::model_backward`].
     ///
     /// # Panics
     ///
@@ -528,6 +535,14 @@ impl<E: Encoding> NerfModel<E> {
         assert_eq!(positions.len(), n, "position batch does not match the forward pass");
         assert_eq!(d_sigma.len(), n, "density gradient batch size mismatch");
         assert_eq!(d_color.len(), n, "color gradient batch size mismatch");
+        scratch.resize_backward(
+            self.encoding.output_dim(),
+            self.density_mlp.output_dim(),
+            self.color_mlp.input_dim(),
+        );
+        scratch.density_cache.begin_backward(self.density_mlp.dims());
+        scratch.color_cache.begin_backward(self.color_mlp.dims());
+        self.encoding.reserve_batch_scratch(&mut scratch.enc, n);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
 

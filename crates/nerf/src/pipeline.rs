@@ -6,10 +6,13 @@
 //! [`trace_frame`] captures the per-ray workload statistics that the
 //! cycle-level simulator in `fusion3d-core` replays.
 //!
-//! Frame-level entry points dispatch one row of pixels per work chunk
-//! across the [`fusion3d_par::Pool`] workers. Chunk geometry and the
-//! raster-order merge are independent of the thread count, so a frame
-//! is bitwise-identical whether rendered on one core or sixteen.
+//! Every frame entry point — [`render_image`], [`render_views_into`],
+//! [`render_depth_image`], [`render_layer`] and, in `obs` builds,
+//! `render_image_probed` — is a short caller of one private dispatch
+//! that shades each pixel row of each view as one work chunk across
+//! the [`fusion3d_par::Pool`] workers. Chunk geometry and the
+//! view-then-row merge order are independent of the thread count, so a
+//! frame is bitwise-identical whether rendered on one core or sixteen.
 
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::camera::Camera;
@@ -21,8 +24,7 @@ use crate::model::{sh_row, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{CompositeState, ShadedSample};
 use crate::sampler::{sample_ray, sample_ray_append, RayWorkload, SamplerConfig};
-use fusion3d_par::Pool;
-use std::ops::Range;
+use fusion3d_par::{DispatchStats, Pool};
 
 /// Configuration shared by rendering and tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,13 +100,6 @@ struct RowScratch {
     kernel: KernelScratch,
 }
 
-impl RowScratch {
-    /// The pixel colors of the row [`shade_row`] finished last.
-    fn pixels(&self, background: Vec3) -> impl Iterator<Item = Vec3> + '_ {
-        self.rays.iter().map(move |ray| ray.composite.pixel(background))
-    }
-}
-
 /// The render kernel behind every render entry point: shades one row
 /// of rays as a wavefront.
 ///
@@ -131,7 +126,7 @@ fn shade_row<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
     rays: impl Iterator<Item = Ray>,
-    config: &PipelineConfig,
+    sampler: &SamplerConfig,
     early_stop: bool,
     scratch: &mut RowScratch,
 ) -> usize {
@@ -140,7 +135,7 @@ fn shade_row<E: Encoding>(
     states.clear();
     for ray in rays {
         let next = samples.len();
-        sample_ray_append(&ray, occupancy, &config.sampler, samples);
+        sample_ray_append(&ray, occupancy, sampler, samples);
         // lint: allow(h2): amortized — the per-ray state vector is
         // cleared per row within its retained capacity
         states.push(RayState {
@@ -215,23 +210,80 @@ fn shade_row<E: Encoding>(
     samples.len()
 }
 
-/// The camera rays of the raster-order pixels `range`.
-fn pixel_rays(camera: &Camera, range: Range<usize>) -> impl Iterator<Item = Ray> + '_ {
-    let width = camera.width() as usize;
-    range.map(move |i| camera.ray_for_pixel((i % width) as u32, (i / width) as u32))
+/// One pixel row shaded by [`shade_views`].
+struct ShadedRow<T> {
+    /// Index of the row's view.
+    view: usize,
+    /// The row's index within its view, top row first.
+    y: u32,
+    /// The caller's output for each ray of the row, left to right.
+    rays: Vec<T>,
+    /// Samples Stage I retained for the row.
+    samples: usize,
+    /// The row's probe-counter delta.
+    #[cfg(feature = "obs")]
+    probes: crate::probes::ProbeCounters,
 }
 
-/// Renders a single pixel: runs all three stages for one ray.
-pub fn render_pixel<E: Encoding>(
+/// The one render dispatch behind every frame entry point: shades each
+/// pixel row of each `(view index, camera)` in `views` as one pool
+/// chunk through [`shade_row`], and maps each finished ray through
+/// `out`. Rows come back in view-then-row order. Chunk geometry
+/// depends only on the views, so the rows are bitwise-identical for
+/// any `FUSION3D_THREADS` setting; each row's probe delta is taken
+/// against its worker's running totals, so summing the deltas in row
+/// order is too. The [`DispatchStats`] are diagnostic only.
+fn shade_views<'c, E: Encoding, T: Send>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
-    ray: &Ray,
-    config: &PipelineConfig,
-) -> Vec3 {
-    let mut scratch = RowScratch::default();
-    shade_row(model, occupancy, std::iter::once(*ray), config, config.early_stop, &mut scratch);
-    let pixel = scratch.pixels(config.background).next();
-    pixel.unwrap_or(config.background)
+    views: impl Iterator<Item = (usize, &'c Camera)>,
+    sampler: &SamplerConfig,
+    early_stop: bool,
+    out: impl Fn(&RayState) -> T + Sync,
+) -> (Vec<ShadedRow<T>>, DispatchStats) {
+    let rows: Vec<(usize, &Camera, u32)> = views
+        .flat_map(|(view, camera)| (0..camera.height()).map(move |y| (view, camera, y)))
+        // lint: allow(h2): per-dispatch row table — one entry per
+        // pixel row, amortized over that row's rays
+        .collect();
+    Pool::new().parallel_chunks_with_stats(
+        rows.len(),
+        1,
+        RowScratch::default,
+        |_, range, scratch: &mut RowScratch| {
+            let (view, camera, y) = rows[range.start];
+            #[cfg(feature = "obs")]
+            let before = scratch.kernel.probes;
+            let rays = (0..camera.width()).map(|x| camera.ray_for_pixel(x, y));
+            let samples = shade_row(model, occupancy, rays, sampler, early_stop, scratch);
+            ShadedRow {
+                view,
+                y,
+                // lint: allow(h2): per-chunk output row — one
+                // allocation per chunk, amortized over its rays
+                rays: scratch.rays.iter().map(&out).collect(),
+                samples,
+                #[cfg(feature = "obs")]
+                probes: scratch.kernel.probes.diff(&before),
+            }
+        },
+    )
+}
+
+/// [`shade_views`] over one camera, flattened to one output per pixel
+/// in raster order.
+fn shade_view<E: Encoding, T: Send>(
+    model: &NerfModel<E>,
+    occupancy: &OccupancyGrid,
+    camera: &Camera,
+    sampler: &SamplerConfig,
+    early_stop: bool,
+    out: impl Fn(&RayState) -> T + Sync,
+) -> Vec<T> {
+    let (rows, _) =
+        shade_views(model, occupancy, std::iter::once((0, camera)), sampler, early_stop, out);
+    // lint: allow(h2): the flattened frame is the entry point's output
+    rows.into_iter().flat_map(|row| row.rays).collect()
 }
 
 /// Renders a full frame through the end-to-end pipeline, dispatching
@@ -243,29 +295,9 @@ pub fn render_image<E: Encoding>(
     camera: &Camera,
     config: &PipelineConfig,
 ) -> Image {
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let pixels = Pool::new().parallel_flat_map_with(
-        count,
-        width.max(1),
-        RowScratch::default,
-        |_, range, scratch| {
-            shade_row(
-                model,
-                occupancy,
-                pixel_rays(camera, range),
-                config,
-                config.early_stop,
-                scratch,
-            );
-            // lint: allow(h2): per-chunk pixel buffer is the
-            // parallel dispatch's return convention — one
-            // allocation per chunk, amortized over its rays
-            scratch.pixels(config.background).collect()
-        },
-    );
     let mut img = Image::new(camera.width(), camera.height());
-    img.pixels_mut().copy_from_slice(&pixels);
+    let cameras = std::slice::from_ref(camera);
+    render_views_into(model, occupancy, cameras, config, &mut [img.pixels_mut()], &mut [0]);
     img
 }
 
@@ -295,58 +327,32 @@ pub fn render_views_into<E: Encoding>(
         pixels_out.len() == cameras.len() && samples_out.len() == cameras.len(),
         "one pixel slice and one sample slot per camera"
     );
-    let mut rows: Vec<(usize, u32)> =
-        Vec::with_capacity(cameras.iter().map(|c| c.height() as usize).sum());
-    for (view, camera) in cameras.iter().enumerate() {
-        let fits = pixels_out.get(view).map(|out| out.len() as u64) == Some(camera.pixel_count());
-        if !fits {
-            continue;
+    let views = cameras.iter().enumerate().filter(|&(view, camera)| {
+        pixels_out.get(view).map(|out| out.len() as u64) == Some(camera.pixel_count())
+    });
+    let (rows, _) =
+        shade_views(model, occupancy, views, &config.sampler, config.early_stop, |ray| {
+            ray.composite.pixel(config.background)
+        });
+    samples_out.fill(0);
+    for row in &rows {
+        let start = row.y as usize * row.rays.len();
+        if let Some(dst) =
+            pixels_out.get_mut(row.view).and_then(|out| out.get_mut(start..start + row.rays.len()))
+        {
+            dst.copy_from_slice(&row.rays);
         }
-        for y in 0..camera.height() {
-            // lint: allow(h2): per-dispatch row table — one entry per
-            // pixel row, amortized over that row's rays
-            rows.push((view, y));
-        }
-    }
-    let chunks = Pool::new().parallel_chunks_with(
-        rows.len(),
-        1,
-        RowScratch::default,
-        |_, range, scratch: &mut RowScratch| {
-            let (view, y) = rows[range.start];
-            let Some(camera) = cameras.get(view) else {
-                return (view, 0u32, Vec::new(), 0u64);
-            };
-            let rays = (0..camera.width()).map(|x| camera.ray_for_pixel(x, y));
-            let samples = shade_row(model, occupancy, rays, config, config.early_stop, scratch);
-            // lint: allow(h2): per-chunk pixel buffer — see
-            // render_image
-            let row: Vec<Vec3> = scratch.pixels(config.background).collect();
-            (view, y, row, samples as u64)
-        },
-    );
-    for slot in samples_out.iter_mut() {
-        *slot = 0;
-    }
-    for (view, y, row, samples) in &chunks {
-        let start = *y as usize * row.len();
-        if let Some(out) = pixels_out.get_mut(*view) {
-            if let Some(dst) = out.get_mut(start..start + row.len()) {
-                dst.copy_from_slice(row);
-            }
-        }
-        if let Some(slot) = samples_out.get_mut(*view) {
-            *slot += samples;
+        if let Some(slot) = samples_out.get_mut(row.view) {
+            *slot += row.samples as u64;
         }
     }
 }
 
 /// [`render_image`] with hot-path probe counters recorded into
 /// `report` (`obs` builds only). Identical pixels to [`render_image`]:
-/// the probes never influence the compute. Each chunk's counter delta
-/// is taken against its worker's running totals and the deltas merge
-/// in chunk order, so the recorded totals are bitwise-identical for
-/// any `FUSION3D_THREADS` setting.
+/// the probes never influence the compute. Each row's counter delta
+/// merges in row order, so the recorded totals are bitwise-identical
+/// for any `FUSION3D_THREADS` setting.
 #[cfg(feature = "obs")]
 pub fn render_image_probed<E: Encoding>(
     model: &NerfModel<E>,
@@ -355,87 +361,61 @@ pub fn render_image_probed<E: Encoding>(
     config: &PipelineConfig,
     report: &mut fusion3d_obs::Report,
 ) -> Image {
-    use crate::probes::ProbeCounters;
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let (chunks, dispatch): (Vec<(Vec<Vec3>, ProbeCounters)>, _) = Pool::new()
-        .parallel_chunks_with_stats(
-            count,
-            width.max(1),
-            RowScratch::default,
-            |_, range, scratch: &mut RowScratch| {
-                let before = scratch.kernel.probes;
-                let rays = pixel_rays(camera, range);
-                shade_row(model, occupancy, rays, config, config.early_stop, scratch);
-                // lint: allow(h2): per-chunk pixel buffer — see
-                // render_image
-                let pixels = scratch.pixels(config.background).collect();
-                (pixels, scratch.kernel.probes.diff(&before))
-            },
-        );
+    let views = std::iter::once((0, camera));
+    let (rows, dispatch) =
+        shade_views(model, occupancy, views, &config.sampler, config.early_stop, |ray| {
+            ray.composite.pixel(config.background)
+        });
     dispatch.record("render", &mut report.metrics);
-    let mut totals = ProbeCounters::default();
+    let mut totals = crate::probes::ProbeCounters::default();
     let mut img = Image::new(camera.width(), camera.height());
-    let out = img.pixels_mut();
-    let mut at = 0usize;
-    for (pixels, delta) in &chunks {
-        out[at..at + pixels.len()].copy_from_slice(pixels);
-        at += pixels.len();
-        totals.add(delta);
+    let width = camera.width().max(1) as usize;
+    for (row, dst) in rows.iter().zip(img.pixels_mut().chunks_exact_mut(width)) {
+        dst.copy_from_slice(&row.rays);
+        totals.add(&row.probes);
     }
     totals.record(&mut report.metrics);
     img
 }
 
-/// Renders the expected ray-termination depth of one pixel: the
-/// blend-weighted mean sample parameter, with rays that never absorb
-/// returning `None`. AR/VR compositors consume this channel for
-/// occlusion between virtual and reconstructed content.
-pub fn render_pixel_depth<E: Encoding>(
-    model: &NerfModel<E>,
-    occupancy: &OccupancyGrid,
-    ray: &Ray,
-    config: &PipelineConfig,
-) -> Option<f32> {
-    let mut scratch = RowScratch::default();
-    // Early termination off: the weighted-mean depth needs every
-    // sample's exact blend weight.
-    shade_row(model, occupancy, std::iter::once(*ray), config, false, &mut scratch);
-    scratch.rays.first().and_then(RayState::depth)
-}
-
 /// Renders a normalized depth map: nearer surfaces brighter, rays
-/// that escape black. The normalization divides by the frame's
-/// maximum depth. Depths evaluate one pixel row per work chunk across
-/// the pool; the max-depth reduction runs serially over the
-/// raster-ordered result, so the frame is thread-count independent.
+/// that escape black. A pixel's depth is its ray's blend-weighted mean
+/// sample parameter; the normalization divides by the frame's maximum
+/// depth, reduced serially over the raster-ordered result, so the
+/// frame is thread-count independent.
 pub fn render_depth_image<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
     camera: &Camera,
     config: &PipelineConfig,
 ) -> Image {
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let depths: Vec<Option<f32>> = Pool::new().parallel_flat_map_with(
-        count,
-        width.max(1),
-        RowScratch::default,
-        |_, range, scratch| {
-            // Early termination off, as in render_pixel_depth.
-            shade_row(model, occupancy, pixel_rays(camera, range), config, false, scratch);
-            // lint: allow(h2): per-chunk depth buffer — see
-            // render_image
-            scratch.rays.iter().map(RayState::depth).collect()
-        },
-    );
+    // Early termination off: the weighted-mean depth needs every
+    // sample's exact blend weight.
+    let depths = shade_view(model, occupancy, camera, &config.sampler, false, RayState::depth);
     let max = depths.iter().flatten().cloned().fold(0.0f32, f32::max).max(1e-6);
     let mut img = Image::new(camera.width(), camera.height());
-    for (i, d) in depths.iter().enumerate() {
-        let v = d.map_or(0.0, |t| 1.0 - (t / max).clamp(0.0, 1.0) * 0.9);
-        img.pixels_mut()[i] = Vec3::splat(v);
+    for (pixel, d) in img.pixels_mut().iter_mut().zip(&depths) {
+        *pixel = Vec3::splat(d.map_or(0.0, |t| 1.0 - (t / max).clamp(0.0, 1.0) * 0.9));
     }
     img
+}
+
+/// Renders one layer of a Mixture-of-Experts frame: per pixel, in
+/// raster order, the radiance composited over black and the
+/// transmittance left behind the last sample, with early termination
+/// off. Fusing several experts' layers as
+/// `Σ radiance + background · Π transmittance` gives the MoE pixel —
+/// the per-pixel partial sums the paper's Level-1 tiling exchanges
+/// between chips.
+pub fn render_layer<E: Encoding>(
+    model: &NerfModel<E>,
+    occupancy: &OccupancyGrid,
+    camera: &Camera,
+    sampler: &SamplerConfig,
+) -> Vec<(Vec3, f32)> {
+    shade_view(model, occupancy, camera, sampler, false, |ray| {
+        (ray.composite.pixel(Vec3::ZERO), ray.composite.transmittance)
+    })
 }
 
 /// Stage-level workload statistics of one frame, consumed by the
@@ -512,28 +492,30 @@ pub fn trace_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::camera::{orbit_poses, Camera};
+    use crate::camera::{orbit_poses, Camera, Pose};
     use crate::encoding::HashGridConfig;
     use crate::model::{ModelConfig, NerfModel};
+    use crate::reference::render_ray;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn tiny_model() -> NerfModel {
-        let mut rng = SmallRng::seed_from_u64(0);
-        NerfModel::new(
-            ModelConfig {
-                grid: HashGridConfig {
-                    levels: 2,
-                    features_per_level: 2,
-                    log2_table_size: 8,
-                    base_resolution: 4,
-                    max_resolution: 8,
-                },
-                hidden_dim: 8,
-                geo_feature_dim: 3,
-            },
-            &mut rng,
-        )
+    fn model(seed: u64, config: ModelConfig, density_bias: f32) -> NerfModel {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut model = NerfModel::new(config, &mut rng);
+        *model.density_mlp_mut().output_bias_mut(0) += density_bias;
+        model
+    }
+
+    /// An untrained two-level model: density exp(~0) ≈ 1 everywhere.
+    fn tiny_model(seed: u64) -> NerfModel {
+        let grid = HashGridConfig {
+            levels: 2,
+            features_per_level: 2,
+            log2_table_size: 8,
+            base_resolution: 4,
+            max_resolution: 8,
+        };
+        model(seed, ModelConfig { grid, hidden_dim: 8, geo_feature_dim: 3 }, 0.0)
     }
 
     fn test_camera() -> Camera {
@@ -543,7 +525,7 @@ mod tests {
 
     #[test]
     fn empty_occupancy_renders_background() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let occ = OccupancyGrid::new(8, 0.0);
         let cfg = PipelineConfig { background: Vec3::new(0.3, 0.6, 0.9), ..Default::default() };
         let img = render_image(&model, &occ, &test_camera(), &cfg);
@@ -552,7 +534,7 @@ mod tests {
 
     #[test]
     fn full_occupancy_renders_something_else() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
         let cfg = PipelineConfig { background: Vec3::ONE, ..Default::default() };
@@ -568,7 +550,7 @@ mod tests {
 
     #[test]
     fn early_stop_matches_exact_within_tolerance() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
         let cam = test_camera();
@@ -589,7 +571,7 @@ mod tests {
 
     #[test]
     fn render_views_matches_per_view_render_image() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
         let cfg = PipelineConfig::default();
@@ -611,7 +593,7 @@ mod tests {
 
     #[test]
     fn render_views_skips_a_wrongly_sized_slice_whole() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
         let cfg = PipelineConfig::default();
@@ -630,7 +612,7 @@ mod tests {
 
     #[test]
     fn render_views_handles_empty_batch() {
-        let model = tiny_model();
+        let model = tiny_model(0);
         let occ = OccupancyGrid::new(8, 0.0);
         render_views_into(&model, &occ, &[], &PipelineConfig::default(), &mut [], &mut []);
     }
@@ -655,53 +637,70 @@ mod tests {
         assert_eq!(t.mean_samples_per_ray(), 0.0);
         assert_eq!(t.hit_rate(), 0.0);
     }
-}
 
-#[cfg(test)]
-mod depth_tests {
-    use super::*;
-    use crate::camera::{orbit_poses, Camera};
-    use crate::encoding::HashGridConfig;
-    use crate::model::{ModelConfig, NerfModel};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    /// The dispatch's raw depth of the ray from `(-1, 0.4, 0.45)` along
+    /// +x: the one pixel of a 1×1 camera looking down that ray.
+    fn x_ray_depth(model: &NerfModel, occupancy: &OccupancyGrid) -> Option<f32> {
+        let eye = Vec3::new(-1.0, 0.4, 0.45);
+        let camera = Camera::new(Pose::look_at(eye, eye + Vec3::X, Vec3::Y), 1, 1, 0.8);
+        assert_eq!(camera.ray_for_pixel(0, 0).direction, Vec3::X);
+        shade_view(model, occupancy, &camera, &SamplerConfig::default(), false, RayState::depth)[0]
+    }
 
-    fn dense_model() -> NerfModel {
-        let mut rng = SmallRng::seed_from_u64(3);
-        NerfModel::new(
-            ModelConfig {
-                grid: HashGridConfig {
-                    levels: 2,
-                    features_per_level: 2,
-                    log2_table_size: 8,
-                    base_resolution: 4,
-                    max_resolution: 8,
-                },
-                hidden_dim: 8,
-                geo_feature_dim: 3,
-            },
-            &mut rng,
-        )
+    #[test]
+    fn raw_depth_matches_the_scalar_oracle() {
+        // The models, occupancy and cameras of tests/render_oracle.rs.
+        let grid = HashGridConfig {
+            levels: 4,
+            features_per_level: 2,
+            log2_table_size: 10,
+            base_resolution: 4,
+            max_resolution: 32,
+        };
+        let occupancy =
+            OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.42);
+        let poses = orbit_poses(Vec3::splat(0.5), 1.3, 3);
+        let cameras = [Camera::new(poses[0], 20, 14, 0.9), Camera::new(poses[1], 9, 11, 0.9)];
+        let config = PipelineConfig {
+            sampler: SamplerConfig { steps_per_diagonal: 48, max_samples_per_ray: 16 },
+            ..PipelineConfig::default()
+        };
+        let (mut absorbing, mut escaping) = (0, 0);
+        for density_bias in [3.0f32, 6.0] {
+            let model =
+                model(23, ModelConfig { grid, hidden_dim: 16, geo_feature_dim: 7 }, density_bias);
+            for camera in &cameras {
+                let depths =
+                    shade_view(&model, &occupancy, camera, &config.sampler, false, RayState::depth);
+                assert_eq!(depths.len() as u64, camera.pixel_count());
+                for ((x, y, ray), depth) in camera.rays().zip(&depths) {
+                    let (_, oracle) = render_ray(&model, &occupancy, &ray, &config);
+                    assert_eq!(
+                        depth.map(f32::to_bits),
+                        oracle.map(f32::to_bits),
+                        "pixel ({x}, {y}), density bias {density_bias}"
+                    );
+                    absorbing += usize::from(depth.is_some());
+                    escaping += usize::from(depth.is_none());
+                }
+            }
+        }
+        assert!(absorbing > 0 && escaping > 0, "{absorbing} absorbing, {escaping} escaping");
     }
 
     #[test]
     fn empty_space_has_no_depth() {
-        let model = dense_model();
         let occ = OccupancyGrid::new(8, 0.0); // all empty
-        let ray = Ray::new(Vec3::new(-1.0, 0.4, 0.45), Vec3::X);
-        assert_eq!(render_pixel_depth(&model, &occ, &ray, &PipelineConfig::default()), None);
+        assert_eq!(x_ray_depth(&tiny_model(3), &occ), None);
     }
 
     #[test]
     fn depth_lies_within_the_ray_span() {
         // Untrained density exp(~0) = 1 absorbs over the cube: the
         // expected depth must sit between entry and exit.
-        let model = dense_model();
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
-        let ray = Ray::new(Vec3::new(-1.0, 0.4, 0.45), Vec3::X);
-        let depth = render_pixel_depth(&model, &occ, &ray, &PipelineConfig::default())
-            .expect("ray absorbs");
+        let depth = x_ray_depth(&tiny_model(3), &occ).expect("ray absorbs");
         assert!((1.0..=2.0).contains(&depth), "depth {depth}");
     }
 
@@ -709,24 +708,20 @@ mod depth_tests {
     fn nearer_geometry_reads_nearer() {
         // Occupancy restricted to the front slab vs the back slab:
         // front depth < back depth for the same ray.
-        let model = dense_model();
+        let model = tiny_model(3);
         let front = OccupancyGrid::from_oracle(8, 0.0, |p| p.x < 0.3);
         let back = OccupancyGrid::from_oracle(8, 0.0, |p| p.x > 0.7);
-        let ray = Ray::new(Vec3::new(-1.0, 0.4, 0.45), Vec3::X);
-        let cfg = PipelineConfig::default();
-        let d_front = render_pixel_depth(&model, &front, &ray, &cfg).expect("front absorbs");
-        let d_back = render_pixel_depth(&model, &back, &ray, &cfg).expect("back absorbs");
+        let d_front = x_ray_depth(&model, &front).expect("front absorbs");
+        let d_back = x_ray_depth(&model, &back).expect("back absorbs");
         assert!(d_front < d_back, "front {d_front} vs back {d_back}");
     }
 
     #[test]
     fn depth_image_shape_and_range() {
-        let model = dense_model();
+        let model = tiny_model(3);
         let mut occ = OccupancyGrid::new(8, 0.0);
         occ.fill();
-        let pose = orbit_poses(Vec3::splat(0.5), 1.2, 1)[0];
-        let cam = Camera::new(pose, 8, 8, 0.8);
-        let img = render_depth_image(&model, &occ, &cam, &PipelineConfig::default());
+        let img = render_depth_image(&model, &occ, &test_camera(), &PipelineConfig::default());
         assert_eq!(img.pixel_count(), 64);
         for p in img.pixels() {
             assert!(p.x >= 0.0 && p.x <= 1.0);

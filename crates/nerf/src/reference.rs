@@ -4,7 +4,9 @@
 //! Every function here evaluates the same mathematics as the batched
 //! kernels in [`crate::encoding`], [`crate::mlp`], and
 //! [`crate::model`], but one sample at a time through the original
-//! scalar entry points. The batched kernels carry a bitwise-
+//! scalar entry points. The model's per-sample forward and backward
+//! are crate-private: this module is their only caller outside the
+//! model's own unit tests. The batched kernels carry a bitwise-
 //! determinism contract: for identical inputs they must produce
 //! bit-for-bit identical f32 results to these loops. The differential
 //! tests in `tests/batched_kernels.rs` enforce that contract at
@@ -106,8 +108,8 @@ pub fn mlp_backward(
     (d_inputs, grads)
 }
 
-/// Evaluates the full field through the scalar
-/// [`NerfModel::forward`] per sample, returning `(sigmas, colors)`.
+/// Evaluates the full field one sample at a time through the model's
+/// per-sample forward pass, returning `(sigmas, colors)`.
 pub fn model_forward<E: Encoding>(
     model: &NerfModel<E>,
     positions: &[Vec3],
@@ -125,32 +127,34 @@ pub fn model_forward<E: Encoding>(
 }
 
 /// Backpropagates per-sample density/color gradients through the
-/// scalar [`NerfModel::backward`] one sample at a time (forward `s`,
-/// then backward `s`), returning the accumulated parameter gradients.
+/// model's per-sample backward pass one sample at a time (forward `s`,
+/// then backward `s`), accumulating the parameter gradients into
+/// `grads`.
 ///
 /// Within every parameter element the contributions land in ascending
-/// sample order — the same order [`NerfModel::backward_batch`]
-/// produces — so the result is bitwise-comparable to the batched path.
+/// sample order after whatever `grads` already holds — the same order
+/// [`NerfModel::backward_batch`] produces — so the result is
+/// bitwise-comparable to the batched path.
 ///
 /// # Panics
 ///
-/// Panics if `d_sigma` or `d_color` do not match `positions`.
+/// Panics if `d_sigma` or `d_color` do not match `positions`, or if
+/// `grads` does not match the model.
 pub fn model_backward<E: Encoding>(
     model: &NerfModel<E>,
     positions: &[Vec3],
     direction: Vec3,
     d_sigma: &[f32],
     d_color: &[Vec3],
-) -> ModelGrads {
+    grads: &mut ModelGrads,
+) {
     assert_eq!(d_sigma.len(), positions.len(), "density gradients do not match positions");
     assert_eq!(d_color.len(), positions.len(), "color gradients do not match positions");
     let mut ctx = PointContext::new();
-    let mut grads = model.alloc_grads();
     for ((&p, &ds), &dc) in positions.iter().zip(d_sigma).zip(d_color) {
         model.forward(p, direction, &mut ctx);
-        model.backward(p, &ctx, ds, dc, &mut grads);
+        model.backward(p, &ctx, ds, dc, grads);
     }
-    grads
 }
 
 /// Renders one ray through the scalar pieces alone — [`sample_ray`],

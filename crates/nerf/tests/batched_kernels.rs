@@ -234,7 +234,8 @@ fn model_backward_batch_is_bitwise_scalar() {
             .chunks_exact(3)
             .map(|c| Vec3::new(c[0], c[1], c[2]))
             .collect();
-        let scalar = reference::model_backward(&model, &pts, dir, &d_sigma, &d_color);
+        let mut scalar = model.alloc_grads();
+        reference::model_backward(&model, &pts, dir, &d_sigma, &d_color, &mut scalar);
         model.forward_batch(&pts, dir, &mut scratch);
         let mut batched = model.alloc_grads();
         model.backward_batch(&pts, &d_sigma, &d_color, &mut scratch, &mut batched);

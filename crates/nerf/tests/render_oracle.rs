@@ -1,10 +1,11 @@
 //! Every render entry point against the scalar oracle
 //! [`fusion3d_nerf::reference::render_ray`]: pixels and depths must be
 //! bit-identical with early termination on and off, at 1 and 4
-//! threads. The models raise the density bias so that rays retire
-//! inside the first wavefront round and inside later ones, and the
-//! camera sees rays that miss the occupied ball (zero samples) and
-//! rays through its middle (at the `max_samples_per_ray` cap).
+//! threads; `render_layer` must match the same scalar pieces
+//! composited over black. The models raise the density bias so that
+//! rays retire inside the first wavefront round and inside later ones,
+//! and the camera sees rays that miss the occupied ball (zero samples)
+//! and rays through its middle (at the `max_samples_per_ray` cap).
 
 use fusion3d_nerf::camera::{orbit_poses, Camera};
 use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
@@ -12,8 +13,7 @@ use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{
-    render_depth_image, render_image, render_pixel, render_pixel_depth, render_views_into,
-    PipelineConfig,
+    render_depth_image, render_image, render_layer, render_views_into, PipelineConfig,
 };
 use fusion3d_nerf::reference::{model_forward, render_ray};
 use fusion3d_nerf::render::{composite, ShadedSample};
@@ -59,12 +59,35 @@ fn bits(pixels: &[Vec3]) -> Vec<[u32; 3]> {
     pixels.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
 }
 
+/// The bits of one `render_layer` pixel: radiance, then transmittance.
+fn layer_bits(color: Vec3, transmittance: f32) -> [u32; 4] {
+    [color.x.to_bits(), color.y.to_bits(), color.z.to_bits(), transmittance.to_bits()]
+}
+
 /// `render_depth_image`'s normalization, applied to oracle depths.
 fn depth_pixels(depths: &[Option<f32>]) -> Vec<Vec3> {
     let max = depths.iter().flatten().cloned().fold(0.0f32, f32::max).max(1e-6);
     depths
         .iter()
         .map(|d| Vec3::splat(d.map_or(0.0, |t| 1.0 - (t / max).clamp(0.0, 1.0) * 0.9)))
+        .collect()
+}
+
+/// A ray's samples shaded through the scalar pieces: `sample_ray`
+/// and the per-sample `model_forward`.
+fn shaded_ray(
+    model: &NerfModel<HashGrid>,
+    occupancy: &OccupancyGrid,
+    ray: &Ray,
+    sampler: &SamplerConfig,
+) -> Vec<ShadedSample> {
+    let (samples, _) = sample_ray(ray, occupancy, sampler);
+    let positions: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
+    let (sigmas, colors) = model_forward(model, &positions, ray.direction);
+    samples
+        .iter()
+        .zip(sigmas.iter().zip(&colors))
+        .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
         .collect()
 }
 
@@ -76,28 +99,43 @@ fn saturation_point(
     ray: &Ray,
     config: &PipelineConfig,
 ) -> (usize, Option<usize>) {
-    let (samples, _) = sample_ray(ray, occupancy, &config.sampler);
-    let positions: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
-    let (sigmas, colors) = model_forward(model, &positions, ray.direction);
-    let shaded: Vec<ShadedSample> = samples
-        .iter()
-        .zip(sigmas.iter().zip(&colors))
-        .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
-        .collect();
+    let shaded = shaded_ray(model, occupancy, ray, &config.sampler);
     let stop = (1..shaded.len())
         .find(|&i| composite(&shaded[..i], config.background, false).final_transmittance < 1e-4);
-    (samples.len(), stop)
+    (shaded.len(), stop)
+}
+
+fn ball() -> OccupancyGrid {
+    OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.42)
 }
 
 #[test]
 fn every_entry_point_matches_the_scalar_oracle() {
-    let occupancy = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.42);
+    let occupancy = ball();
     let cameras = cameras();
     let sampler = SamplerConfig { steps_per_diagonal: 48, max_samples_per_ray: CAP };
     let (mut empty, mut capped, mut first_round, mut later_round) = (0, 0, 0, 0);
+    let (mut opaque, mut clear) = (0, 0);
 
     for density_bias in [3.0f32, 6.0] {
         let model = model(density_bias);
+        // `render_layer`'s oracle: the scalar pieces composited over
+        // black, as (radiance, transmittance) bits per pixel.
+        let layer_oracle: Vec<Vec<[u32; 4]>> = cameras
+            .iter()
+            .map(|c| {
+                rays(c)
+                    .iter()
+                    .map(|r| {
+                        let shaded = shaded_ray(&model, &occupancy, r, &sampler);
+                        let out = composite(&shaded, Vec3::ZERO, false);
+                        opaque += usize::from(out.final_transmittance < 1e-4);
+                        clear += usize::from(out.final_transmittance == 1.0);
+                        layer_bits(out.color, out.final_transmittance)
+                    })
+                    .collect()
+            })
+            .collect();
         for early_stop in [true, false] {
             let config =
                 PipelineConfig { sampler, background: Vec3::new(0.2, 0.5, 0.9), early_stop };
@@ -163,16 +201,11 @@ fn every_entry_point_matches_the_scalar_oracle() {
                         bits(&depth_pixels(&depths)),
                         "render_depth_image, {what}"
                     );
-                    for (ray, &(color, depth)) in rays(camera).iter().zip(&oracle[v]) {
-                        let pixel = render_pixel(&model, &occupancy, ray, &config);
-                        assert_eq!(bits(&[pixel]), bits(&[color]), "render_pixel, {what}");
-                        let d = render_pixel_depth(&model, &occupancy, ray, &config);
-                        assert_eq!(
-                            d.map(f32::to_bits),
-                            depth.map(f32::to_bits),
-                            "render_pixel_depth, {what}"
-                        );
-                    }
+                    let layer: Vec<[u32; 4]> = render_layer(&model, &occupancy, camera, &sampler)
+                        .into_iter()
+                        .map(|(color, transmittance)| layer_bits(color, transmittance))
+                        .collect();
+                    assert_eq!(layer, layer_oracle[v], "render_layer, view {v}, {what}");
                     #[cfg(feature = "obs")]
                     {
                         let mut report = fusion3d_obs::Report::new("render_oracle");
@@ -198,4 +231,5 @@ fn every_entry_point_matches_the_scalar_oracle() {
     assert!(capped > 0, "no ray reaches the sample cap");
     assert!(first_round > 0, "no ray saturates inside the first round");
     assert!(later_round > 0, "no ray saturates inside a later round");
+    assert!(opaque > 0 && clear > 0, "{opaque} opaque and {clear} clear layer pixels");
 }

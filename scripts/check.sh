@@ -41,6 +41,14 @@ for key in '"schema": "fusion3d-serve-v1"' p50_latency_cycles p99_latency_cycles
   grep -q "$key" target/BENCH_serve_smoke.json \
     || { echo "BENCH_serve smoke missing key: $key"; exit 1; }
 done
+# The paper tables cannot move silently: regenerate every table and
+# figure (~20 s) and hold the output byte-identical to the committed
+# BENCH_tables.txt.
+cargo run --release -q -p fusion3d-bench --bin all_experiments > target/BENCH_tables.txt
+cmp target/BENCH_tables.txt BENCH_tables.txt \
+  || { echo "paper tables changed: regenerate BENCH_tables.txt with"
+       echo "  cargo run --release -q -p fusion3d-bench --bin all_experiments > BENCH_tables.txt"
+       echo "and give the reason for every changed line in the PR"; exit 1; }
 # Docs must not rot: every relative link in the Markdown tree resolves.
 ./scripts/check_doc_links.sh
 echo "All tier-1 checks passed."
