@@ -36,7 +36,7 @@ use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::render_layer;
 use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
 use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
-use fusion3d_nerf::trainer::TrainerConfig;
+use fusion3d_nerf::trainer::{TrainScratch, TrainerConfig};
 use rand::Rng;
 
 /// One expert: a complete small NeRF model plus its gating occupancy
@@ -223,6 +223,8 @@ pub struct MoeTrainer<E: Encoding = HashGrid> {
     optimizers: Vec<ModelOptimizer>,
     grads: Vec<ModelGrads>,
     scratch: Vec<ExpertScratch>,
+    /// The occupancy refresh's buffers, shared by the experts in turn.
+    refresh: TrainScratch,
     config: TrainerConfig,
     iteration: u32,
 }
@@ -233,7 +235,8 @@ impl<E: Encoding> MoeTrainer<E> {
         let optimizers = moe.experts.iter().map(|e| ModelOptimizer::new(adam, &e.model)).collect();
         let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
         let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
-        MoeTrainer { moe, optimizers, grads, scratch, config, iteration: 0 }
+        let refresh = TrainScratch::new();
+        MoeTrainer { moe, optimizers, grads, scratch, refresh, config, iteration: 0 }
     }
 
     /// The MoE model.
@@ -255,9 +258,9 @@ impl<E: Encoding> MoeTrainer<E> {
         if self.iteration >= self.config.occupancy_warmup
             && self.iteration.is_multiple_of(self.config.occupancy_update_interval)
         {
+            let decay = self.config.occupancy_decay;
             for expert in &mut self.moe.experts {
-                let model = &expert.model;
-                expert.occupancy.update(|p| model.density_at(p), self.config.occupancy_decay, rng);
+                self.refresh.refresh_occupancy(&mut expert.occupancy, &expert.model, decay, rng);
             }
         }
     }

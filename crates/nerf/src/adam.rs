@@ -1,5 +1,7 @@
 //! Adam optimizer operating on flat parameter vectors.
 
+use std::ops::Range;
+
 /// Hyper-parameters for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -85,24 +87,50 @@ impl Adam {
     ///
     /// Panics if `params` and `grads` differ in length from the state.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+        self.step_runs(params, grads, std::iter::once(0..params.len()));
+    }
+
+    /// [`Adam::step`] visiting only the entries in `runs` (ascending,
+    /// disjoint index ranges). When every entry outside the runs has a
+    /// zero gradient, the update is bit-identical to [`Adam::step`]:
+    /// that one skips exactly those entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` and `grads` differ in length from the state,
+    /// or a run reaches past them.
+    pub(crate) fn step_runs(
+        &mut self,
+        params: &mut [f32],
+        grads: &[f32],
+        runs: impl IntoIterator<Item = Range<usize>>,
+    ) {
         assert_eq!(params.len(), self.m.len(), "parameter count mismatch");
         assert_eq!(grads.len(), self.m.len(), "gradient count mismatch");
         self.t += 1;
         let c = self.config;
         let bias1 = 1.0 - c.beta1.powi(self.t as i32);
         let bias2 = 1.0 - c.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            if g == 0.0 {
-                continue;
+        for run in runs {
+            for i in run {
+                let g = grads[i];
+                if g == 0.0 {
+                    continue;
+                }
+                let g = g + c.weight_decay * params[i];
+                self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
+                self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g;
+                let m_hat = self.m[i] / bias1;
+                let v_hat = self.v[i] / bias2;
+                params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
             }
-            let g = g + c.weight_decay * params[i];
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
-            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g;
-            let m_hat = self.m[i] / bias1;
-            let v_hat = self.v[i] / bias2;
-            params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
         }
+    }
+
+    /// The first and second moment estimates.
+    #[cfg(test)]
+    pub(crate) fn moments(&self) -> (&[f32], &[f32]) {
+        (&self.m, &self.v)
     }
 
     /// Resets all moment estimates and the step counter.
@@ -159,6 +187,24 @@ mod tests {
         // correction, so results are close but the moment state paths
         // match; assert agreement within a small tolerance.
         assert!((a[0] - b[0]).abs() < 5e-3, "{} vs {}", a[0], b[0]);
+    }
+
+    #[test]
+    fn run_walk_matches_the_dense_step_when_zeros_lie_outside() {
+        let grads = [0.0, 0.3, -0.2, 0.0, 0.0, 0.7, 0.0, 1e-9, 0.0];
+        let mut dense = vec![0.5f32; grads.len()];
+        let mut sparse = dense.clone();
+        let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+        let (mut a, mut b) = (Adam::new(cfg, grads.len()), Adam::new(cfg, grads.len()));
+        for _ in 0..3 {
+            a.step(&mut dense, &grads);
+            b.step_runs(&mut sparse, &grads, [1..3, 5..6, 7..8]);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dense), bits(&sparse));
+        assert_eq!(bits(a.moments().0), bits(b.moments().0));
+        assert_eq!(bits(a.moments().1), bits(b.moments().1));
+        assert_eq!(a.step_count(), b.step_count());
     }
 
     #[test]

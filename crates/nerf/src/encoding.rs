@@ -14,6 +14,7 @@
 //! vertices — the symmetric workload pair that motivates the paper's
 //! shared reconfigurable interpolation array (Technique T2-1).
 
+use crate::dirty::DirtyBlocks;
 use crate::hash::{
     cell_corners, dense_index, level_is_dense, vertex_address, GridVertex, HASH_PRIMES,
 };
@@ -330,6 +331,15 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
     /// loops. Capacity only: corners a forward pass prepared stay
     /// valid. Default: no scratch is used, nothing to reserve.
     fn reserve_batch_scratch(&self, _scratch: &mut EncodingScratch, _n: usize) {}
+
+    /// Marks in `dirty` (over a gradient buffer of
+    /// [`Encoding::param_count`] floats) every block the last
+    /// [`Encoding::backward_batch`] with `scratch` wrote, so sparse
+    /// gradient merges know what to visit. The default marks the whole
+    /// table, which is right for any encoding.
+    fn mark_written(&self, _scratch: &EncodingScratch, dirty: &mut DirtyBlocks) {
+        dirty.mark_all();
+    }
 
     /// Number of learnable parameters.
     fn param_count(&self) -> usize;
@@ -1005,6 +1015,20 @@ impl Encoding for HashGrid {
 
     fn reserve_batch_scratch(&self, scratch: &mut EncodingScratch, n: usize) {
         scratch.reserve_for(n, self.config.levels);
+    }
+
+    /// Marks the feature slots of every corner in the spill: the
+    /// addresses [`HashGrid::backward_batch`] scattered into.
+    fn mark_written(&self, scratch: &EncodingScratch, dirty: &mut DirtyBlocks) {
+        let n = scratch.prepared_points;
+        if n == 0 {
+            return;
+        }
+        let f = self.config.features_per_level;
+        let levels = scratch.addrs.chunks_exact(n * 8).take(scratch.prepared_levels);
+        for (level, corners) in levels.enumerate() {
+            dirty.mark_slots(self.level_offset(level), f, corners);
+        }
     }
 
     fn param_count(&self) -> usize {

@@ -46,6 +46,7 @@ pub mod batch;
 pub mod camera;
 pub mod dataset;
 pub mod dense_grid;
+pub mod dirty;
 pub mod encoding;
 pub mod hash;
 pub mod image;

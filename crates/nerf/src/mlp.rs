@@ -377,8 +377,6 @@ impl Mlp {
                 for (w, v) in row.iter().zip(x.iter()) {
                     acc += w * v;
                 }
-                // lint: allow(h2): scalar reference path pushes into
-                // reserved capacity; hot loops use forward_batch
                 y.push(act.apply(acc));
             }
         }

@@ -106,8 +106,6 @@ impl QuantizedMlp {
     /// Panics if `input.len() != self.input_dim()`.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.input_dim, "input size mismatch");
-        // lint: allow(h2): int8 reference path favors clarity;
-        // throughput numbers come from the f32 batched kernels
         let mut x = input.to_vec();
         for layer in &self.layers {
             debug_assert!(
@@ -117,11 +115,8 @@ impl QuantizedMlp {
             // Dynamic activation quantization.
             let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let x_scale = if max == 0.0 { 1.0 } else { max / 127.0 };
-            let xq: Vec<i8> = x
-                .iter()
-                .map(|v| (v / x_scale).round().clamp(-127.0, 127.0) as i8)
-                // lint: allow(h2): int8 reference path — see `x` above
-                .collect();
+            let xq: Vec<i8> =
+                x.iter().map(|v| (v / x_scale).round().clamp(-127.0, 127.0) as i8).collect();
             let dequant = layer.weight_scale * x_scale;
             let mut y = Vec::with_capacity(layer.out_dim);
             for o in 0..layer.out_dim {
@@ -131,7 +126,6 @@ impl QuantizedMlp {
                     acc += row[i] as i32 * xq[i] as i32;
                 }
                 let val = acc as f32 * dequant + layer.biases[o];
-                // lint: allow(h2): int8 reference path — see `x` above
                 y.push(layer.activation.apply(val));
             }
             x = y;

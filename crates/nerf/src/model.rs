@@ -10,10 +10,12 @@
 
 use crate::adam::{Adam, AdamConfig};
 use crate::batch::KernelScratch;
+use crate::dirty::DirtyBlocks;
 use crate::encoding::{Encoding, HashGrid, HashGridConfig};
 use crate::math::Vec3;
 use crate::mlp::{sh_encode, Activation, Mlp, MlpCache, SH_DIM};
 use rand::Rng;
+use std::ops::Range;
 
 /// Clamp on the raw density logit before the exponential.
 const RAW_DENSITY_CLAMP: f32 = 12.0;
@@ -141,6 +143,38 @@ impl ModelGrads {
         self.density.iter_mut().zip(&other.density).for_each(|(a, b)| *a += b);
         self.color.iter_mut().zip(&other.color).for_each(|(a, b)| *a += b);
     }
+
+    /// [`ModelGrads::zero`] for buffers whose grid gradient is zero
+    /// outside the blocks `dirty` marks: zeroes those blocks and the
+    /// dense MLP gradients, then marks every block clean.
+    pub(crate) fn zero_dirty(&mut self, dirty: &mut DirtyBlocks) {
+        for run in dirty.runs() {
+            self.grid[run].fill(0.0);
+        }
+        dirty.clear();
+        self.density.fill(0.0);
+        self.color.fill(0.0);
+    }
+
+    /// [`ModelGrads::accumulate`] of an `other` whose grid gradient is
+    /// zero outside the blocks `dirty` marks: adds only those blocks
+    /// of the grid, and the MLP gradients densely.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer shapes differ.
+    pub(crate) fn accumulate_dirty(&mut self, other: &ModelGrads, dirty: &DirtyBlocks) {
+        assert_eq!(self.grid.len(), other.grid.len(), "grid gradient shape mismatch");
+        for Range { start, end } in dirty.runs() {
+            for (a, b) in self.grid[start..end].iter_mut().zip(&other.grid[start..end]) {
+                *a += b;
+            }
+        }
+        assert_eq!(self.density.len(), other.density.len(), "density gradient shape mismatch");
+        assert_eq!(self.color.len(), other.color.len(), "color gradient shape mismatch");
+        self.density.iter_mut().zip(&other.density).for_each(|(a, b)| *a += b);
+        self.color.iter_mut().zip(&other.color).for_each(|(a, b)| *a += b);
+    }
 }
 
 /// Adam optimizer states for a model's three parameter groups.
@@ -166,6 +200,26 @@ impl ModelOptimizer {
         self.grid.step(model.encoding.params_mut(), &grads.grid);
         self.density.step(model.density_mlp.params_mut(), &grads.density);
         self.color.step(model.color_mlp.params_mut(), &grads.color);
+    }
+
+    /// [`ModelOptimizer::step`] for gradients whose grid part is zero
+    /// outside the blocks `dirty` marks: the grid's Adam step visits
+    /// only those blocks, with bit-identical results.
+    pub(crate) fn step_dirty<E: Encoding>(
+        &mut self,
+        model: &mut NerfModel<E>,
+        grads: &ModelGrads,
+        dirty: &DirtyBlocks,
+    ) {
+        self.grid.step_runs(model.encoding.params_mut(), &grads.grid, dirty.runs());
+        self.density.step(model.density_mlp.params_mut(), &grads.density);
+        self.color.step(model.color_mlp.params_mut(), &grads.color);
+    }
+
+    /// The Adam states of the grid, density and color groups.
+    #[cfg(test)]
+    pub(crate) fn groups(&self) -> [&Adam; 3] {
+        [&self.grid, &self.density, &self.color]
     }
 
     /// Sets the learning rate on all three groups.
@@ -300,15 +354,36 @@ impl<E: Encoding> NerfModel<E> {
         (clamped.exp(), clamped != raw)
     }
 
-    /// Evaluates density only (used for occupancy-grid refreshes).
+    /// The density at one point: a one-point
+    /// [`NerfModel::density_batch`].
     pub fn density_at(&self, p: Vec3) -> f32 {
-        let mut cache = MlpCache::new();
-        // lint: allow(h2): occupancy-refresh probe path — runs per
-        // grid refresh, not per sample
-        let mut encoded = vec![0.0; self.encoding.output_dim()];
-        self.encoding.interpolate(p, &mut encoded);
-        let out = self.density_mlp.forward(&encoded, &mut cache);
-        Self::density_activation(out[0]).0
+        let mut sigma = [0.0];
+        self.density_batch(&[p], &mut sigma, &mut KernelScratch::new());
+        sigma[0]
+    }
+
+    /// Densities of a batch of points into `out`, through the encoding
+    /// and the density network alone: the occupancy refresh's model
+    /// call. Bit-identical to the `σ` of [`NerfModel::forward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `positions` differ in length.
+    pub fn density_batch(&self, positions: &[Vec3], out: &mut [f32], scratch: &mut KernelScratch) {
+        let n = positions.len();
+        assert_eq!(out.len(), n, "density buffer does not match the positions");
+        let enc_dim = self.encoding.output_dim();
+        scratch.resize(n, enc_dim, self.color_mlp.input_dim());
+        self.encoding.interpolate_batch_infer(positions, &mut scratch.encoded[..n * enc_dim]);
+        let raw = self.density_mlp.forward_batch(
+            &scratch.encoded[..n * enc_dim],
+            n,
+            &mut scratch.density_cache,
+        );
+        let d_out_dim = self.density_mlp.output_dim();
+        for (sigma, row) in out.iter_mut().zip(raw.chunks_exact(d_out_dim)) {
+            *sigma = Self::density_activation(row[0]).0;
+        }
     }
 
     /// Full forward pass for one sample point, retaining the state
@@ -325,8 +400,6 @@ impl<E: Encoding> NerfModel<E> {
         self.encoding.interpolate(position, &mut ctx.encoded);
         let d_out: Vec<f32> = {
             let out = self.density_mlp.forward(&ctx.encoded, &mut ctx.density_cache);
-            // lint: allow(h2): scalar reference path — the batched
-            // pipeline uses forward_batch
             out.to_vec()
         };
         let (sigma, clamped) = Self::density_activation(d_out[0]);
@@ -653,7 +726,7 @@ mod tests {
         let p = Vec3::new(0.2, 0.7, 0.5);
         let mut ctx = PointContext::new();
         let eval = model.forward(p, Vec3::X, &mut ctx);
-        assert!((model.density_at(p) - eval.sigma).abs() < 1e-6);
+        assert_eq!(model.density_at(p).to_bits(), eval.sigma.to_bits());
     }
 
     #[test]

@@ -190,20 +190,50 @@ impl OccupancyGrid {
     /// at a jittered point inside the cell, then thresholded. This is
     /// Instant-NGP's periodic occupancy-grid update (run every few
     /// training iterations).
+    ///
+    /// The training loops run the same refresh with the densities
+    /// evaluated in batches between its two halves, which draw every
+    /// probe point and then apply every density
+    /// ([`crate::trainer::TrainScratch::refresh_occupancy`]).
     pub fn update<F, R>(&mut self, density: F, decay: f32, rng: &mut R)
     where
         F: Fn(Vec3) -> f32,
         R: Rng,
     {
+        let mut points = vec![Vec3::ZERO; self.cell_count()];
+        self.draw_probe_points(rng, &mut points);
+        let densities: Vec<f32> = points.iter().map(|&p| density(p)).collect();
+        self.apply_densities(&densities, decay);
+    }
+
+    /// The first half of a refresh: draws every cell's jittered probe
+    /// point into `points`, in cell order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` does not hold one entry per cell.
+    pub(crate) fn draw_probe_points<R: Rng>(&self, rng: &mut R, points: &mut [Vec3]) {
+        assert_eq!(points.len(), self.cell_count(), "one probe point per cell");
         let size = self.cell_size();
-        for i in 0..self.cell_count() {
+        for (i, p) in points.iter_mut().enumerate() {
             let jitter = Vec3::new(
                 rng.gen_range(-0.5..0.5),
                 rng.gen_range(-0.5..0.5),
                 rng.gen_range(-0.5..0.5),
             ) * size;
-            let p = (self.cell_center(i) + jitter).clamp(0.0, 1.0);
-            let d = density(p);
+            *p = (self.cell_center(i) + jitter).clamp(0.0, 1.0);
+        }
+    }
+
+    /// The second half of a refresh: folds each cell's probed density
+    /// into its EMA and re-thresholds it, in cell order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `densities` does not hold one entry per cell.
+    pub(crate) fn apply_densities(&mut self, densities: &[f32], decay: f32) {
+        assert_eq!(densities.len(), self.cell_count(), "one density per cell");
+        for (i, &d) in densities.iter().enumerate() {
             self.densities[i] = (self.densities[i] * decay).max(d);
             self.set_cell(i, self.densities[i] > self.threshold);
         }

@@ -13,18 +13,26 @@
 //! several batch sizes, including sizes that are not multiples of the
 //! GEMM tile widths.
 //!
+//! [`TrainOracle`] is the same idea one level up: a training step with
+//! a dense gradient merge and per-cell occupancy probes, which
+//! [`crate::trainer::Trainer::step`] must match bit for bit.
+//!
 //! These functions allocate freely and are deliberately unoptimized —
 //! they exist to be obviously correct, not fast. Production code paths
 //! must use the batched kernels.
 
+use crate::batch::{KernelScratch, SampleBatch};
+use crate::dataset::Dataset;
 use crate::encoding::Encoding;
 use crate::math::{Ray, Vec3};
 use crate::mlp::{Mlp, MlpCache};
-use crate::model::{ModelGrads, NerfModel, PointContext};
+use crate::model::{ModelGrads, ModelOptimizer, NerfModel, PointContext};
 use crate::occupancy::OccupancyGrid;
 use crate::pipeline::PipelineConfig;
-use crate::render::{composite, ShadedSample};
-use crate::sampler::sample_ray;
+use crate::render::{composite, composite_backward_into, composite_into, ShadedSample};
+use crate::sampler::{sample_ray, sample_ray_into};
+use crate::trainer::{StepStats, TrainerConfig, GRAD_SHARDS};
+use rand::Rng;
 
 /// Encodes every position through the scalar [`Encoding::interpolate`]
 /// path, returning point-major rows of `encoding.output_dim()`
@@ -187,4 +195,109 @@ pub fn render_ray<E: Encoding>(
         Some(samples.iter().zip(&exact.weights).map(|(s, &w)| s.t * w).sum::<f32>() / opacity)
     };
     (color, depth)
+}
+
+/// The training step with nothing sparse or batched across rays:
+/// shards run one after another, every ray through the batched kernels
+/// on its own, every shard gradient zeroed and merged densely in shard
+/// order, one dense Adam step, and occupancy refreshes that probe one
+/// cell at a time through the per-sample forward pass.
+///
+/// This is the oracle [`crate::trainer::Trainer::step`] must match bit
+/// for bit: losses, parameters, occupancy and Adam state, from the same
+/// model, configuration and random stream.
+#[derive(Debug)]
+pub struct TrainOracle<E: Encoding> {
+    /// The model being trained.
+    pub model: NerfModel<E>,
+    /// The occupancy grid, full until the first refresh.
+    pub occupancy: OccupancyGrid,
+    /// The Adam state of the three parameter groups.
+    pub optimizer: ModelOptimizer,
+    /// The last step's merged gradient.
+    pub grads: ModelGrads,
+    config: TrainerConfig,
+    iteration: u32,
+}
+
+impl<E: Encoding> TrainOracle<E> {
+    /// Starts from `model` as [`crate::trainer::Trainer::new`] does.
+    pub fn new(model: NerfModel<E>, config: TrainerConfig) -> Self {
+        let mut occupancy =
+            OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
+        occupancy.fill();
+        let optimizer = ModelOptimizer::new(config.adam, &model);
+        let grads = model.alloc_grads();
+        TrainOracle { model, occupancy, optimizer, grads, config, iteration: 0 }
+    }
+
+    /// One optimization step on a random batch from `dataset`. (Not
+    /// named `step`: the lint resolves method calls by name, and every
+    /// `.step(` call on a hot path would then reach this oracle.)
+    pub fn oracle_step<R: Rng>(&mut self, dataset: &Dataset, rng: &mut R) -> StepStats {
+        let config = self.config;
+        let it = self.iteration;
+        if config.lr_decay != 1.0
+            && config.lr_decay_interval > 0
+            && it > 0
+            && it.is_multiple_of(config.lr_decay_interval)
+        {
+            let decays = it / config.lr_decay_interval;
+            self.optimizer
+                .set_learning_rate(config.adam.learning_rate * config.lr_decay.powi(decays as i32));
+        }
+        if it >= config.occupancy_warmup && it.is_multiple_of(config.occupancy_update_interval) {
+            let model = &self.model;
+            let sigma = |p| model.forward(p, Vec3::Z, &mut PointContext::new()).sigma;
+            self.occupancy.update(sigma, config.occupancy_decay, rng);
+        }
+        let batch = dataset.sample_batch(config.rays_per_batch, rng);
+        let rays_per_shard = batch.len().div_ceil(GRAD_SHARDS.min(batch.len()).max(1));
+        let shard_count = batch.len().div_ceil(rays_per_shard.max(1)).max(1);
+        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
+
+        self.grads.zero();
+        let mut shard_grads = self.model.alloc_grads();
+        let mut samples = SampleBatch::new();
+        let mut kernel = KernelScratch::new();
+        let mut sample_grads = Vec::new();
+        let (mut loss_sum, mut sample_count) = (0.0f64, 0usize);
+        for shard in 0..shard_count {
+            shard_grads.zero();
+            let start = (shard * rays_per_shard).min(batch.len());
+            let end = (start + rays_per_shard).min(batch.len());
+            let mut shard_loss = 0.0f64;
+            for (ray, target) in &batch[start..end] {
+                sample_ray_into(ray, &self.occupancy, &config.sampler, &mut samples);
+                sample_count += samples.len();
+                self.model.forward_batch(samples.positions(), ray.direction, &mut kernel);
+                let shaded: Vec<ShadedSample> = kernel
+                    .sigma()
+                    .iter()
+                    .zip(kernel.color())
+                    .zip(samples.dts())
+                    .map(|((&sigma, &color), &dt)| ShadedSample { sigma, color, dt })
+                    .collect();
+                let (color, _) = composite_into(&shaded, config.background, false, &mut Vec::new());
+                let err = color - *target;
+                shard_loss += (err.length_squared() / 3.0) as f64;
+                let d_pixel = err * (2.0 * inv_norm);
+                composite_backward_into(&shaded, config.background, d_pixel, &mut sample_grads);
+                let d_sigma: Vec<f32> = sample_grads.iter().map(|g| g.d_sigma).collect();
+                let d_color: Vec<Vec3> = sample_grads.iter().map(|g| g.d_color).collect();
+                self.model.backward_batch(
+                    samples.positions(),
+                    &d_sigma,
+                    &d_color,
+                    &mut kernel,
+                    &mut shard_grads,
+                );
+            }
+            loss_sum += shard_loss;
+            self.grads.accumulate(&shard_grads);
+        }
+        self.optimizer.step(&mut self.model, &self.grads);
+        self.iteration += 1;
+        StepStats { loss: loss_sum / batch.len() as f64, rays: batch.len(), samples: sample_count }
+    }
 }

@@ -11,6 +11,8 @@
 use crate::adam::AdamConfig;
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::dataset::Dataset;
+use crate::dirty::DirtyBlocks;
+use crate::encoding::Encoding;
 use crate::image::Image;
 use crate::math::Vec3;
 use crate::model::{ModelGrads, ModelOptimizer, NerfModel};
@@ -26,7 +28,12 @@ use rand::Rng;
 /// f32 gradient-accumulation order — are identical no matter how many
 /// workers execute them. Thread counts above this see no further
 /// training speedup.
-const GRAD_SHARDS: usize = 16;
+pub(crate) const GRAD_SHARDS: usize = 16;
+
+/// Cells per task of the batched occupancy refresh: one model call
+/// each. Fixed, like [`GRAD_SHARDS`], so the chunk boundaries never
+/// depend on the thread count.
+const REFRESH_CHUNK: usize = 512;
 
 /// Byte ledger of the data volumes moved by training, split along the
 /// paper's Fig. 3 stage boundaries.
@@ -186,12 +193,29 @@ pub struct StepStats {
     pub samples: usize,
 }
 
-/// Reusable per-shard scratch for one slice of a training batch: a
-/// private gradient buffer plus the forward/backward working memory,
-/// so the hot loop allocates nothing per ray.
+/// One slice of a training batch: a private gradient buffer plus a
+/// bitmap of the grid-gradient blocks its backward passes wrote, so
+/// zeroing and merging visit only those.
 #[derive(Debug)]
 struct ShardScratch {
     grads: ModelGrads,
+    dirty: DirtyBlocks,
+}
+
+impl ShardScratch {
+    fn new<E: Encoding>(model: &NerfModel<E>) -> Self {
+        ShardScratch {
+            grads: model.alloc_grads(),
+            dirty: DirtyBlocks::new(model.grid().param_count()),
+        }
+    }
+}
+
+/// The working memory of one pool worker: Stage-I samples, kernel
+/// scratch and the per-sample gradient rows, reused by every task the
+/// worker runs, so the hot loop allocates nothing per ray.
+#[derive(Debug, Default)]
+struct WorkerScratch {
     samples: SampleBatch,
     kernel: KernelScratch,
     sample_grads: Vec<SampleGrad>,
@@ -199,16 +223,60 @@ struct ShardScratch {
     d_color: Vec<Vec3>,
 }
 
-impl ShardScratch {
-    fn new<E: crate::encoding::Encoding>(model: &NerfModel<E>) -> Self {
-        ShardScratch {
-            grads: model.alloc_grads(),
-            samples: SampleBatch::new(),
-            kernel: KernelScratch::new(),
-            sample_grads: Vec::new(),
-            d_sigma: Vec::new(),
-            d_color: Vec::new(),
-        }
+/// Training working memory kept across steps: one scratch per pool
+/// worker, and the per-cell buffers of the batched occupancy refresh.
+/// [`Trainer`] owns one; the multi-chip MoE trainer keeps one for its
+/// experts' refreshes.
+#[derive(Debug, Default)]
+pub struct TrainScratch {
+    workers: Vec<WorkerScratch>,
+    points: Vec<Vec3>,
+    densities: Vec<f32>,
+}
+
+/// The worker scratches for `pool` running `tasks` tasks, grown to
+/// that many the first time.
+fn worker_scratches<'a>(
+    workers: &'a mut Vec<WorkerScratch>,
+    pool: &Pool,
+    tasks: usize,
+) -> &'a mut [WorkerScratch] {
+    let n = pool.threads().min(tasks).max(1);
+    if workers.len() < n {
+        workers.resize_with(n, WorkerScratch::default);
+    }
+    workers
+}
+
+impl TrainScratch {
+    /// Empty scratch, sized by its first use.
+    pub fn new() -> Self {
+        TrainScratch::default()
+    }
+
+    /// Refreshes `grid` from `model`'s density field, bit-identically
+    /// to [`OccupancyGrid::update`] with [`NerfModel::density_at`]: the
+    /// probe points are drawn in cell order, their densities evaluated
+    /// in fixed chunks of cells across the pool through
+    /// [`NerfModel::density_batch`], and the EMA applied in cell order.
+    pub fn refresh_occupancy<E: Encoding, R: Rng>(
+        &mut self,
+        grid: &mut OccupancyGrid,
+        model: &NerfModel<E>,
+        decay: f32,
+        rng: &mut R,
+    ) {
+        let TrainScratch { workers, points, densities } = self;
+        points.resize(grid.cell_count(), Vec3::ZERO);
+        densities.resize(grid.cell_count(), 0.0);
+        grid.draw_probe_points(rng, points);
+        let pool = Pool::new();
+        let workers = worker_scratches(workers, &pool, points.len().div_ceil(REFRESH_CHUNK));
+        let chunks = points.chunks(REFRESH_CHUNK).zip(densities.chunks_mut(REFRESH_CHUNK));
+        pool.run_tasks(chunks, workers, |_, (points, out), worker| {
+            model.density_batch(points, out, &mut worker.kernel);
+        });
+        grid.apply_densities(densities, decay);
     }
 }
 
@@ -216,18 +284,23 @@ impl ShardScratch {
 /// state. Generic over the model's spatial encoding (hash grid by
 /// default).
 #[derive(Debug)]
-pub struct Trainer<E: crate::encoding::Encoding = crate::encoding::HashGrid> {
+pub struct Trainer<E: Encoding = crate::encoding::HashGrid> {
     model: NerfModel<E>,
     occupancy: OccupancyGrid,
     optimizer: ModelOptimizer,
+    /// The merged gradient of the last step.
     grads: ModelGrads,
+    /// The grid-gradient blocks `grads` may hold nonzero values in:
+    /// the union of the last step's shard bitmaps.
+    merged: DirtyBlocks,
     config: TrainerConfig,
     iteration: u32,
     volume: DataVolume,
     shards: Vec<ShardScratch>,
+    scratch: TrainScratch,
 }
 
-impl<E: crate::encoding::Encoding> Trainer<E> {
+impl<E: Encoding> Trainer<E> {
     /// Creates a trainer for `model`. The occupancy grid starts fully
     /// occupied (no gating) until the first refresh.
     pub fn new(model: NerfModel<E>, config: TrainerConfig) -> Self {
@@ -236,15 +309,18 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
         occupancy.fill();
         let optimizer = ModelOptimizer::new(config.adam, &model);
         let grads = model.alloc_grads();
+        let merged = DirtyBlocks::new(model.grid().param_count());
         Trainer {
             model,
             occupancy,
             optimizer,
             grads,
+            merged,
             config,
             iteration: 0,
             volume: DataVolume::default(),
             shards: Vec::new(),
+            scratch: TrainScratch::new(),
         }
     }
 
@@ -310,8 +386,8 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
         if self.iteration >= self.config.occupancy_warmup
             && self.iteration.is_multiple_of(self.config.occupancy_update_interval)
         {
-            let model = &self.model;
-            self.occupancy.update(|p| model.density_at(p), self.config.occupancy_decay, rng);
+            let Trainer { model, occupancy, config, scratch, .. } = self;
+            scratch.refresh_occupancy(occupancy, model, config.occupancy_decay, rng);
         }
     }
 
@@ -359,16 +435,19 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
         let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
 
         // Split the borrow: workers read the model/occupancy/config
-        // while holding exclusive access to their shard scratch.
-        let Trainer { model, occupancy, config, shards, .. } = &mut *self;
+        // while holding exclusive access to their shard and scratch.
+        let pool = Pool::new();
+        let Trainer { model, occupancy, config, shards, scratch, .. } = &mut *self;
         let model: &NerfModel<E> = model;
         let occupancy: &OccupancyGrid = occupancy;
         let config: &TrainerConfig = config;
         let batch_ref = &batch;
+        let workers = worker_scratches(&mut scratch.workers, &pool, shard_count);
 
         let shard_stats: Vec<(f64, usize)> =
-            Pool::new().run_tasks(&mut shards[..shard_count], |index, scratch| {
-                scratch.grads.zero();
+            pool.run_tasks(shards[..shard_count].iter_mut(), workers, |index, shard, w| {
+                // Only the blocks this shard wrote last step are nonzero.
+                shard.grads.zero_dirty(&mut shard.dirty);
                 let start = (index * rays_per_shard).min(batch_ref.len());
                 let end = (start + rays_per_shard).min(batch_ref.len());
                 let mut loss_sum = 0.0f64;
@@ -376,48 +455,45 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
                 for (ray, target) in &batch_ref[start..end] {
                     // Stage I into the reusable SoA batch, then one
                     // batched forward/backward over the whole ray.
-                    sample_ray_into(ray, occupancy, &config.sampler, &mut scratch.samples);
-                    sample_count += scratch.samples.len();
-                    model.forward_batch(
-                        scratch.samples.positions(),
-                        ray.direction,
-                        &mut scratch.kernel,
-                    );
-                    scratch.kernel.build_shaded(scratch.samples.dts());
+                    sample_ray_into(ray, occupancy, &config.sampler, &mut w.samples);
+                    sample_count += w.samples.len();
+                    model.forward_batch(w.samples.positions(), ray.direction, &mut w.kernel);
+                    w.kernel.build_shaded(w.samples.dts());
                     let (color, _) = composite_into(
-                        &scratch.kernel.shaded,
+                        &w.kernel.shaded,
                         config.background,
                         false,
-                        &mut scratch.kernel.weights,
+                        &mut w.kernel.weights,
                     );
                     let err = color - *target;
                     loss_sum += (err.length_squared() / 3.0) as f64;
                     // d(mean squared error)/d(pixel color).
                     let d_pixel = err * (2.0 * inv_norm);
                     composite_backward_into(
-                        &scratch.kernel.shaded,
+                        &w.kernel.shaded,
                         config.background,
                         d_pixel,
-                        &mut scratch.sample_grads,
+                        &mut w.sample_grads,
                     );
-                    scratch.d_sigma.clear();
-                    scratch.d_color.clear();
-                    for g in &scratch.sample_grads {
-                        scratch.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
-                        scratch.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
+                    w.d_sigma.clear();
+                    w.d_color.clear();
+                    for g in &w.sample_grads {
+                        w.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
+                        w.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
                     }
                     model.backward_batch(
-                        scratch.samples.positions(),
-                        &scratch.d_sigma,
-                        &scratch.d_color,
-                        &mut scratch.kernel,
-                        &mut scratch.grads,
+                        w.samples.positions(),
+                        &w.d_sigma,
+                        &w.d_color,
+                        &mut w.kernel,
+                        &mut shard.grads,
                     );
+                    model.grid().mark_written(&w.kernel.enc, &mut shard.dirty);
                 }
                 (loss_sum, sample_count)
             });
 
-        // Fixed-order merge: shard gradients and losses accumulate in
+        // Fixed-order merge: losses and shard gradients accumulate in
         // shard-index order regardless of which worker finished first.
         let mut loss_sum = 0.0f64;
         let mut sample_count = 0usize;
@@ -425,12 +501,23 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
             loss_sum += loss;
             sample_count += samples;
         }
-        self.grads.zero();
-        for scratch in &self.shards[..shard_count] {
-            self.grads.accumulate(&scratch.grads);
+        // The grid gradients merge over dirty blocks only, bit-identical
+        // to zeroing `grads` and adding every shard densely in shard
+        // order. A shard's grid gradient is +0.0 outside its bitmap (it
+        // was zeroed there and its backward wrote nothing else), and
+        // `grads` is +0.0 outside the last step's union, zeroed here.
+        // An f32 sum that starts at +0.0 never becomes -0.0 under
+        // round-to-nearest (a sum is -0.0 only when both addends are),
+        // so adding an untouched shard's +0.0 never changes a bit and
+        // skipping it is exact. And `Adam::step` skips entries whose
+        // gradient is exactly zero, so stepping only this step's union
+        // performs the same updates.
+        self.grads.zero_dirty(&mut self.merged);
+        for shard in &self.shards[..shard_count] {
+            self.grads.accumulate_dirty(&shard.grads, &shard.dirty);
+            self.merged.union_with(&shard.dirty);
         }
-
-        self.optimizer.step(&mut self.model, &self.grads);
+        self.optimizer.step_dirty(&mut self.model, &self.grads, &self.merged);
         self.iteration += 1;
         self.account_step_volume(batch.len(), sample_count);
         StepStats { loss: loss_sum / batch.len() as f64, rays: batch.len(), samples: sample_count }
@@ -603,6 +690,82 @@ mod tests {
             assert_eq!(stats.rays, rays_per_batch);
             assert!(stats.loss.is_finite() && stats.loss >= 0.0);
         }
+    }
+
+    /// Trains `model` with [`Trainer::step`] and with the dense per-ray
+    /// oracle side by side, asserting the loss and merged-gradient bits
+    /// of every step and the final parameter, occupancy and Adam-moment
+    /// bits. Returns the share of grid-gradient floats the last step's
+    /// merge visited.
+    fn assert_matches_the_oracle<E: Encoding + Clone>(
+        model: NerfModel<E>,
+        config: TrainerConfig,
+        dataset: &Dataset,
+        steps: u32,
+    ) -> f64 {
+        let mut trainer = Trainer::new(model.clone(), config);
+        let mut oracle = crate::reference::TrainOracle::new(model, config);
+        let (mut rng, mut oracle_rng) = (SmallRng::seed_from_u64(21), SmallRng::seed_from_u64(21));
+        for step in 0..steps {
+            let got = trainer.step(dataset, &mut rng);
+            let expected = oracle.oracle_step(dataset, &mut oracle_rng);
+            assert_eq!(got.loss.to_bits(), expected.loss.to_bits(), "loss of step {step}");
+            assert_eq!(got.samples, expected.samples, "samples of step {step}");
+            // The sparse merge leaves the same buffer as the dense one,
+            // untouched blocks included.
+            for (x, y) in [
+                (&trainer.grads.grid, &oracle.grads.grid),
+                (&trainer.grads.density, &oracle.grads.density),
+                (&trainer.grads.color, &oracle.grads.color),
+            ] {
+                assert!(x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits()), "step {step}");
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (trainer.model(), &oracle.model);
+        assert_eq!(bits(a.grid().params()), bits(b.grid().params()), "grid parameters");
+        assert_eq!(bits(a.density_mlp().params()), bits(b.density_mlp().params()), "density MLP");
+        assert_eq!(bits(a.color_mlp().params()), bits(b.color_mlp().params()), "color MLP");
+        let cells = |g: &OccupancyGrid| {
+            (0..g.cell_count()).map(|c| g.is_cell_occupied(c)).collect::<Vec<_>>()
+        };
+        assert_eq!(cells(trainer.occupancy()), cells(&oracle.occupancy), "occupancy bits");
+        assert!(trainer.occupancy().occupancy_ratio() < 1.0, "the refreshes never cleared a cell");
+        for (group, (x, y)) in
+            trainer.optimizer.groups().iter().zip(oracle.optimizer.groups()).enumerate()
+        {
+            assert_eq!(x.step_count(), y.step_count(), "Adam steps of group {group}");
+            assert_eq!(bits(x.moments().0), bits(y.moments().0), "first moments of group {group}");
+            assert_eq!(bits(x.moments().1), bits(y.moments().1), "second moments of group {group}");
+        }
+        let visited: usize = trainer.merged.runs().map(|run| run.len()).sum();
+        visited as f64 / trainer.grads.grid.len() as f64
+    }
+
+    #[test]
+    fn sparse_step_matches_the_dense_per_ray_oracle() {
+        use crate::dense_grid::{DenseGrid, DenseGridConfig};
+        let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
+        let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
+        // 110 steps cross the refreshes at steps 40, 60, 80 and 100,
+        // and the learning-rate decay at step 100.
+        let config = TrainerConfig { lr_decay_interval: 100, ..test_config() };
+        let steps = 110;
+        for threads in [1, 4] {
+            fusion3d_par::set_thread_override(Some(threads));
+            let visited = assert_matches_the_oracle(test_model(11), config, &dataset, steps);
+            assert!(visited < 0.9, "{threads} threads: the hash-grid merge visited {visited}");
+            // A dense grid keeps the trait's default: every block dirty.
+            let mut rng = SmallRng::seed_from_u64(12);
+            let grid = DenseGrid::with_random_init(
+                DenseGridConfig { resolution: 10, features_per_vertex: 4 },
+                &mut rng,
+            );
+            let dense = NerfModel::with_encoding(grid, 16, 7, &mut rng);
+            let visited = assert_matches_the_oracle(dense, config, &dataset, steps);
+            assert_eq!(visited, 1.0, "{threads} threads: the dense-grid merge visited {visited}");
+        }
+        fusion3d_par::set_thread_override(None);
     }
 
     #[test]

@@ -204,27 +204,49 @@ impl Pool {
         out
     }
 
-    /// Runs one task per element of `states`, handing task `i`
-    /// exclusive `&mut` access to `states[i]`. Results come back in
-    /// state-index order. This is the shard primitive: callers keep
-    /// one scratch/accumulator struct per shard and merge them in
-    /// shard order afterwards.
-    pub fn run_tasks<S, T, F>(&self, states: &mut [S], work: F) -> Vec<T>
+    /// Runs one task per item of `states`, handing task `i` the `i`-th
+    /// item (typically a `&mut` shard struct or a disjoint output
+    /// slice) and the scratch of the worker that runs it. Results come
+    /// back in task-index order. This is the shard primitive: callers
+    /// keep one accumulator per shard, merge them in shard order
+    /// afterwards, and keep their working memory in `workers`, which
+    /// persists across calls.
+    ///
+    /// At most `workers.len()` threads run the tasks, and each holds
+    /// one element of `workers` for the whole call. The scratch
+    /// contract of [`Pool::parallel_chunks_with`] applies: a task's
+    /// result and writes must not depend on what an earlier task left
+    /// in its worker's scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are tasks but `workers` is empty.
+    pub fn run_tasks<S, W, T, I, F>(&self, states: I, workers: &mut [W], work: F) -> Vec<T>
     where
+        I: IntoIterator<Item = S>,
         S: Send,
+        W: Send,
         T: Send,
-        F: Fn(usize, &mut S) -> T + Sync,
+        F: Fn(usize, S, &mut W) -> T + Sync,
     {
         // Wrap each state in a Mutex slot so tasks can be stolen by
         // any worker; the index-per-task discipline means every lock
         // is uncontended.
-        let slots: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
-        self.run_indexed_with(
+        let slots: Vec<Mutex<Option<S>>> =
+            states.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        assert!(slots.is_empty() || !workers.is_empty(), "run_tasks needs a worker scratch");
+        // Each worker thread takes the next scratch once, at start-up,
+        // so no two threads share one.
+        let pool = Pool::with_threads(self.threads.min(workers.len()));
+        let scratch = Mutex::new(workers.iter_mut());
+        pool.run_indexed_with(
             slots.len(),
-            || (),
-            |index, ()| {
-                let mut state = slots[index].lock();
-                work(index, &mut state)
+            || scratch.lock().next(),
+            |index, worker| match (slots[index].lock().take(), worker) {
+                (Some(state), Some(worker)) => work(index, state, worker),
+                // lint: allow(p1): invariant — each task index runs once,
+                // and no more threads start than there are scratches
+                _ => unreachable!("task {index} ran twice or without a scratch"),
             },
         )
     }
@@ -518,12 +540,34 @@ mod tests {
     #[test]
     fn run_tasks_gives_each_task_its_own_state() {
         let mut states = vec![0u64; 13];
-        let results = Pool::with_threads(4).run_tasks(&mut states, |index, state| {
-            *state = index as u64 + 1;
-            index * 10
-        });
+        let mut workers = vec![0usize; 4];
+        let results =
+            Pool::with_threads(4).run_tasks(&mut states, &mut workers, |index, state, ran| {
+                *state = index as u64 + 1;
+                *ran += 1;
+                index * 10
+            });
         assert_eq!(results, (0..13).map(|i| i * 10).collect::<Vec<usize>>());
         assert_eq!(states, (1..=13).collect::<Vec<u64>>());
+        assert_eq!(workers.iter().sum::<usize>(), 13, "every task ran on one worker scratch");
+    }
+
+    #[test]
+    fn run_tasks_uses_no_more_threads_than_scratches() {
+        // Eight threads, two scratches: at most two threads run, and
+        // every task lands in exactly one scratch's log.
+        let mut logs = vec![Vec::new(); 2];
+        let out = Pool::with_threads(8).run_tasks(0..40, &mut logs, |index, item, log| {
+            log.push(index);
+            item * 2
+        });
+        assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<usize>>());
+        let mut all: Vec<usize> = logs.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..40).collect::<Vec<usize>>());
+        assert!(Pool::with_threads(3)
+            .run_tasks(0..0, &mut [(); 0], |i, _: usize, ()| i)
+            .is_empty());
     }
 
     #[test]

@@ -51,14 +51,25 @@ fn hundreds_of_map_reduce_rounds_are_bitwise_stable() {
 fn hundreds_of_sharded_task_rounds_are_bitwise_stable() {
     for round in 0..200 {
         let shards = 1 + round % 16;
-        let run = |threads: usize| -> Vec<u32> {
+        // One scratch per worker, as the trainer keeps them: a buffer
+        // each task clears and refills, so results cannot depend on
+        // which worker ran a task or what it ran before.
+        let run = |threads: usize| -> (Vec<u32>, Vec<u32>) {
             let mut states = vec![0.0f32; shards];
-            Pool::with_threads(threads).run_tasks(&mut states, |index, acc| {
-                for i in 0..50 {
-                    *acc += 1.0 / ((index * 50 + i + round) as f32 + 1.0);
-                }
-                acc.to_bits()
-            })
+            let mut workers = vec![Vec::<f32>::new(); threads];
+            let out = Pool::with_threads(threads).run_tasks(
+                &mut states,
+                &mut workers,
+                |index, acc, terms| {
+                    terms.clear();
+                    terms.extend((0..50).map(|i| 1.0 / ((index * 50 + i + round) as f32 + 1.0)));
+                    for &t in terms.iter() {
+                        *acc += t;
+                    }
+                    acc.to_bits()
+                },
+            );
+            (out, states.iter().map(|s| s.to_bits()).collect())
         };
         let reference = run(1);
         for threads in [2, 8] {

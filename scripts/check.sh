@@ -41,6 +41,15 @@ for key in '"schema": "fusion3d-serve-v1"' p50_latency_cycles p99_latency_cycles
   grep -q "$key" target/BENCH_serve_smoke.json \
     || { echo "BENCH_serve smoke missing key: $key"; exit 1; }
 done
+# Training determinism at the CLI: 100 iterations cross the occupancy
+# refreshes at steps 48, 72 and 96, and the trained containers must be
+# byte-identical at 1 and 4 worker threads.
+for threads in 1 4; do
+  FUSION3D_THREADS=$threads cargo run --release -q --bin fusion3d -- \
+    train --scene lego --iters 100 --out "target/train_lego_t$threads.f3dm" > /dev/null
+done
+cmp target/train_lego_t1.f3dm target/train_lego_t4.f3dm \
+  || { echo "CLI training diverges between 1 and 4 threads"; exit 1; }
 # The paper tables cannot move silently: regenerate every table and
 # figure (~20 s) and hold the output byte-identical to the committed
 # BENCH_tables.txt.
