@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 
 use crate::graph::{fn_item, CallGraph};
 use crate::intervals::{is_float_type, is_int_type, type_bits, type_range, Interval};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{match_close, match_open, Token, TokenKind};
 use crate::parse::FnItem;
 use crate::rules::{test_mask, AllowUsage, Finding, ACCOUNTING_FILES};
 use crate::SourceFile;
@@ -259,42 +259,6 @@ fn unit_of_name(name: &str) -> Option<String> {
         return None;
     };
     Some(unit.to_string())
-}
-
-fn match_close(toks: &[Token], open: usize, open_text: &str, close_text: &str) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        let t = toks[i].text.as_str();
-        if t == open_text {
-            depth += 1;
-        } else if t == close_text {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn match_open(toks: &[Token], close: usize, open_text: &str, close_text: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close as isize;
-    while i >= 0 {
-        let t = toks[i as usize].text.as_str();
-        if t == close_text {
-            depth += 1;
-        } else if t == open_text {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i as usize);
-            }
-        }
-        i -= 1;
-    }
-    None
 }
 
 fn is_open(t: &str) -> bool {

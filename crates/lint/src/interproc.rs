@@ -14,8 +14,8 @@
 //!   Findings are reported at the source line — where the existing
 //!   `allow(p1)`/`allow(p2)` escape hatches apply — with an example
 //!   entry path in the message.
-//! * **H2 — allocation reachability.** Extends H1 transitively: from
-//!   the named render/forward/train entry points of `fusion3d-nerf`,
+//! * **H2 — allocation reachability.** From the named
+//!   render/forward/train entry points of `fusion3d-nerf`,
 //!   nothing reachable may call `.push`/`.collect`/`.clone`/
 //!   `.to_vec`/`.to_string`/`.to_owned`, `format!`/`vec!`, or
 //!   `Box::new`. `Vec::new`/`String::new` (allocation-free) and
@@ -25,7 +25,6 @@
 //!   `train` epoch loop is not an entry (setup before the first step
 //!   may allocate), and `crates/par` is exempt as a source (its
 //!   per-dispatch slot vectors are the fan-out mechanism, like D3/D5).
-//!   `allow(h1)` and `allow(h2)` both suppress.
 //! * **D4 — unordered reduction.** Inside a closure dispatched
 //!   through a `fusion3d-par` combinator, a compound assignment
 //!   (`+=`, `-=`, `*=`, `/=`) whose target is declared *outside* the
@@ -53,7 +52,7 @@
 use std::collections::BTreeSet;
 
 use crate::graph::{direct_spans, fn_item, CallGraph};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{match_close, match_open, Token, TokenKind};
 use crate::rules::{AllowUsage, Finding, RESULT_BEARING_CRATES};
 use crate::SourceFile;
 
@@ -87,15 +86,7 @@ const SERVE_H2_ENTRY_NAMES: &[&str] =
 
 /// The deterministic dispatch combinators of `fusion3d-par`; closures
 /// passed to these run on worker threads (D4/D5 scope).
-const PAR_COMBINATORS: &[&str] = &[
-    "parallel_chunks",
-    "parallel_chunks_with",
-    "parallel_chunks_with_stats",
-    "parallel_map_reduce",
-    "parallel_flat_map",
-    "parallel_flat_map_with",
-    "run_tasks",
-];
+const PAR_COMBINATORS: &[&str] = &["parallel_chunks", "run_tasks"];
 
 /// Interior-mutability / shared-state type names (D5).
 const INTERIOR_MUT_TYPES: &[&str] = &[
@@ -490,7 +481,7 @@ fn check_h2(
                         files,
                         usage,
                         node.file,
-                        &["H2", "H1"],
+                        &["H2"],
                         t.line,
                         format!(
                             "{what} allocates on the hot path: {via}; reuse a scratch \
@@ -713,8 +704,8 @@ fn check_d5(
                 t.line,
                 format!(
                     "{what} inside a fusion3d-par closure shares state across \
-                     workers; results then depend on scheduling — pass per-task \
-                     scratch or reduce through the combinator's return value"
+                     workers; results then depend on scheduling — use `run_tasks` \
+                     worker scratch or reduce through the returned results"
                 ),
                 findings,
             );
@@ -756,8 +747,8 @@ fn check_d4(
             format!(
                 "`{root} {op}=` inside a fusion3d-par closure accumulates into \
                  state declared outside it; the reduction order depends on worker \
-                 scheduling — accumulate into a closure-local and merge in the \
-                 combinator's in-order reduce step"
+                 scheduling — accumulate into a closure-local and merge the \
+                 returned results in index order"
             ),
             findings,
         );
@@ -847,44 +838,4 @@ pub fn check_unused(files: &[SourceFile], usage: &[AllowUsage]) -> Vec<Finding> 
         }
     }
     findings
-}
-
-// ------------------------------------------------------------ shared
-
-/// Index of the close matching the open bracket at `open`.
-fn match_close(toks: &[Token], open: usize, open_text: &str, close_text: &str) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        let t = toks[i].text.as_str();
-        if t == open_text {
-            depth += 1;
-        } else if t == close_text {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the open matching the close bracket at `close`.
-fn match_open(toks: &[Token], close: usize, open_text: &str, close_text: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close as isize;
-    while i >= 0 {
-        let t = toks[i as usize].text.as_str();
-        if t == close_text {
-            depth += 1;
-        } else if t == open_text {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i as usize);
-            }
-        }
-        i -= 1;
-    }
-    None
 }

@@ -55,6 +55,51 @@ pub struct Token {
     pub col: u32,
 }
 
+/// Index of the close matching the open bracket at `open`; the last
+/// token on unbalanced input (tolerated, like the lexer).
+pub(crate) fn match_close(toks: &[Token], open: usize, open_text: &str, close_text: &str) -> usize {
+    let mut depth = 0i32;
+    let mut i = open;
+    while i < toks.len() {
+        let t = toks[i].text.as_str();
+        if t == open_text {
+            depth += 1;
+        } else if t == close_text {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+        i += 1;
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// Index of the open matching the close bracket at `close`, or `None`
+/// on unbalanced input.
+pub(crate) fn match_open(
+    toks: &[Token],
+    close: usize,
+    open_text: &str,
+    close_text: &str,
+) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut i = close as isize;
+    while i >= 0 {
+        let t = toks[i as usize].text.as_str();
+        if t == close_text {
+            depth += 1;
+        } else if t == open_text {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i as usize);
+            }
+        }
+        i -= 1;
+    }
+    None
+}
+
 /// One `// lint: allow(rule, …)` escape-hatch directive.
 #[derive(Debug, Default, Clone)]
 pub struct AllowDirective {

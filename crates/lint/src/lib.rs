@@ -10,8 +10,8 @@
 //! sources with a small hand-rolled tokenizer (no `syn`; the repo
 //! builds offline), recovers the item skeleton (fns, impls, modules)
 //! with a lightweight parser, builds a conservative workspace call
-//! graph, and enforces twelve repo-specific rules — token-local
-//! (D1–D3, P1, A1, H1, O1), interprocedural (P2, H2), parallel-closure
+//! graph, and enforces eleven repo-specific rules — token-local
+//! (D1–D3, P1, A1, O1), interprocedural (P2, H2), parallel-closure
 //! (D4, D5), and suppression hygiene (U1). The full catalogue with
 //! rationale and examples lives in `docs/LINTS.md`.
 //!

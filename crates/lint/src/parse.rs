@@ -24,7 +24,7 @@
 //!   unvalidated-parameter checks; destructured patterns contribute
 //!   only their outermost bindings.
 
-use crate::lexer::{LexedFile, Token, TokenKind};
+use crate::lexer::{match_close, LexedFile, Token, TokenKind};
 use crate::rules::test_mask;
 
 /// One `fn` item with its token span.
@@ -200,12 +200,12 @@ impl<'a> Parser<'a> {
                 "#" if self.text(i + 1) == "[" => {
                     // Attribute: skip by bracket matching; visibility
                     // (if any) follows the attributes, so keep state.
-                    i = self.match_close(i + 1, "[", "]") + 1;
+                    i = match_close(self.toks, i + 1, "[", "]") + 1;
                 }
                 "pub" => {
                     if self.text(i + 1) == "(" {
                         // pub(crate)/pub(super)/pub(in …): crate-local.
-                        i = self.match_close(i + 1, "(", ")") + 1;
+                        i = match_close(self.toks, i + 1, "(", ")") + 1;
                     } else {
                         pending_pub = true;
                         i += 1;
@@ -289,7 +289,7 @@ impl<'a> Parser<'a> {
         if self.text(i) != "(" {
             return i;
         }
-        let params_close = self.match_close(i, "(", ")");
+        let params_close = match_close(self.toks, i, "(", ")");
         let (params, fixed_arrays, alias_typed) = self.param_names(i, params_close);
         // Find the body `{` (or `;` for a declaration) at depth 0 of
         // the return type / where clause, capturing the return type's
@@ -304,7 +304,7 @@ impl<'a> Parser<'a> {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
                 "{" if depth == 0 => {
-                    let close = self.match_close(j, "{", "}");
+                    let close = match_close(self.toks, j, "{", "}");
                     body = Some((j, close));
                     break;
                 }
@@ -480,12 +480,12 @@ impl<'a> Parser<'a> {
         }
         match self.text(i) {
             "{" => {
-                let close = self.match_close(i, "{", "}");
+                let close = match_close(self.toks, i, "{", "}");
                 self.record_fields(&name, i + 1, close, false);
                 close + 1
             }
             "(" => {
-                let close = self.match_close(i, "(", ")");
+                let close = match_close(self.toks, i, "(", ")");
                 self.record_fields(&name, i + 1, close, true);
                 // Tuple struct: consume through the trailing `;`.
                 let mut j = close + 1;
@@ -528,7 +528,7 @@ impl<'a> Parser<'a> {
         while i < hi {
             match self.text(i) {
                 "#" if self.text(i + 1) == "[" => {
-                    i = self.match_close(i + 1, "[", "]") + 1;
+                    i = match_close(self.toks, i + 1, "[", "]") + 1;
                     continue;
                 }
                 "(" | "[" | "{" => depth += 1,
@@ -606,7 +606,7 @@ impl<'a> Parser<'a> {
         if self.text(i) != "{" {
             return i;
         }
-        let close = self.match_close(i, "{", "}");
+        let close = match_close(self.toks, i, "{", "}");
         let (self_type, trait_name) =
             if saw_for { (second_path_last, first_path_last) } else { (first_path_last, None) };
         if let Some(self_type) = self_type {
@@ -635,7 +635,7 @@ impl<'a> Parser<'a> {
         if self.text(i) != "{" {
             return i + 1;
         }
-        let close = self.match_close(i, "{", "}");
+        let close = match_close(self.toks, i, "{", "}");
         let ctx = ImplCtx { self_type: &name, trait_name: Some(&name) };
         self.items(i + 1, close, mods, Some(ctx));
         close + 1
@@ -688,7 +688,7 @@ impl<'a> Parser<'a> {
         let name = self.text(at + 1).to_string();
         match self.text(at + 2) {
             "{" => {
-                let close = self.match_close(at + 2, "{", "}");
+                let close = match_close(self.toks, at + 2, "{", "}");
                 mods.push(name);
                 self.items(at + 3, close, mods, None);
                 mods.pop();
@@ -730,7 +730,7 @@ impl<'a> Parser<'a> {
                 "{" => {
                     // Split the group body on top-level commas and
                     // expand each arm with the current prefix.
-                    let close = self.match_close(i, "{", "}");
+                    let close = match_close(self.toks, i, "{", "}");
                     let mut arm_start = i + 1;
                     let mut depth = 0i32;
                     let mut j = i + 1;
@@ -791,33 +791,13 @@ impl<'a> Parser<'a> {
             match self.text(i) {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
-                "{" if depth == 0 => return self.match_close(i, "{", "}") + 1,
+                "{" if depth == 0 => return match_close(self.toks, i, "{", "}") + 1,
                 ";" if depth == 0 => return i + 1,
                 _ => {}
             }
             i += 1;
         }
         i
-    }
-
-    /// Index of the close matching the open bracket at `open`; the
-    /// last token on unbalanced input (tolerated, like the lexer).
-    fn match_close(&self, open: usize, open_text: &str, close_text: &str) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < self.toks.len() {
-            let t = self.text(i);
-            if t == open_text {
-                depth += 1;
-            } else if t == close_text {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            i += 1;
-        }
-        self.toks.len().saturating_sub(1)
     }
 
     /// Matches generic angle brackets starting at a `<`; `->` arrows
@@ -837,7 +817,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 // `(…)` inside bounds may contain `<`-free commas etc.
-                "(" => i = self.match_close(i, "(", ")"),
+                "(" => i = match_close(self.toks, i, "(", ")"),
                 ";" | "{" => return i.saturating_sub(1), // malformed: bail
                 _ => {}
             }

@@ -19,13 +19,6 @@
 //! * **A1** — no lossy `as` casts (narrowing integers, `f32`
 //!   truncation, float→int) inside the cycle/energy accounting
 //!   modules, where a silent wrap corrupts reported numbers.
-//! * **H1** — no `Vec::new`/`vec![…]`/`.clone()` inside the hot-path
-//!   kernel modules (`nerf::encoding`, `nerf::mlp`, `nerf::render`).
-//!   The batched kernels promise an allocation-free per-sample loop;
-//!   fresh vectors or clones there silently reintroduce per-sample
-//!   heap traffic. Reuse the structure-of-arrays scratch buffers, or
-//!   carry a `// lint: allow(H1): why` comment on deliberate cold
-//!   paths.
 //! * **O1** — no `println!`/`print!`/`eprintln!`/`eprint!` in library
 //!   crates. Libraries report through return values and
 //!   `fusion3d-obs` reports; stray stdout writes corrupt the JSON
@@ -102,11 +95,6 @@ const PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint"];
 /// tables and the lint tool renders findings, both on stdout by design.
 const PRINTING_CRATES: &[&str] = &["bench", "lint"];
 
-/// Hot-path kernel modules with an allocation-free contract (H1): the
-/// batched SoA kernels of the NeRF compute core.
-const HOT_PATH_FILES: &[&str] =
-    &["crates/nerf/src/encoding.rs", "crates/nerf/src/mlp.rs", "crates/nerf/src/render.rs"];
-
 /// Which rules apply to the file at `path` (workspace-relative,
 /// forward slashes).
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +104,6 @@ struct Scope {
     d3: bool,
     p1: bool,
     a1: bool,
-    h1: bool,
     o1: bool,
 }
 
@@ -140,7 +127,6 @@ fn scope_of(path: &str) -> Scope {
         // Binaries may panic on bad CLI input; libraries must not.
         p1: !path.contains("/bin/"),
         a1: ACCOUNTING_FILES.contains(&path),
-        h1: HOT_PATH_FILES.contains(&path),
         // Binaries print by design; so do the harness and lint crates.
         o1: !path.contains("/bin/") && !PRINTING_CRATES.contains(&krate),
     }
@@ -287,44 +273,6 @@ pub fn check_file(path: &str, file: &LexedFile, usage: &mut AllowUsage) -> Vec<F
                 ),
                 &mut findings,
             );
-        }
-
-        // H1: allocations and clones in hot-path kernel modules.
-        if scope.h1 && is_ident {
-            if text == "vec" && tokens.get(i + 1).is_some_and(|t| t.text == "!") {
-                report(
-                    "H1",
-                    tok.line,
-                    "`vec![…]` allocates in a hot-path kernel module; reuse a \
-                     scratch buffer sized once per batch"
-                        .to_string(),
-                    &mut findings,
-                );
-            }
-            if matches_path(tokens, i, &["Vec", "new"]) {
-                report(
-                    "H1",
-                    tok.line,
-                    "`Vec::new` in a hot-path kernel module; reuse a scratch \
-                     buffer sized once per batch"
-                        .to_string(),
-                    &mut findings,
-                );
-            }
-            if text == "clone"
-                && i > 0
-                && tokens[i - 1].text == "."
-                && tokens.get(i + 1).is_some_and(|t| t.text == "(")
-            {
-                report(
-                    "H1",
-                    tok.line,
-                    "`.clone()` copies in a hot-path kernel module; borrow or \
-                     write into a reused buffer"
-                        .to_string(),
-                    &mut findings,
-                );
-            }
         }
 
         // A1: lossy casts in accounting modules.

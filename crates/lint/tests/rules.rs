@@ -192,60 +192,6 @@ fn a1_allow_comment_suppresses() {
     assert!(rules_at("crates/core/src/pipeline_sim.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- H1
-
-#[test]
-fn h1_flags_allocations_in_hot_path_modules() {
-    assert_eq!(
-        rules_at("crates/nerf/src/mlp.rs", "fn f() -> Vec<f32> { vec![0.0; 4] }"),
-        vec!["H1"]
-    );
-    assert_eq!(
-        rules_at("crates/nerf/src/encoding.rs", "fn f() -> Vec<f32> { Vec::new() }"),
-        vec!["H1"]
-    );
-    assert_eq!(
-        rules_at("crates/nerf/src/render.rs", "fn f(xs: &Vec<f32>) -> Vec<f32> { xs.clone() }"),
-        vec!["H1"]
-    );
-}
-
-#[test]
-fn h1_ignores_other_modules_tests_and_lookalikes() {
-    // The same constructs outside the three hot-path kernel modules
-    // are H1-exempt.
-    let src = "fn f() -> Vec<f32> { vec![0.0; 4] }";
-    assert!(rules_at("crates/nerf/src/trainer.rs", src).is_empty());
-    assert!(rules_at("crates/core/src/chip.rs", src).is_empty());
-
-    let test_fn = "#[test]\nfn t() { let v = vec![1]; let w = v.clone(); }\n";
-    assert!(rules_at("crates/nerf/src/mlp.rs", test_fn).is_empty());
-
-    // Lookalikes that must NOT fire: Vec::with_capacity, clone_from,
-    // cloned(), a `vec` identifier without `!`, and mentions inside
-    // comments or strings.
-    let clean = "fn f(n: usize) -> Vec<f32> { Vec::with_capacity(n) }\n\
-                 fn g(a: &mut Vec<f32>, b: &Vec<f32>) { a.clone_from(b); }\n\
-                 fn h(xs: &[f32]) -> Vec<f32> { xs.iter().cloned().collect() }\n\
-                 fn i(vec: &[f32]) -> f32 { vec[0] }\n\
-                 // Vec::new and vec![] and .clone() in a comment\n\
-                 const S: &str = \"vec![0.0]\";\n";
-    assert!(rules_at("crates/nerf/src/render.rs", clean).is_empty());
-}
-
-#[test]
-fn h1_allow_comment_suppresses() {
-    let trailing =
-        "fn f() -> Vec<f32> { vec![0.0; 4] } // lint: allow(h1): cold path, sized once\n";
-    assert!(rules_at("crates/nerf/src/mlp.rs", trailing).is_empty());
-
-    let preceding = "fn f() -> Vec<f32> {\n\
-                     // lint: allow(H1): convenience wrapper, not the batched path\n\
-                     Vec::new()\n\
-                     }\n";
-    assert!(rules_at("crates/nerf/src/encoding.rs", preceding).is_empty());
-}
-
 // ---------------------------------------------------------------- O1
 
 #[test]
@@ -582,7 +528,7 @@ fn d5_flags_shared_mutable_state_in_parallel_closures() {
     assert!(!fired.is_empty() && fired.iter().all(|r| *r == "D5"), "{fired:?}");
 
     let locking = "pub fn collect(pool: &Pool, sink: &Mutex<Vec<f32>>) {\n\
-                   pool.parallel_map_reduce(4, |_i| sink.lock(), |a, _b| a);\n\
+                   pool.parallel_chunks(4, 1, |_i, _r| sink.lock());\n\
                    }\n";
     assert_eq!(rules_at("crates/core/src/noc.rs", locking), vec!["D5"]);
 
@@ -595,7 +541,7 @@ fn d5_flags_shared_mutable_state_in_parallel_closures() {
 #[test]
 fn d5_ignores_per_task_state_and_serial_sections() {
     let per_task = "pub fn f(pool: &Pool, slots: &mut [f32]) {\n\
-                    pool.parallel_chunks_with(slots, |slot, _i| {\n\
+                    pool.run_tasks(slots, &mut [()], |_i, slot, _w| {\n\
                     let mut local = 0.0;\n\
                     local += 1.0;\n\
                     *slot = local;\n\

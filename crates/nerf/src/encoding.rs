@@ -502,7 +502,6 @@ impl HashGrid {
         // lint: allow(p1): documented panic — constructors reject invalid configs
         config.validate().expect("invalid hash grid config");
         let resolutions = (0..config.levels).map(|l| config.level_resolution(l)).collect();
-        // lint: allow(h1): one-time parameter allocation at construction, not hot-path
         HashGrid { config, resolutions, params: vec![0.0; config.param_count()] }
     }
 

@@ -94,7 +94,6 @@ impl MlpCache {
 
     /// Creates a cache pre-sized for `mlp`.
     pub fn for_mlp(mlp: &Mlp) -> Self {
-        // lint: allow(h1): one-time cache construction, not a per-sample loop
         MlpCache { activations: mlp.dims.iter().map(|&d| vec![0.0; d]).collect() }
     }
 
@@ -224,7 +223,6 @@ impl Mlp {
     ) -> Self {
         assert!(dims.len() >= 2, "an MLP needs at least input and output dims");
         assert!(dims.iter().all(|&d| d > 0), "layer dimensions must be positive");
-        // lint: allow(h1): one-time parameter allocation at construction
         let mut params = Vec::new();
         for w in dims.windows(2) {
             let (fan_in, fan_out) = (w[0], w[1]);
@@ -354,7 +352,6 @@ impl Mlp {
     /// Panics if `input.len() != self.input_dim()`.
     pub fn forward<'c>(&self, input: &[f32], cache: &'c mut MlpCache) -> &'c [f32] {
         assert_eq!(input.len(), self.input_dim(), "input size mismatch");
-        // lint: allow(h1): scalar reference path — hot loops use forward_batch
         cache.activations.resize_with(self.dims.len(), Vec::new);
         cache.activations[0].clear();
         cache.activations[0].extend_from_slice(input);
@@ -444,7 +441,7 @@ impl Mlp {
 
             // Propagate to the previous layer (or the input).
             let weights = &self.params[off..off + in_dim * out_dim];
-            // lint: allow(h1): scalar reference path — hot loops use backward_batch
+            // lint: allow(h2): scalar reference path — hot loops use backward_batch
             let mut d_prev = vec![0.0f32; in_dim];
             for o in 0..out_dim {
                 let d = delta[o];

@@ -9,10 +9,11 @@
 //! Every frame entry point — [`render_image`], [`render_views_into`],
 //! [`render_depth_image`], [`render_layer`] and, in `obs` builds,
 //! `render_image_probed` — is a short caller of one private dispatch
-//! that shades each pixel row of each view as one work chunk across
-//! the [`fusion3d_par::Pool`] workers. Chunk geometry and the
-//! view-then-row merge order are independent of the thread count, so a
-//! frame is bitwise-identical whether rendered on one core or sixteen.
+//! that shades each pixel row of each view as one task across the
+//! [`fusion3d_par::Pool`] workers, each worker with its own row
+//! scratch. The tasks and the view-then-row merge order are
+//! independent of the thread count, so a frame is bitwise-identical
+//! whether rendered on one core or sixteen.
 
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::camera::Camera;
@@ -24,7 +25,8 @@ use crate::model::{sh_row, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{CompositeState, ShadedSample};
 use crate::sampler::{sample_ray, sample_ray_append, RayWorkload, SamplerConfig};
-use fusion3d_par::{DispatchStats, Pool};
+use crate::trainer::worker_scratches;
+use fusion3d_par::Pool;
 
 /// Configuration shared by rendering and tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +100,10 @@ struct RowScratch {
     ray_of: Vec<u32>,
     /// Stage-II/III working memory.
     kernel: KernelScratch,
+    /// Rows this worker shaded in its dispatch: the probed render's
+    /// scheduling diagnostics.
+    #[cfg(feature = "obs")]
+    rows_shaded: u64,
 }
 
 /// The render kernel behind every render entry point: shades one row
@@ -130,7 +136,16 @@ fn shade_row<E: Encoding>(
     early_stop: bool,
     scratch: &mut RowScratch,
 ) -> usize {
-    let RowScratch { samples, rays: states, live, positions, ray_of, kernel } = scratch;
+    let RowScratch {
+        samples,
+        rays: states,
+        live,
+        positions,
+        ray_of,
+        kernel,
+        #[cfg(feature = "obs")]
+        rows_shaded,
+    } = scratch;
     samples.clear();
     states.clear();
     for ray in rays {
@@ -202,6 +217,7 @@ fn shade_row<E: Encoding>(
     }
 
     crate::probe!({
+        *rows_shaded += 1;
         kernel.probes.samples_retained += samples.len() as u64;
         kernel.probes.rays += states.len() as u64;
         kernel.probes.rays_saturated +=
@@ -220,19 +236,14 @@ struct ShadedRow<T> {
     rays: Vec<T>,
     /// Samples Stage I retained for the row.
     samples: usize,
-    /// The row's probe-counter delta.
-    #[cfg(feature = "obs")]
-    probes: crate::probes::ProbeCounters,
 }
 
 /// The one render dispatch behind every frame entry point: shades each
 /// pixel row of each `(view index, camera)` in `views` as one pool
-/// chunk through [`shade_row`], and maps each finished ray through
-/// `out`. Rows come back in view-then-row order. Chunk geometry
-/// depends only on the views, so the rows are bitwise-identical for
-/// any `FUSION3D_THREADS` setting; each row's probe delta is taken
-/// against its worker's running totals, so summing the deltas in row
-/// order is too. The [`DispatchStats`] are diagnostic only.
+/// task through [`shade_row`], and maps each finished ray through
+/// `out`. Rows come back in view-then-row order, alongside the worker
+/// scratches that shaded them. The tasks depend only on the views, so
+/// the rows are bitwise-identical for any `FUSION3D_THREADS` setting.
 fn shade_views<'c, E: Encoding, T: Send>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
@@ -240,34 +251,29 @@ fn shade_views<'c, E: Encoding, T: Send>(
     sampler: &SamplerConfig,
     early_stop: bool,
     out: impl Fn(&RayState) -> T + Sync,
-) -> (Vec<ShadedRow<T>>, DispatchStats) {
+) -> (Vec<ShadedRow<T>>, Vec<RowScratch>) {
     let rows: Vec<(usize, &Camera, u32)> = views
         .flat_map(|(view, camera)| (0..camera.height()).map(move |y| (view, camera, y)))
         // lint: allow(h2): per-dispatch row table — one entry per
         // pixel row, amortized over that row's rays
         .collect();
-    Pool::new().parallel_chunks_with_stats(
-        rows.len(),
-        1,
-        RowScratch::default,
-        |_, range, scratch: &mut RowScratch| {
-            let (view, camera, y) = rows[range.start];
-            #[cfg(feature = "obs")]
-            let before = scratch.kernel.probes;
+    let pool = Pool::new();
+    let mut workers = Vec::new();
+    let scratches = worker_scratches(&mut workers, &pool, rows.len());
+    let shaded =
+        pool.run_tasks(&rows, scratches, |_, &(view, camera, y), scratch: &mut RowScratch| {
             let rays = (0..camera.width()).map(|x| camera.ray_for_pixel(x, y));
             let samples = shade_row(model, occupancy, rays, sampler, early_stop, scratch);
             ShadedRow {
                 view,
                 y,
-                // lint: allow(h2): per-chunk output row — one
-                // allocation per chunk, amortized over its rays
+                // lint: allow(h2): per-task output row — one allocation
+                // per row, amortized over its rays
                 rays: scratch.rays.iter().map(&out).collect(),
                 samples,
-                #[cfg(feature = "obs")]
-                probes: scratch.kernel.probes.diff(&before),
             }
-        },
-    )
+        });
+    (shaded, workers)
 }
 
 /// [`shade_views`] over one camera, flattened to one output per pixel
@@ -350,9 +356,13 @@ pub fn render_views_into<E: Encoding>(
 
 /// [`render_image`] with hot-path probe counters recorded into
 /// `report` (`obs` builds only). Identical pixels to [`render_image`]:
-/// the probes never influence the compute. Each row's counter delta
-/// merges in row order, so the recorded totals are bitwise-identical
-/// for any `FUSION3D_THREADS` setting.
+/// the probes never influence the compute. The kernel counters are
+/// integer sums over the dispatch's worker scratches, so the recorded
+/// totals are identical for any `FUSION3D_THREADS` setting. The rows
+/// each worker shaded are recorded as diagnostic metrics
+/// (`render.worker.{i}.tasks`, `render.workers`, `render.balance`):
+/// work stealing makes them scheduling-dependent, so they stay out of
+/// the deterministic export.
 #[cfg(feature = "obs")]
 pub fn render_image_probed<E: Encoding>(
     model: &NerfModel<E>,
@@ -362,19 +372,32 @@ pub fn render_image_probed<E: Encoding>(
     report: &mut fusion3d_obs::Report,
 ) -> Image {
     let views = std::iter::once((0, camera));
-    let (rows, dispatch) =
+    let (rows, workers) =
         shade_views(model, occupancy, views, &config.sampler, config.early_stop, |ray| {
             ray.composite.pixel(config.background)
         });
-    dispatch.record("render", &mut report.metrics);
-    let mut totals = crate::probes::ProbeCounters::default();
     let mut img = Image::new(camera.width(), camera.height());
     let width = camera.width().max(1) as usize;
     for (row, dst) in rows.iter().zip(img.pixels_mut().chunks_exact_mut(width)) {
         dst.copy_from_slice(&row.rays);
-        totals.add(&row.probes);
     }
-    totals.record(&mut report.metrics);
+
+    let metrics = &mut report.metrics;
+    let mut totals = crate::probes::ProbeCounters::default();
+    for (i, worker) in workers.iter().enumerate() {
+        totals.add(&worker.kernel.probes);
+        // lint: allow(h2): opt-in observability — one metric name per
+        // worker per probed frame
+        let name = format!("render.worker.{i}.tasks");
+        metrics.diagnostic_counter_add(&name, "tasks", worker.rows_shaded);
+    }
+    totals.record(metrics);
+    // Load balance in (0, 1]: mean rows per worker over the busiest
+    // worker's rows (1.0 = perfectly even).
+    let busiest = workers.iter().map(|w| w.rows_shaded).max().unwrap_or(0).max(1);
+    let balance = rows.len() as f64 / workers.len() as f64 / busiest as f64;
+    metrics.diagnostic_counter_add("render.workers", "threads", workers.len() as u64);
+    metrics.diagnostic_gauge_set("render.balance", "ratio", balance);
     img
 }
 

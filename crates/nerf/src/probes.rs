@@ -13,10 +13,11 @@
 //!    inside per-sample or per-corner loops, keeping the probed build
 //!    within 1% of the unprobed one.
 //!
-//! Counters accumulate in the worker's [`crate::batch::KernelScratch`]
-//! and are surfaced by taking per-chunk deltas that merge in chunk
-//! order ([`crate::pipeline::render_image_probed`]), so recorded totals
-//! are independent of the thread count.
+//! Counters accumulate in each worker's [`crate::batch::KernelScratch`]
+//! and are surfaced by summing the scratches of one dispatch
+//! ([`crate::pipeline::render_image_probed`]). Integer sums are exact
+//! in any order, so recorded totals are independent of the thread
+//! count.
 
 /// Plain-integer hot-path counters carried by a worker's kernel
 /// scratch.
@@ -52,25 +53,6 @@ pub struct ProbeCounters {
 }
 
 impl ProbeCounters {
-    /// Counter-wise difference `self − before`; used to extract one
-    /// chunk's contribution from a worker's running totals.
-    #[must_use]
-    pub fn diff(&self, before: &ProbeCounters) -> ProbeCounters {
-        ProbeCounters {
-            encode_batches: self.encode_batches - before.encode_batches,
-            encode_points: self.encode_points - before.encode_points,
-            samples_retained: self.samples_retained - before.samples_retained,
-            gathers_dense: self.gathers_dense - before.gathers_dense,
-            gathers_hashed: self.gathers_hashed - before.gathers_hashed,
-            mlp_forward_batches: self.mlp_forward_batches - before.mlp_forward_batches,
-            mlp_forward_samples: self.mlp_forward_samples - before.mlp_forward_samples,
-            mlp_backward_batches: self.mlp_backward_batches - before.mlp_backward_batches,
-            mlp_backward_samples: self.mlp_backward_samples - before.mlp_backward_samples,
-            rays: self.rays - before.rays,
-            rays_saturated: self.rays_saturated - before.rays_saturated,
-        }
-    }
-
     /// Counter-wise accumulation.
     pub fn add(&mut self, other: &ProbeCounters) {
         self.encode_batches += other.encode_batches;
@@ -119,29 +101,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn diff_and_add_round_trip() {
-        let mut a = ProbeCounters::default();
-        a.encode_batches = 3;
-        a.encode_points = 90;
-        a.gathers_hashed = 40;
-        let mut b = a;
-        b.encode_batches = 5;
-        b.encode_points = 150;
-        b.gathers_hashed = 70;
-        let delta = b.diff(&a);
-        assert_eq!(delta.encode_batches, 2);
-        assert_eq!(delta.encode_points, 60);
+    fn add_accumulates_counter_wise() {
+        let a = ProbeCounters {
+            encode_batches: 3,
+            encode_points: 90,
+            gathers_hashed: 40,
+            ..ProbeCounters::default()
+        };
+        let b = ProbeCounters { encode_batches: 2, rays: 7, ..ProbeCounters::default() };
         let mut total = a;
-        total.add(&delta);
-        assert_eq!(total, b);
+        total.add(&b);
+        assert_eq!(
+            total,
+            ProbeCounters {
+                encode_batches: 5,
+                encode_points: 90,
+                gathers_hashed: 40,
+                rays: 7,
+                ..ProbeCounters::default()
+            }
+        );
+        let before = total;
+        total.add(&ProbeCounters::default());
+        assert_eq!(total, before, "adding zero counters changes nothing");
     }
 
     #[test]
     fn hashed_fraction_handles_empty() {
         assert_eq!(ProbeCounters::default().hashed_gather_fraction(), 0.0);
-        let mut c = ProbeCounters::default();
-        c.gathers_dense = 1;
-        c.gathers_hashed = 3;
+        let c = ProbeCounters { gathers_dense: 1, gathers_hashed: 3, ..ProbeCounters::default() };
         assert_eq!(c.hashed_gather_fraction(), 0.75);
     }
 }

@@ -106,7 +106,6 @@ impl CompositeState {
 /// (their weights are zero). Training must pass `false` so that the
 /// forward pass matches the backward pass exactly.
 pub fn composite(samples: &[ShadedSample], background: Vec3, early_stop: bool) -> CompositeOutput {
-    // lint: allow(h1): convenience path — hot loops reuse a buffer via composite_into
     let mut weights = Vec::new();
     let (color, final_transmittance) =
         composite_into(samples, background, early_stop, &mut weights);

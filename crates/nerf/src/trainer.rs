@@ -235,15 +235,16 @@ pub struct TrainScratch {
 }
 
 /// The worker scratches for `pool` running `tasks` tasks, grown to
-/// that many the first time.
-fn worker_scratches<'a>(
-    workers: &'a mut Vec<WorkerScratch>,
+/// `min(threads, tasks)` (at least one) the first time. Every caller
+/// of [`Pool::run_tasks`] sizes its scratch here.
+pub(crate) fn worker_scratches<'a, W: Default>(
+    workers: &'a mut Vec<W>,
     pool: &Pool,
     tasks: usize,
-) -> &'a mut [WorkerScratch] {
+) -> &'a mut [W] {
     let n = pool.threads().min(tasks).max(1);
     if workers.len() < n {
-        workers.resize_with(n, WorkerScratch::default);
+        workers.resize_with(n, W::default);
     }
     workers
 }

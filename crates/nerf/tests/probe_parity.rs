@@ -4,7 +4,9 @@
 //! counters it records must be independent of the thread count. (The
 //! complementary guarantee — that the *default* build carries no probe
 //! code at all — is checked by the `probe_macro_tests` unit tests,
-//! whose no-op expansion discards even un-compilable bodies.)
+//! whose no-op expansion discards even un-compilable bodies.) The
+//! dispatch diagnostics it records cover every row exactly once and
+//! stay out of the deterministic stream.
 #![cfg(feature = "obs")]
 
 use fusion3d_nerf::camera::{orbit_poses, Camera};
@@ -15,7 +17,7 @@ use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, render_image_probed, PipelineConfig};
 use fusion3d_nerf::sampler::SamplerConfig;
 use fusion3d_nerf::{ProceduralScene, SyntheticScene};
-use fusion3d_obs::Report;
+use fusion3d_obs::{Metric, MetricValue, Report};
 use fusion3d_par::set_thread_override;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -65,7 +67,7 @@ fn probed_render_matches_unprobed_bitwise() {
 
 fn counter(report: &Report, name: &str) -> u64 {
     match report.metrics.get(name) {
-        Some(fusion3d_obs::Metric { value: fusion3d_obs::MetricValue::Counter(n), .. }) => *n,
+        Some(Metric { value: MetricValue::Counter(n), .. }) => *n,
         other => panic!("probed render must record {name}, got {other:?}"),
     }
 }
@@ -89,6 +91,8 @@ fn early_termination_evaluates_no_more_than_stage_one_retains() {
     assert_eq!(evaluated, retained, "without early termination every retained sample is evaluated");
 }
 
+/// Renders at 1 and 4 threads in one test, so no second test races on
+/// the global thread override.
 #[test]
 fn probe_counters_are_thread_count_independent() {
     let (model, occupancy, camera, config) = setup();
@@ -97,7 +101,45 @@ fn probe_counters_are_thread_count_independent() {
         let mut report = Report::new("probe_parity");
         let _ = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
         set_thread_override(None);
+        check_dispatch_diagnostics(&report, threads as u64, u64::from(camera.height()));
         report.deterministic_jsonl()
     };
     assert_eq!(stream(1), stream(4), "probe stream diverged between 1 and 4 threads");
+}
+
+/// The probed render's scheduling diagnostics: per-worker row counts
+/// that cover every row exactly once, a worker count within the thread
+/// and row counts, a balance in (0, 1] — all diagnostic, so none of
+/// them reaches the deterministic stream.
+fn check_dispatch_diagnostics(report: &Report, threads: u64, rows: u64) {
+    let per_worker: Vec<u64> = report
+        .metrics
+        .iter()
+        .filter(|(name, _)| name.starts_with("render.worker."))
+        .map(|(name, metric)| {
+            assert!(name.ends_with(".tasks") && metric.diagnostic, "{name}: {metric:?}");
+            match metric.value {
+                MetricValue::Counter(n) => n,
+                ref other => panic!("{name} must be a counter, got {other:?}"),
+            }
+        })
+        .collect();
+    assert_eq!(per_worker.iter().sum::<u64>(), rows, "threads={threads}: every row shaded once");
+    let workers = match report.metrics.get("render.workers") {
+        Some(Metric { value: MetricValue::Counter(n), diagnostic: true, .. }) => *n,
+        other => panic!("render.workers must be a diagnostic counter, got {other:?}"),
+    };
+    assert_eq!(workers, per_worker.len() as u64, "threads={threads}");
+    assert!(workers <= threads && workers <= rows, "threads={threads}: {workers} workers");
+    let balance = match report.metrics.get("render.balance") {
+        Some(Metric { value: MetricValue::Gauge(g), diagnostic: true, .. }) => *g,
+        other => panic!("render.balance must be a diagnostic gauge, got {other:?}"),
+    };
+    assert!(balance > 0.0 && balance <= 1.0, "threads={threads}: balance {balance}");
+
+    let stream = report.deterministic_jsonl();
+    assert!(stream.contains("kernel.rays"), "the kernel counters are deterministic");
+    for name in ["render.worker.", "render.workers", "render.balance"] {
+        assert!(!stream.contains(name), "diagnostic {name} leaked into the deterministic stream");
+    }
 }

@@ -14,6 +14,10 @@ cargo test --workspace -q
 # `// lint: allow(rule): why` instead of growing it.
 cargo run --release -q -p fusion3d-lint -- --baseline lint_baseline.jsonl
 cargo clippy --workspace --all-targets -- -D warnings
+# The obs code (the probed render, the probe counters, breakdown's
+# kernel section) only compiles with the feature; lint it too.
+cargo clippy -p fusion3d-nerf --all-targets --features obs -- -D warnings
+cargo clippy -p fusion3d-bench --all-targets --features obs -- -D warnings
 cargo fmt --check
 # Docs are tier-1 too: broken intra-doc links or missing crate docs
 # fail the build, and every doc example must keep compiling + passing.

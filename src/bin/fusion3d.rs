@@ -88,6 +88,22 @@ fn flag_present(flags: &[(String, Option<String>)], key: &str) -> bool {
     flags.iter().any(|(k, _)| k == key)
 }
 
+/// Largest accepted `render --size`: the frame buffer grows with its
+/// square, so outside input must not choose it freely.
+const MAX_RENDER_SIZE: u32 = 4096;
+
+/// Parses `render --size` (default 128), accepting 1..=MAX_RENDER_SIZE.
+fn parse_size(flags: &[(String, Option<String>)]) -> Result<u32, String> {
+    if !flag_present(flags, "size") {
+        return Ok(128);
+    }
+    let value = flag_value(flags, "size").unwrap_or("");
+    match value.parse::<u32>() {
+        Ok(size) if (1..=MAX_RENDER_SIZE).contains(&size) => Ok(size),
+        _ => Err(format!("--size must be an integer in 1..={MAX_RENDER_SIZE}, got '{value}'")),
+    }
+}
+
 fn find_scene(name: &str) -> Result<ProceduralScene, String> {
     for s in SyntheticScene::ALL {
         if s.name() == name {
@@ -173,10 +189,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     let scene_name =
         flag_value(&flags, "scene").ok_or("render requires --scene (for camera/background)")?;
     let out = flag_value(&flags, "out").ok_or("render requires --out")?;
-    let size: u32 = flag_value(&flags, "size")
-        .unwrap_or("128")
-        .parse()
-        .map_err(|_| "--size must be an integer")?;
+    let size = parse_size(&flags)?;
 
     let scene = find_scene(scene_name)?;
     let data = std::fs::read(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;

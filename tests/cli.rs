@@ -1,0 +1,41 @@
+//! The `fusion3d` binary rejects bad input with an `error:` line and
+//! exit code 1 — never a panic (exit code 101). None of these runs
+//! needs a model file: each is refused before any file is read, so the
+//! error names the bad argument, not the missing model.
+
+use std::process::Command;
+
+fn assert_rejected(args: &[&str], names: &str) {
+    let output = Command::new(env!("CARGO_BIN_EXE_fusion3d"))
+        .args(args)
+        .output()
+        .expect("the fusion3d binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?} exited with {:?}: {stderr}", output.status);
+    assert!(
+        stderr.lines().any(|line| line.starts_with("error: ") && line.contains(names)),
+        "{args:?} printed no error line naming {names}: {stderr}"
+    );
+}
+
+fn render_with_size(size: &str) -> [&str; 9] {
+    ["render", "--model", "missing.f3dm", "--scene", "lego", "--size", size, "--out", "unused.ppm"]
+}
+
+#[test]
+fn render_rejects_a_size_out_of_range_or_not_a_number() {
+    for size in ["0", "4097", "abc"] {
+        assert_rejected(&render_with_size(size), "--size");
+    }
+}
+
+#[test]
+fn render_rejects_an_unknown_scene() {
+    let args = ["render", "--model", "missing.f3dm", "--scene", "nope", "--out", "x.ppm"];
+    assert_rejected(&args, "nope");
+}
+
+#[test]
+fn unknown_commands_are_rejected() {
+    assert_rejected(&["frobnicate"], "unknown command");
+}
