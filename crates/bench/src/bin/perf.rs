@@ -21,8 +21,7 @@ use fusion3d_bench::support::{scene_occupancy, trace_camera};
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
 use fusion3d_nerf::math::Vec3;
-use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache, MlpCache};
-use fusion3d_nerf::mlp_int8::QuantizedMlp;
+use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, PipelineConfig};
@@ -153,49 +152,6 @@ fn bench_mlp_forward(smoke: bool) -> BenchLine {
         points: n,
         batched_pts_per_s: n as f64 / batched,
         scalar_pts_per_s: Some(n as f64 / scalar),
-        speedup: Some(speedup),
-    }
-}
-
-/// INT8 MLP inference (Technique T2-2): the bit-accurate integer MAC
-/// path of [`QuantizedMlp::forward`] vs the per-sample float forward
-/// on the same trained-like weights. Both sides run one sample per
-/// call — this measures the quantized reference datapath (dynamic
-/// activation quantization + `i8×i8→i32` accumulation + dequant), not
-/// the blocked-GEMM layout, so the ratio tracks the arithmetic cost
-/// of the INT8 path rather than batching effects. Reported in the
-/// `batched` column as the quantized side.
-fn bench_mlp_forward_int8(smoke: bool) -> BenchLine {
-    let mut rng = SmallRng::seed_from_u64(31);
-    let mlp = Mlp::new(&[32, 64, 64, 16], Activation::Relu, Activation::None, &mut rng);
-    let quantized = QuantizedMlp::quantize(&mlp);
-    let n = if smoke { 128 } else { 2048 };
-    let dim = mlp.input_dim();
-    let inputs: Vec<f32> = {
-        let mut r = SmallRng::seed_from_u64(37);
-        (0..n * dim).map(|_| r.gen::<f32>() * 2.0 - 1.0).collect()
-    };
-    let reps = if smoke { 1 } else { 12 };
-
-    let mut cache = MlpCache::new();
-    let (int8, float, speedup) = time_paired(
-        reps,
-        || {
-            for s in 0..n {
-                black_box(quantized.forward(&inputs[s * dim..(s + 1) * dim]));
-            }
-        },
-        || {
-            for s in 0..n {
-                black_box(mlp.forward(&inputs[s * dim..(s + 1) * dim], &mut cache));
-            }
-        },
-    );
-    BenchLine {
-        name: "mlp_forward_int8",
-        points: n,
-        batched_pts_per_s: n as f64 / int8,
-        scalar_pts_per_s: Some(n as f64 / float),
         speedup: Some(speedup),
     }
 }
@@ -434,7 +390,6 @@ fn main() {
     let lines = [
         bench_encode(smoke),
         bench_mlp_forward(smoke),
-        bench_mlp_forward_int8(smoke),
         bench_render(smoke),
         bench_train_step(smoke),
     ];

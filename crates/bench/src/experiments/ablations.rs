@@ -96,7 +96,6 @@ pub fn run_transfer() {
 /// scale.
 pub fn dense_moe_comparison(iterations: u32) -> (f64, f64) {
     use fusion3d_multichip::moe::{Expert, MoeNerf, MoeTrainer};
-    use fusion3d_nerf::adam::AdamConfig;
     use fusion3d_nerf::dataset::Dataset;
     use fusion3d_nerf::dense_grid::{DenseGrid, DenseGridConfig};
     use fusion3d_nerf::model::NerfModel;
@@ -163,8 +162,7 @@ pub fn dense_moe_comparison(iterations: u32) -> (f64, f64) {
         .collect();
     // Static gates: disable occupancy refreshes for the dense MoE.
     let moe_config = TrainerConfig { occupancy_warmup: iterations + 1, ..config };
-    let mut moe_trainer =
-        MoeTrainer::new(MoeNerf::from_experts(experts), moe_config, AdamConfig::default());
+    let mut moe_trainer = MoeTrainer::new(MoeNerf::from_experts(experts), moe_config);
     let mut step_rng = SmallRng::seed_from_u64(24);
     for _ in 0..iterations {
         moe_trainer.step(&dataset, &mut step_rng);

@@ -7,7 +7,6 @@ use crate::experiments::fig3::paper_training_volume;
 use crate::support::print_table;
 use fusion3d_core::bandwidth::{bandwidth_for_model_size, USB_BANDWIDTH_GBS};
 use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
-use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
@@ -83,7 +82,7 @@ pub fn moe_vs_large(
         cfg.occupancy_threshold,
         &mut rng,
     );
-    let mut moe_trainer = MoeTrainer::new(moe, cfg, AdamConfig::default());
+    let mut moe_trainer = MoeTrainer::new(moe, cfg);
     let mut moe_curve = Vec::new();
     let mut done = 0;
     for &cp in checkpoints {

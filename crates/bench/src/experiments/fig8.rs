@@ -12,7 +12,6 @@
 //! and refines it.
 
 use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
-use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
@@ -85,7 +84,7 @@ pub fn run() {
     let mut rng = SmallRng::seed_from_u64(2);
     let moe =
         MoeNerf::with_partitioned_gates(4, model_cfg, 16, config.occupancy_threshold, &mut rng);
-    let mut trainer = MoeTrainer::new(moe, config, AdamConfig::default());
+    let mut trainer = MoeTrainer::new(moe, config);
     for _ in 0..300 {
         trainer.step(&dataset, &mut rng);
     }

@@ -7,7 +7,6 @@ use crate::support::{
 };
 use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
 use fusion3d_multichip::system::{MultiChipConfig, MultiChipSystem};
-use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::model::ModelConfig;
@@ -104,7 +103,7 @@ pub fn psnr_vs_expert_count(iterations: u32) -> Vec<(usize, f64)> {
                     &mut rng,
                 )
             };
-            let mut trainer = MoeTrainer::new(moe, config, AdamConfig::default());
+            let mut trainer = MoeTrainer::new(moe, config);
             let mut step_rng = SmallRng::seed_from_u64(60);
             for _ in 0..iterations {
                 trainer.step(&dataset, &mut step_rng);

@@ -16,11 +16,11 @@
 //! Three rule families run on top of the analysis, each scoped to the
 //! modules where its hazard corrupts reported numbers:
 //!
-//! * **A2 overflow-bounds** — in the accounting and quantized
-//!   arithmetic modules, every `+` (below 64 bits), `*`, and `<<`
-//!   must have a provable result interval inside its operand type,
-//!   and every narrowing `as` cast a provable source interval inside
-//!   the destination type. `checked_*`/`saturating_*`/`wrapping_*`
+//! * **A2 overflow-bounds** — in the accounting and FIEM modules,
+//!   every `+` (below 64 bits), `*`, and `<<` must have a provable
+//!   result interval inside its operand type, and every narrowing
+//!   `as` cast a provable source interval inside the destination
+//!   type. `checked_*`/`saturating_*`/`wrapping_*`
 //!   are sanctioned by construction; 64-bit `+` is exempt because the
 //!   cycle/energy totals carry deliberate headroom there.
 //! * **A3 unit-consistency** — values flowing from unit-named sources
@@ -28,14 +28,11 @@
 //!   parameter, field, and const names) carry a unit tag; cross-unit
 //!   `+`/`-`/comparisons and unit-erasing divisions (different units
 //!   on both sides) require a `// lint: allow(a3): why`.
-//! * **A4 quantization-width audit** — in the INT8/FIEM files, every
+//! * **A4 quantization-width audit** — in the FIEM file, every
 //!   float→int cast needs a provable (clamp- or assert-derived)
-//!   interval inside the destination, `as i8` additionally inside the
-//!   symmetric `[-127, 127]` code range, and the width constants are
-//!   re-derived: a `*MAC_WIDTH*` const must satisfy
-//!   `width * 127 * 128 <= i32::MAX` (the paper's "i8×i8→i32 exact"
-//!   claim) and a `*MAX_INT*` const must stay within `2^24` (exact
-//!   f32 significand product).
+//!   interval inside the destination, and the width constant is
+//!   re-derived: a `*MAX_INT*` const must stay within `2^24` (exact
+//!   f32 significand product, the paper's FP×INT exactness claim).
 //!
 //! The analysis is deliberately fail-open: an expression it cannot
 //! evaluate becomes ⊤/untyped, and checks fire only where the operand
@@ -51,7 +48,7 @@ use crate::parse::FnItem;
 use crate::rules::{test_mask, AllowUsage, Finding, ACCOUNTING_FILES};
 use crate::SourceFile;
 
-/// Files under the A2 overflow-bounds contract: quantized arithmetic
+/// Files under the A2 overflow-bounds contract: the FIEM multiply
 /// plus every cycle/energy/byte accounting module. The float-heavy
 /// balance/moe/system models in `multichip` are out of scope — their
 /// results are `f64` end to end.
@@ -67,12 +64,11 @@ const A2_FILES: &[&str] = &[
     "crates/mem/src/sram.rs",
     "crates/multichip/src/chiplet.rs",
     "crates/multichip/src/comm.rs",
-    "crates/nerf/src/mlp_int8.rs",
 ];
 
-/// Files under the A4 quantization-width audit: the INT8 MLP and the
-/// fixed-point exact-integer multiply path.
-const A4_FILES: &[&str] = &["crates/arith/src/fiem.rs", "crates/nerf/src/mlp_int8.rs"];
+/// Files under the A4 quantization-width audit: the fixed-point
+/// exact-integer multiply path.
+const A4_FILES: &[&str] = &["crates/arith/src/fiem.rs"];
 
 /// `+` is checked only below this operand width: 64-bit totals carry
 /// deliberate headroom (a u64 cycle counter cannot overflow in any
@@ -111,7 +107,7 @@ impl Scope {
 struct AbsVal {
     iv: Interval,
     /// Primitive type name when known (`i32`), or a struct name for
-    /// field lookups (`LayerInt8`).
+    /// field lookups (`FixedWeight`).
     ty: Option<String>,
     /// Unsuffixed literal: adopts the partner operand's type.
     weak: bool,
@@ -534,22 +530,6 @@ impl<'a> Analyzer<'a> {
                 let Some(val) = self.consts.get(&c.name).cloned() else { continue };
                 let Some((_, hi)) = val.iv.bounds() else { continue };
                 let cx = self.fresh_cx(file_idx, scope, false, None);
-                if c.name.contains("MAC_WIDTH") {
-                    let worst = hi.saturating_mul(127).saturating_mul(128);
-                    if worst > i32::MAX as i128 {
-                        self.report(
-                            &cx,
-                            &["a4"],
-                            c.line,
-                            format!(
-                                "`{}` = {hi} breaks the i8*i8->i32 exactness claim: \
-                                 {hi} * 127 * 128 = {worst} exceeds i32::MAX; the \
-                                 INT8 MAC accumulator would need i64",
-                                c.name
-                            ),
-                        );
-                    }
-                }
                 if c.name.contains("MAX_INT") && hi > 1 << 24 {
                     self.report(
                         &cx,
@@ -2547,29 +2527,20 @@ impl<'a> Analyzer<'a> {
         if val.float {
             // `as` from float saturates since Rust 1.45, so the cast
             // itself cannot wrap — but a saturated quantity is a
-            // corrupted quantity. A4 demands the proof in the
-            // quantization files; elsewhere A1 already covers it.
-            if cx.scope.a4 {
-                let symmetric = Interval::new(-127, 127);
-                let required = if ty == "i8" { symmetric } else { dst_range };
-                if !val.iv.subset_of(required) {
-                    let label = if ty == "i8" {
-                        "the symmetric INT8 code range [-127, 127]".to_string()
-                    } else {
-                        format!("`{ty}`")
-                    };
-                    self.report(
-                        cx,
-                        &["a4", "a2"],
-                        line,
-                        format!(
-                            "float->{ty} cast with unproven interval {}: cannot show the \
-                             value fits {label}; clamp the value or add a \
-                             `debug_assert!` range precondition",
-                            fmt_iv(val.iv)
-                        ),
-                    );
-                }
+            // corrupted quantity. A4 demands the proof in the FIEM
+            // file; elsewhere A1 already covers it.
+            if cx.scope.a4 && !val.iv.subset_of(dst_range) {
+                self.report(
+                    cx,
+                    &["a4", "a2"],
+                    line,
+                    format!(
+                        "float->{ty} cast with unproven interval {}: cannot show the \
+                         value fits `{ty}`; clamp the value or add a \
+                         `debug_assert!` range precondition",
+                        fmt_iv(val.iv)
+                    ),
+                );
             }
             out.iv = val.iv.saturate_to(dst_range);
             return out;

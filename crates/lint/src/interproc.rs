@@ -2,18 +2,19 @@
 //!
 //! * **P2 — panic reachability.** Every public function of a
 //!   result-bearing crate is an entry point; anything reachable from
-//!   one must be panic-free. Sources are `.unwrap()`/`.expect()`,
-//!   the `panic!` macro family, and *unvalidated-parameter* hazards:
-//!   indexing or slicing that involves a function parameter, and
+//!   one must be free of *unvalidated-parameter* hazards: indexing or
+//!   slicing that involves a function parameter, and
 //!   division/remainder by a parameter, when the body never guards
 //!   that parameter (no assert mentioning it, no `if`/`while`/`match`
 //!   condition over it, no `.min`/`.max`/`.clamp`/`.len`-style check).
 //!   Derived values are not the param: `x / n.len()` and
 //!   `xs[rng.next(…)]` are exempt, as is constant indexing into a
 //!   fixed-size-array parameter (compile-time checked).
-//!   Findings are reported at the source line — where the existing
-//!   `allow(p1)`/`allow(p2)` escape hatches apply — with an example
-//!   entry path in the message.
+//!   `.unwrap()`/`.expect()` and the `panic!` family are P1's: it
+//!   covers every non-test library line, a superset of what P2
+//!   reaches. Findings are reported at the source line — where the
+//!   `allow(p2)` escape hatch applies — with an example entry path in
+//!   the message.
 //! * **H2 — allocation reachability.** From the named
 //!   render/forward/train entry points of `fusion3d-nerf`,
 //!   nothing reachable may call `.push`/`.collect`/`.clone`/
@@ -25,23 +26,17 @@
 //!   `train` epoch loop is not an entry (setup before the first step
 //!   may allocate), and `crates/par` is exempt as a source (its
 //!   per-dispatch slot vectors are the fan-out mechanism, like D3/D5).
-//! * **D4 — unordered reduction.** Inside a closure dispatched
-//!   through a `fusion3d-par` combinator, a compound assignment
-//!   (`+=`, `-=`, `*=`, `/=`) whose target is declared *outside* the
-//!   closure accumulates in scheduling order — exactly the bug class
-//!   that breaks the 1-vs-N-thread bitwise gate (float addition is
-//!   not associative). Targets declared inside the closure (locals,
-//!   closure parameters, `for` bindings) reduce in chunk-local order
-//!   pinned by the combinator contract and are fine. `.sum()`/
-//!   `.fold()` over chunk-local iterators are likewise ordered and
-//!   not flagged.
-//! * **D5 — parallel captures.** Inside those same closures, any
-//!   interior-mutability or shared-state machinery — `RefCell`/
-//!   `Cell`/`Mutex`/`RwLock`/atomics/`Relaxed` ordering, `.lock()`/
-//!   `.borrow_mut()`/`.fetch_add()`-style calls, `unsafe`, or a
-//!   `static mut` name — is a scheduling-dependent side channel.
-//!   `crates/par` itself is exempt (its index-addressed result slots
-//!   *are* the deterministic dispatch mechanism), mirroring D3.
+//! * **D5 — parallel captures.** Inside a closure dispatched through
+//!   a `fusion3d-par` combinator, any interior-mutability or
+//!   shared-state machinery — `RefCell`/`Cell`/`Mutex`/`RwLock`/
+//!   atomics/`Relaxed` ordering, `.lock()`/`.borrow_mut()`/
+//!   `.fetch_add()`-style calls, `unsafe`, or a `static mut` name —
+//!   is a scheduling-dependent side channel. A plain `captured += x`
+//!   needs no rule: both combinators take `Fn` closures, so `rustc`
+//!   rejects the assignment (E0594), and interior mutability or
+//!   `unsafe` is the only way around that. `crates/par` itself is
+//!   exempt (its index-addressed result slots *are* the deterministic
+//!   dispatch mechanism), mirroring D3.
 //! * **U1 — suppression hygiene.** Every `// lint: allow(…)` must
 //!   carry a reason (`): why` or `) -- why`), and every suppressed
 //!   rule must actually suppress something; stale allows are
@@ -52,7 +47,7 @@
 use std::collections::BTreeSet;
 
 use crate::graph::{direct_spans, fn_item, CallGraph};
-use crate::lexer::{match_close, match_open, Token, TokenKind};
+use crate::lexer::{match_close, Token, TokenKind};
 use crate::rules::{AllowUsage, Finding, RESULT_BEARING_CRATES};
 use crate::SourceFile;
 
@@ -85,7 +80,7 @@ const SERVE_H2_ENTRY_NAMES: &[&str] =
     &["admit", "pop_batch_into", "render_batch", "touch", "scene"];
 
 /// The deterministic dispatch combinators of `fusion3d-par`; closures
-/// passed to these run on worker threads (D4/D5 scope).
+/// passed to these run on worker threads (D5 scope).
 const PAR_COMBINATORS: &[&str] = &["parallel_chunks", "run_tasks"];
 
 /// Interior-mutability / shared-state type names (D5).
@@ -146,7 +141,7 @@ const ALLOC_METHODS: &[&str] = &["push", "collect", "clone", "to_vec", "to_strin
 /// H2 allocation sources matched as `name!` macros.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
-/// Runs P2, H2, D4 and D5 over the workspace, recording every
+/// Runs P2, H2 and D5 over the workspace, recording every
 /// suppression that fires into `usage` (for U1).
 pub fn check(files: &[SourceFile], graph: &CallGraph, usage: &mut [AllowUsage]) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -160,25 +155,22 @@ pub fn check(files: &[SourceFile], graph: &CallGraph, usage: &mut [AllowUsage]) 
 }
 
 /// Reports a finding at `line` of `files[file_idx]` unless an allow
-/// for any of `rules` covers it; a matching allow is recorded as used.
+/// for `rule` covers it; a matching allow is recorded as used.
 fn report(
     files: &[SourceFile],
     usage: &mut [AllowUsage],
     file_idx: usize,
-    rules: &[&'static str],
+    rule: &'static str,
     line: u32,
     message: String,
     findings: &mut Vec<Finding>,
 ) {
-    let lexed = &files[file_idx].lexed;
-    for rule in rules {
-        if let Some(directive_line) = lexed.allow_line(rule, line) {
-            usage[file_idx].insert((directive_line, rule.to_ascii_lowercase()));
-            return;
-        }
+    if let Some(directive_line) = files[file_idx].lexed.allow_line(rule, line) {
+        usage[file_idx].insert((directive_line, rule.to_ascii_lowercase()));
+        return;
     }
     findings.push(Finding {
-        rule: rules[0],
+        rule,
         path: files[file_idx].path.clone(),
         line,
         message,
@@ -224,41 +216,9 @@ fn check_p2(
             for i in lo..hi {
                 let t = &toks[i];
                 let text = t.text.as_str();
-                let prev = if i > 0 { toks[i - 1].text.as_str() } else { "" };
                 let next = toks.get(i + 1).map_or("", |n| n.text.as_str());
 
-                // (a) unwrap/expect method calls.
-                if t.kind == TokenKind::Ident
-                    && (text == "unwrap" || text == "expect")
-                    && prev == "."
-                    && next == "("
-                {
-                    report(
-                        files,
-                        usage,
-                        node.file,
-                        &["P2", "P1"],
-                        t.line,
-                        format!("`.{text}()` can panic and is reachable from public API: {via}"),
-                        findings,
-                    );
-                }
-                // (b) panic-family macros.
-                if t.kind == TokenKind::Ident
-                    && crate::rules::PANIC_MACROS.contains(&text)
-                    && next == "!"
-                {
-                    report(
-                        files,
-                        usage,
-                        node.file,
-                        &["P2", "P1"],
-                        t.line,
-                        format!("`{text}!` is reachable from public API: {via}"),
-                        findings,
-                    );
-                }
-                // (c) indexing/slicing involving an unguarded param.
+                // (a) indexing/slicing involving an unguarded param.
                 if text == "["
                     && matches!(toks.get(i.wrapping_sub(1)), Some(p) if p.kind == TokenKind::Ident || p.text == ")" || p.text == "]")
                 {
@@ -267,7 +227,7 @@ fn check_p2(
                             files,
                             usage,
                             node.file,
-                            &["P2"],
+                            "P2",
                             t.line,
                             format!(
                                 "indexing involves parameter `{param}` with no bounds guard \
@@ -278,7 +238,7 @@ fn check_p2(
                         );
                     }
                 }
-                // (d) division/remainder by a *bare* unguarded param —
+                // (b) division/remainder by a *bare* unguarded param —
                 // `x / n`, not `x / n.len()` or `x / n.get(…)`, where
                 // the divisor is a derived value, not the param itself.
                 if (text == "/" || text == "%")
@@ -294,7 +254,7 @@ fn check_p2(
                         files,
                         usage,
                         node.file,
-                        &["P2"],
+                        "P2",
                         t.line,
                         format!(
                             "`{text} {param}` divides by parameter `{param}` with no zero \
@@ -481,7 +441,7 @@ fn check_h2(
                         files,
                         usage,
                         node.file,
-                        &["H2"],
+                        "H2",
                         t.line,
                         format!(
                             "{what} allocates on the hot path: {via}; reuse a scratch \
@@ -495,7 +455,7 @@ fn check_h2(
     }
 }
 
-// ----------------------------------------------------------- D4 / D5
+// ---------------------------------------------------------------- D5
 
 fn check_par_closures(
     files: &[SourceFile],
@@ -525,17 +485,8 @@ fn check_par_closures(
                     continue;
                 }
                 let args_close = match_close(toks, i + 1, "(", ")");
-                for (body_lo, body_hi, declared) in closures_in(toks, i + 2, args_close.min(hi)) {
+                for (body_lo, body_hi) in closures_in(toks, i + 2, args_close.min(hi)) {
                     check_d5(files, usage, node.file, toks, body_lo, body_hi, findings);
-                    check_d4(
-                        files,
-                        usage,
-                        node.file,
-                        toks,
-                        (body_lo, body_hi),
-                        &declared,
-                        findings,
-                    );
                 }
                 i = args_close + 1;
             }
@@ -543,11 +494,9 @@ fn check_par_closures(
     }
 }
 
-/// Closures in the argument span `[lo, hi)`: returns
-/// `(body_lo, body_hi, names declared inside)` per closure. Closure
-/// parameters, `let` bindings, `for` bindings and nested-closure
-/// parameters all count as declared inside.
-fn closures_in(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize, BTreeSet<String>)> {
+/// Closures in the argument span `[lo, hi)`: returns the
+/// `(body_lo, body_hi)` token span of each closure body.
+fn closures_in(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = lo;
     while i < hi {
@@ -557,20 +506,11 @@ fn closures_in(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize, BTree
             i += 1;
             continue;
         }
-        let mut declared = BTreeSet::new();
         // Parameter list: up to the closing `|` (possibly immediate).
-        let mut j = i + 1;
-        while j < hi && toks[j].text != "|" {
-            if toks[j].kind == TokenKind::Ident
-                && matches!(toks[j - 1].text.as_str(), "|" | "," | "(" | "mut" | "&")
-            {
-                declared.insert(toks[j].text.clone());
-            }
-            j += 1;
-        }
+        let params_close = (i + 1..hi).find(|&j| toks[j].text == "|").unwrap_or(hi);
         // Body: a brace block, or an expression up to `,`/`)` at
         // depth 0.
-        let body_start = j + 1;
+        let body_start = params_close + 1;
         let mut end = body_start;
         if toks.get(body_start).is_some_and(|t| t.text == "{") {
             end = match_close(toks, body_start, "{", "}") + 1;
@@ -592,75 +532,10 @@ fn closures_in(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize, BTree
             }
         }
         let body_hi = end.min(hi);
-        collect_declared(toks, body_start, body_hi, &mut declared);
-        out.push((body_start, body_hi, declared));
+        out.push((body_start, body_hi));
         i = body_hi.max(i + 1);
     }
     out
-}
-
-/// Names bound inside `[lo, hi)`: `let` patterns, `for` patterns, and
-/// nested-closure parameters.
-fn collect_declared(toks: &[Token], lo: usize, hi: usize, declared: &mut BTreeSet<String>) {
-    let mut i = lo;
-    while i < hi {
-        match toks[i].text.as_str() {
-            "let" => {
-                // Collect pattern idents up to `=`/`;`, skipping the
-                // type ascription after a depth-0 `:`.
-                let mut j = i + 1;
-                let mut depth = 0i32;
-                let mut in_type = false;
-                while j < hi {
-                    match toks[j].text.as_str() {
-                        "(" | "[" | "<" => depth += 1,
-                        ")" | "]" | ">" => depth -= 1,
-                        "=" if depth == 0 => break,
-                        ";" if depth == 0 => break,
-                        ":" if depth == 0 && toks.get(j + 1).is_some_and(|t| t.text != ":") => {
-                            in_type = true
-                        }
-                        _ => {
-                            if !in_type
-                                && toks[j].kind == TokenKind::Ident
-                                && !matches!(toks[j].text.as_str(), "mut" | "ref")
-                            {
-                                declared.insert(toks[j].text.clone());
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            "for" => {
-                let mut j = i + 1;
-                while j < hi && toks[j].text != "in" {
-                    if toks[j].kind == TokenKind::Ident
-                        && !matches!(toks[j].text.as_str(), "mut" | "ref")
-                    {
-                        declared.insert(toks[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            "|" if i > 0 && matches!(toks[i - 1].text.as_str(), "(" | "," | "move" | "=") => {
-                let mut j = i + 1;
-                while j < hi && toks[j].text != "|" {
-                    if toks[j].kind == TokenKind::Ident
-                        && matches!(toks[j - 1].text.as_str(), "|" | "," | "(" | "mut" | "&")
-                    {
-                        declared.insert(toks[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
 }
 
 /// D5: interior-mutability / shared-state machinery inside a
@@ -700,7 +575,7 @@ fn check_d5(
                 files,
                 usage,
                 file_idx,
-                &["D5"],
+                "D5",
                 t.line,
                 format!(
                     "{what} inside a fusion3d-par closure shares state across \
@@ -711,81 +586,6 @@ fn check_d5(
             );
         }
     }
-}
-
-/// D4: compound assignment to a name declared outside the closure;
-/// `(lo, hi)` is the closure body's token span.
-fn check_d4(
-    files: &[SourceFile],
-    usage: &mut [AllowUsage],
-    file_idx: usize,
-    toks: &[Token],
-    (lo, hi): (usize, usize),
-    declared: &BTreeSet<String>,
-    findings: &mut Vec<Finding>,
-) {
-    for i in lo..hi {
-        if toks[i].text != "=" || i == 0 {
-            continue;
-        }
-        let op = toks[i - 1].text.as_str();
-        if !matches!(op, "+" | "-" | "*" | "/") {
-            continue;
-        }
-        // `==`, `<=`, `!=` lex as other puncts before `=`; `a + =` is
-        // not valid Rust, so `op` here really is a compound assign.
-        let Some(root) = place_root(toks, i - 2, lo) else { continue };
-        if declared.contains(&root) {
-            continue;
-        }
-        report(
-            files,
-            usage,
-            file_idx,
-            &["D4"],
-            toks[i].line,
-            format!(
-                "`{root} {op}=` inside a fusion3d-par closure accumulates into \
-                 state declared outside it; the reduction order depends on worker \
-                 scheduling — accumulate into a closure-local and merge the \
-                 returned results in index order"
-            ),
-            findings,
-        );
-    }
-}
-
-/// The leftmost identifier of the place expression ending at `end`
-/// (inclusive): walks back over `ident`, `.`, `]…[`, `)…(` and `*`.
-fn place_root(toks: &[Token], end: usize, lo: usize) -> Option<String> {
-    let mut i = end as isize;
-    let lo = lo as isize;
-    let mut root = None;
-    while i >= lo {
-        let t = &toks[i as usize];
-        match t.text.as_str() {
-            "]" => {
-                let open = match_open(toks, i as usize, "[", "]")?;
-                i = open as isize - 1;
-            }
-            ")" => {
-                let open = match_open(toks, i as usize, "(", ")")?;
-                i = open as isize - 1;
-            }
-            "." | "*" => i -= 1,
-            _ if t.kind == TokenKind::Ident => {
-                root = Some(t.text.clone());
-                // Keep walking only across a field/deref chain.
-                if i > lo && toks[i as usize - 1].text == "." {
-                    i -= 1;
-                } else {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    root
 }
 
 // ---------------------------------------------------------------- U1

@@ -10,9 +10,9 @@
 //! sources with a small hand-rolled tokenizer (no `syn`; the repo
 //! builds offline), recovers the item skeleton (fns, impls, modules)
 //! with a lightweight parser, builds a conservative workspace call
-//! graph, and enforces eleven repo-specific rules — token-local
+//! graph, and enforces ten repo-specific rules — token-local
 //! (D1–D3, P1, A1, O1), interprocedural (P2, H2), parallel-closure
-//! (D4, D5), and suppression hygiene (U1). The full catalogue with
+//! (D5), and suppression hygiene (U1). The full catalogue with
 //! rationale and examples lives in `docs/LINTS.md`.
 //!
 //! Legitimate exceptions carry a per-line escape hatch **with a
@@ -83,7 +83,7 @@ impl Report {
 }
 
 /// Lints a set of in-memory sources as one workspace: token-local
-/// rules per file, then the call-graph rules (P2/H2/D4/D5) across all
+/// rules per file, then the call-graph rules (P2/H2/D5) across all
 /// of them, then U1 over the accumulated suppression usage. Findings
 /// come back sorted by (path, line, rule) — the canonical order every
 /// consumer (CLI, baseline diff, tests) relies on.

@@ -1,6 +1,6 @@
 //! A lightweight item parser over the token stream.
 //!
-//! The interprocedural rules (P2/H2/D4/D5) need to know where
+//! The interprocedural rules (P2/H2/D5) need to know where
 //! functions begin and end, what they are called, which type they hang
 //! off, and whether they are public — but nothing about expressions or
 //! types beyond brace/paren structure. This module recovers exactly

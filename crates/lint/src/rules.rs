@@ -84,8 +84,8 @@ const LOSSY_CAST_TARGETS: &[&str] =
 const INT_CAST_TARGETS: &[&str] =
     &["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
 
-/// Panicking macros covered by P1/P2 (matched when followed by `!`).
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Panicking macros covered by P1 (matched when followed by `!`).
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Printing macros covered by O1 (matched when followed by `!`).
 /// `write!`/`writeln!` into a caller-supplied sink stay legal.

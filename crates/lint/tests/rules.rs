@@ -294,6 +294,18 @@ fn p2_flags_unguarded_indexing_and_division_in_public_entries() {
 }
 
 #[test]
+fn p2_leaves_unwrap_and_panics_to_p1() {
+    // P1 covers every non-test library line, a superset of what P2
+    // reaches from public entries: a public unwrap or panic is one
+    // finding, not two.
+    let unwrapped = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+    assert_eq!(rules_at("crates/core/src/chip.rs", unwrapped), vec!["P1"]);
+
+    let panics = "pub fn g() { panic!(\"boom\") }\n";
+    assert_eq!(rules_at("crates/core/src/chip.rs", panics), vec!["P1"]);
+}
+
+#[test]
 fn p2_follows_the_call_graph_from_public_entries() {
     let src = "pub fn api(xs: &[u32], i: usize) -> u32 {\n\
                lookup(xs, i)\n\
@@ -465,56 +477,6 @@ fn h2_exempts_the_serve_cold_path() {
     assert!(rules_at("crates/serve/src/registry.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- D4
-
-#[test]
-fn d4_flags_reductions_into_captured_state() {
-    let src = "pub fn total(pool: &Pool) -> f32 {\n\
-               let mut sum = 0.0;\n\
-               pool.parallel_chunks(4, 64, |_lo, _hi| {\n\
-               sum += 1.0;\n\
-               });\n\
-               sum\n\
-               }\n";
-    let findings = lint_source("crates/core/src/noc.rs", src);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, "D4");
-    assert_eq!(findings[0].line, 4);
-}
-
-#[test]
-fn d4_ignores_closure_local_accumulators_and_serial_iterators() {
-    let local = "pub fn totals(pool: &Pool) {\n\
-                 pool.parallel_chunks(4, 64, |lo, hi| {\n\
-                 let mut acc = 0.0f32;\n\
-                 acc += (hi - lo) as f32;\n\
-                 acc\n\
-                 });\n\
-                 }\n";
-    assert!(rules_at("crates/core/src/noc.rs", local).is_empty());
-
-    let serial = "pub fn total(xs: &[f32]) -> f32 {\n\
-                  let mut sum = 0.0;\n\
-                  xs.iter().for_each(|x| sum += x);\n\
-                  sum\n\
-                  }\n";
-    assert!(
-        rules_at("crates/core/src/noc.rs", serial).is_empty(),
-        "for_each is not a parallel combinator"
-    );
-}
-
-#[test]
-fn d4_allow_comment_suppresses() {
-    let src = "pub fn total(pool: &Pool) -> f32 {\n\
-               let mut sum = 0.0;\n\
-               // lint: allow(d4): single-threaded pool in this configuration\n\
-               pool.parallel_chunks(4, 64, |_lo, _hi| { sum += 1.0; });\n\
-               sum\n\
-               }\n";
-    assert!(rules_at("crates/core/src/noc.rs", src).is_empty());
-}
-
 // ---------------------------------------------------------------- D5
 
 #[test]
@@ -658,32 +620,40 @@ fn a2_allow_comment_suppresses() {
 
 #[test]
 fn a2_proofs_depend_on_the_debug_assert_preconditions() {
-    // The real INT8 MLP must be clean as shipped, and the overflow
-    // proof for its MAC accumulator must genuinely hinge on the
-    // layer-width debug_assert!: strip that one statement and the A2
-    // gate has to fail. This is the regression test that keeps the
-    // assert from rotting into decoration.
+    // The real gate-cost model must be clean as shipped, and the
+    // overflow proof for `multiplier`'s `w * h` cell count must
+    // genuinely hinge on its operand-width debug_assert!: strip that
+    // one statement and the A2 gate has to fail. This is the
+    // regression test that keeps the assert from rotting into
+    // decoration.
     // Rules needing the full workspace call graph (H2's reachability,
     // U1's usage accounting of those allows) are noise in single-file
     // mode; the proof obligation under test is the A family.
-    let a_rules = |path: &str, source: &str| -> Vec<&'static str> {
-        rules_at(path, source).into_iter().filter(|r| r.starts_with('A')).collect()
+    let a_findings = |source: &str| -> Vec<(&'static str, u32)> {
+        lint_source("crates/arith/src/cost.rs", source)
+            .into_iter()
+            .filter(|f| f.rule.starts_with('A'))
+            .map(|f| (f.rule, f.line))
+            .collect()
     };
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../nerf/src/mlp_int8.rs");
-    let src = std::fs::read_to_string(path).expect("mlp_int8.rs readable");
-    assert!(
-        a_rules("crates/nerf/src/mlp_int8.rs", &src).is_empty(),
-        "shipped mlp_int8.rs must prove clean"
-    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../arith/src/cost.rs");
+    let src = std::fs::read_to_string(path).expect("cost.rs readable");
+    assert!(a_findings(&src).is_empty(), "shipped cost.rs must prove clean");
 
-    let start = src.find("debug_assert!(").expect("forward() precondition present");
+    let start = src.find("debug_assert!(").expect("multiplier() precondition present");
     let end = start + src[start..].find(");").expect("assert closes") + 2;
     let stripped = format!("{}{}", &src[..start], &src[end..]);
-    let fired = a_rules("crates/nerf/src/mlp_int8.rs", &stripped);
+    let product_line = stripped
+        .lines()
+        .position(|l| l.contains("(w * h)"))
+        .map(|i| i as u32 + 1)
+        .expect("multiplier's cell-count product present");
+    let fired = a_findings(&stripped);
     assert!(
-        fired.contains(&"A2"),
-        "deleting the MAC-width precondition must break the A2 proof, got {fired:?}"
+        fired.contains(&("A2", product_line)),
+        "deleting the operand-width precondition must break the A2 proof of `w * h`, \
+         got {fired:?}"
     );
 }
 
@@ -733,19 +703,6 @@ fn a3_allow_comment_suppresses() {
 // ------------------------------------------------------- A4 (absint)
 
 #[test]
-fn a4_rederives_the_mac_width_claim() {
-    // 2^20-wide MAC: 2^20 * 127 * 128 overflows i32, so the exactness
-    // claim the constant's name advertises is false.
-    let wide = "pub const WIDE_MAC_WIDTH: usize = 1 << 20;\n";
-    let fired = rules_at("crates/nerf/src/mlp_int8.rs", wide);
-    assert!(fired.contains(&"A4"), "{fired:?}");
-
-    // 2^16 holds: 2^16 * 127 * 128 = 1_065_353_216 <= i32::MAX.
-    let ok = "pub const MAX_EXACT_MAC_WIDTH: usize = 1 << 16;\n";
-    assert!(rules_at("crates/nerf/src/mlp_int8.rs", ok).is_empty());
-}
-
-#[test]
 fn a4_rederives_the_fiem_exact_int_claim() {
     let wide = "pub const FIEM_MAX_INT: i64 = 1 << 25;\n";
     let fired = rules_at("crates/arith/src/fiem.rs", wide);
@@ -756,24 +713,24 @@ fn a4_rederives_the_fiem_exact_int_claim() {
 }
 
 #[test]
-fn a4_requires_proven_float_to_int8_casts() {
-    // Unbounded float straight into the INT8 code range: saturation
+fn a4_requires_proven_float_to_int_casts() {
+    // Unbounded float straight into a fixed-point integer: saturation
     // would silently corrupt the quantized value.
-    let raw = "pub fn quantize(v: f32, scale: f32) -> i8 { (v * scale) as i8 }\n";
-    let fired = rules_at("crates/nerf/src/mlp_int8.rs", raw);
+    let raw = "pub fn quantize(v: f32, scale: f32) -> i32 { (v * scale) as i32 }\n";
+    let fired = rules_at("crates/arith/src/fiem.rs", raw);
     assert!(fired.contains(&"A4"), "{fired:?}");
 
-    // The clamp pins the interval inside the symmetric code range.
+    // The clamp pins the interval inside the destination type.
     let clamped =
-        "pub fn quantize(v: f32, scale: f32) -> i8 { (v * scale).clamp(-127.0, 127.0) as i8 }\n";
-    assert!(rules_at("crates/nerf/src/mlp_int8.rs", clamped).is_empty());
+        "pub fn quantize(v: f32, scale: f32) -> i32 { (v * scale).clamp(-1024.0, 1024.0) as i32 }\n";
+    assert!(rules_at("crates/arith/src/fiem.rs", clamped).is_empty());
 }
 
 #[test]
 fn a4_allow_comment_suppresses() {
-    let src = "pub fn quantize(v: f32) -> i8 {\n\
-               // lint: allow(a4): upstream activation clamp bounds v\n\
-               v as i8\n\
+    let src = "pub fn quantize(v: f32) -> i32 {\n\
+               // lint: allow(a4): the caller clamps v to the weight range\n\
+               v as i32\n\
                }\n";
-    assert!(rules_at("crates/nerf/src/mlp_int8.rs", src).is_empty());
+    assert!(rules_at("crates/arith/src/fiem.rs", src).is_empty());
 }

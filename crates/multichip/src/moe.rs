@@ -24,7 +24,6 @@
 //! prune the regions an expert does not own — the specialization
 //! visualized in the paper's Fig. 8.
 
-use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
@@ -230,9 +229,11 @@ pub struct MoeTrainer<E: Encoding = HashGrid> {
 }
 
 impl<E: Encoding> MoeTrainer<E> {
-    /// Creates a trainer over an existing MoE model.
-    pub fn new(moe: MoeNerf<E>, config: TrainerConfig, adam: AdamConfig) -> Self {
-        let optimizers = moe.experts.iter().map(|e| ModelOptimizer::new(adam, &e.model)).collect();
+    /// Creates a trainer over an existing MoE model. Every expert's
+    /// optimizer takes its settings from `config.adam`.
+    pub fn new(moe: MoeNerf<E>, config: TrainerConfig) -> Self {
+        let optimizers =
+            moe.experts.iter().map(|e| ModelOptimizer::new(config.adam, &e.model)).collect();
         let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
         let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
         let refresh = TrainScratch::new();
@@ -553,7 +554,7 @@ mod tests {
         let trainer = || {
             let mut rng = SmallRng::seed_from_u64(5);
             let moe = MoeNerf::with_partitioned_gates(3, small_expert_config(), 12, 0.5, &mut rng);
-            MoeTrainer::new(moe, config, AdamConfig::default())
+            MoeTrainer::new(moe, config)
         };
         let (mut batched, mut oracle) = (trainer(), trainer());
         let gate = |x: &Expert| -> Vec<bool> {
@@ -600,12 +601,29 @@ mod tests {
     }
 
     #[test]
+    fn step_uses_the_configs_adam_settings() {
+        let scene = ProceduralScene::synthetic(SyntheticScene::Hotdog);
+        let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
+        let mut config = quick_trainer_config();
+        config.adam.learning_rate = 0.0;
+        let mut rng = SmallRng::seed_from_u64(3);
+        let moe = MoeNerf::new(2, small_expert_config(), 12, 0.5, &mut rng);
+        let initial: Vec<Vec<f32>> =
+            moe.experts().iter().map(|e| e.model.grid().params().to_vec()).collect();
+        let mut trainer = MoeTrainer::new(moe, config);
+        trainer.step(&dataset, &mut rng);
+        for (e, (expert, before)) in trainer.moe().experts().iter().zip(&initial).enumerate() {
+            assert!(expert.model.grid().params() == before.as_slice(), "expert {e} moved");
+        }
+    }
+
+    #[test]
     fn moe_training_reduces_loss() {
         let scene = ProceduralScene::synthetic(SyntheticScene::Hotdog);
         let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
         let mut rng = SmallRng::seed_from_u64(3);
         let moe = MoeNerf::new(2, small_expert_config(), 12, 0.5, &mut rng);
-        let mut trainer = MoeTrainer::new(moe, quick_trainer_config(), AdamConfig::default());
+        let mut trainer = MoeTrainer::new(moe, quick_trainer_config());
         let first: f64 = (0..3).map(|_| trainer.step(&dataset, &mut rng)).sum::<f64>() / 3.0;
         for _ in 0..60 {
             trainer.step(&dataset, &mut rng);

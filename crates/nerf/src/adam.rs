@@ -4,7 +4,6 @@ use std::ops::Range;
 
 /// Hyper-parameters for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdamConfig {
     /// Learning rate.
     pub learning_rate: f32,

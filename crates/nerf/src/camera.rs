@@ -7,7 +7,6 @@ use crate::math::{Ray, Vec3};
 /// The camera looks along `forward`, with `right` and `up` completing
 /// a right-handed frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pose {
     /// Camera position in world coordinates.
     pub position: Vec3,
@@ -55,7 +54,6 @@ impl Pose {
 /// assert!(center.direction.dot(pose.forward) > 0.99);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Camera {
     pose: Pose,
     width: u32,

@@ -18,7 +18,6 @@ use rand::Rng;
 
 /// Configuration of a dense voxel grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseGridConfig {
     /// Grid resolution per axis (vertices per axis = resolution + 1).
     pub resolution: u32,

@@ -362,7 +362,6 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
 /// assert_eq!(cfg.output_dim(), cfg.levels * cfg.features_per_level);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
     pub levels: usize,
@@ -470,7 +469,6 @@ impl HashGridConfig {
 /// for the memory-subsystem simulator (bank conflicts, Level-2/3
 /// tiling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FeatureAccess {
     /// Grid level of the access.
     pub level: u8,

@@ -53,7 +53,6 @@ pub mod image;
 pub mod io;
 pub mod math;
 pub mod mlp;
-pub mod mlp_int8;
 pub mod model;
 pub mod occupancy;
 pub mod pipeline;

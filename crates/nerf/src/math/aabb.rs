@@ -24,7 +24,6 @@ use super::{Ray, TSpan, Vec3};
 ///
 /// Counts are additive: combining two computations sums their counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpCount {
     /// Number of divisions.
     pub div: u64,
@@ -107,7 +106,6 @@ pub const NORMALIZED_INTERSECT_COST: OpCount = OpCount::new(0, 3, 0, 3);
 /// assert!((span.t_far - 2.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

@@ -17,7 +17,6 @@ use super::Vec3;
 /// assert_eq!(ray.at(2.5), Vec3::new(2.5, 0.0, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ray {
     /// Ray origin in world or normalized-model coordinates.
     pub origin: Vec3,
@@ -62,7 +61,6 @@ impl Ray {
 /// `t_far >= 0`. The sampling stage discards invalid intervals before
 /// dispatching work to sampling cores.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TSpan {
     /// Entry parameter (clamped to zero by [`TSpan::clamped_to_front`]).
     pub t_near: f32,

@@ -23,7 +23,6 @@ use std::ops::{
 /// assert_eq!(a.dot(b), 12.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// X component.
     pub x: f32,

@@ -10,7 +10,6 @@ use rand::Rng;
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Activation {
     /// Identity.
     None,
@@ -284,32 +283,6 @@ impl Mlp {
     /// arithmetic cost the accelerator's post-processing module models.
     pub fn macs_per_forward(&self) -> u64 {
         self.dims.windows(2).map(|w| (w[0] * w[1]) as u64).sum()
-    }
-
-    /// The weight matrix (row-major `out × in`) and bias vector of
-    /// layer `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer >= self.layer_count()`.
-    pub fn layer_params(&self, layer: usize) -> (&[f32], &[f32]) {
-        assert!(layer < self.layer_count(), "layer {layer} out of range");
-        let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
-        let off = self.layer_offset(layer);
-        (
-            &self.params[off..off + in_dim * out_dim],
-            &self.params[off + in_dim * out_dim..off + in_dim * out_dim + out_dim],
-        )
-    }
-
-    /// The activation applied after layer `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer >= self.layer_count()`.
-    pub fn layer_activation(&self, layer: usize) -> Activation {
-        assert!(layer < self.layer_count(), "layer {layer} out of range");
-        self.activation_for_layer(layer)
     }
 
     /// Mutable access to the bias of output `index` of the final

@@ -31,7 +31,6 @@ pub(crate) fn sh_row(direction: Vec3) -> [f32; SH_DIM] {
 
 /// Architecture of a [`NerfModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelConfig {
     /// Hash-grid encoding configuration.
     pub grid: HashGridConfig,

@@ -16,7 +16,6 @@ use rand::Rng;
 
 /// How often training weights are quantized in the Table II sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QuantSchedule {
     /// Never quantize during training (quality reference).
     Never,

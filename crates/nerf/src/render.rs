@@ -23,7 +23,6 @@ const MAX_SIGMA_DT: f32 = 15.0;
 
 /// Density and color of one sample point, ready for compositing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ShadedSample {
     /// Volume density `σ ≥ 0`.
     pub sigma: f32,

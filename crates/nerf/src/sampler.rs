@@ -20,7 +20,6 @@ use crate::occupancy::OccupancyGrid;
 
 /// Configuration of the ray-marching sampler.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SamplerConfig {
     /// Number of equal steps across the model-cube diagonal; the march
     /// step is `sqrt(3) / steps_per_diagonal`.
@@ -48,7 +47,6 @@ impl SamplerConfig {
 
 /// One retained sample point on a ray.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RaySample {
     /// Ray parameter of the sample.
     pub t: f32,
@@ -64,7 +62,6 @@ pub struct RaySample {
 /// Per-ray workload statistics consumed by the accelerator simulator's
 /// dynamic workload scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RayWorkload {
     /// Number of octant cubes the ray validly intersects (the paper:
     /// typically 1–3).

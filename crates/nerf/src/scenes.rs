@@ -19,7 +19,6 @@ use crate::occupancy::OccupancyGrid;
 
 /// The eight object-scale scenes mirroring NeRF-Synthetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SyntheticScene {
     /// A seat with four legs and a back.
     Chair,
@@ -69,7 +68,6 @@ impl SyntheticScene {
 
 /// The seven unbounded large-scale scenes mirroring NeRF-360.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LargeScene {
     /// A frame of thin tubes over grass (sparse foreground).
     Bicycle,

@@ -43,7 +43,6 @@ const REFRESH_CHUNK: usize = 512;
 /// the hand-offs between stages; `end_to_end_io` is the only traffic
 /// the fully fused end-to-end accelerator must move off-chip.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataVolume {
     /// Stage I → Stage II hand-off (sample positions, `t`, `δt`).
     pub stage1_to_stage2: u64,

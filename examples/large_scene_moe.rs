@@ -13,7 +13,6 @@
 use fusion3d::multichip::comm::{layer_split_bytes, moe_bytes, FrameWorkload};
 use fusion3d::multichip::moe::{MoeNerf, MoeTrainer};
 use fusion3d::multichip::system::MultiChipSystem;
-use fusion3d::nerf::adam::AdamConfig;
 use fusion3d::nerf::encoding::HashGridConfig;
 use fusion3d::nerf::{
     Dataset, LargeScene, ModelConfig, NerfModel, ProceduralScene, SamplerConfig, Trainer,
@@ -67,7 +66,7 @@ fn main() {
         moe.param_count(),
         moe.expert_count()
     );
-    let mut trainer = MoeTrainer::new(moe, config, AdamConfig::default());
+    let mut trainer = MoeTrainer::new(moe, config);
     for _ in 0..iterations {
         trainer.step(&dataset, &mut rng);
     }

@@ -4,7 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --workspace --release
+# `--locked` everywhere a lockfile is read: a change that would rewrite
+# Cargo.lock or benchmark/Cargo.lock fails here instead of passing
+# silently.
+cargo build --workspace --release --locked
 cargo build --release -p fusion3d-lint
 cargo test --workspace -q
 # Repo-specific invariants (determinism, panic-freedom, allocation-
@@ -29,7 +32,7 @@ cargo test -q -p fusion3d-nerf --features obs
 # The benchmark package (benchmark/) is not a workspace member, so the
 # workspace commands above never build it; test it on its own so a
 # library API change cannot break it unnoticed.
-cargo test -q --manifest-path benchmark/Cargo.toml
+cargo test -q --locked --manifest-path benchmark/Cargo.toml
 # Keep the throughput harness runnable; the smoke run takes ~a second
 # and writes its report under target/ (full runs write BENCH_perf.json).
 cargo run --release -q -p fusion3d-bench --bin perf -- --smoke --out target/BENCH_perf_smoke.json

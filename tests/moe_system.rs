@@ -4,7 +4,6 @@
 use fusion3d::multichip::comm::{layer_split_bytes, moe_bytes, FrameWorkload};
 use fusion3d::multichip::moe::{MoeNerf, MoeTrainer};
 use fusion3d::multichip::system::{MultiChipConfig, MultiChipSystem};
-use fusion3d::nerf::adam::AdamConfig;
 use fusion3d::nerf::encoding::HashGridConfig;
 use fusion3d::nerf::{
     Dataset, LargeScene, ModelConfig, ProceduralScene, SamplerConfig, TrainerConfig, Vec3,
@@ -47,7 +46,7 @@ fn moe_trains_and_experts_specialize() {
     let dataset = Dataset::from_scene(&scene, 4, 18, 0.9);
     let mut rng = SmallRng::seed_from_u64(1);
     let moe = MoeNerf::new(3, expert_config(), 12, 0.5, &mut rng);
-    let mut trainer = MoeTrainer::new(moe, moe_trainer_config(), AdamConfig::default());
+    let mut trainer = MoeTrainer::new(moe, moe_trainer_config());
 
     let first: f64 = (0..3).map(|_| trainer.step(&dataset, &mut rng)).sum::<f64>() / 3.0;
     for _ in 0..160 {
@@ -73,7 +72,7 @@ fn multichip_system_runs_trained_moe_workloads() {
     let dataset = Dataset::from_scene(&scene, 3, 16, 0.9);
     let mut rng = SmallRng::seed_from_u64(2);
     let moe = MoeNerf::new(4, expert_config(), 12, 0.5, &mut rng);
-    let mut trainer = MoeTrainer::new(moe, moe_trainer_config(), AdamConfig::default());
+    let mut trainer = MoeTrainer::new(moe, moe_trainer_config());
     for _ in 0..100 {
         trainer.step(&dataset, &mut rng);
     }
