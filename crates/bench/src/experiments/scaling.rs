@@ -10,7 +10,7 @@ use fusion3d_multichip::system::{MultiChipConfig, MultiChipSystem};
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::model::ModelConfig;
-use fusion3d_nerf::sampler::sample_ray;
+use fusion3d_nerf::pipeline::{trace_frame, FrameTrace};
 use fusion3d_nerf::scenes::{LargeScene, ProceduralScene};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::rngs::SmallRng;
@@ -42,10 +42,9 @@ pub fn sweep_chips(scene: LargeScene, counts: &[usize]) -> Vec<ScalePoint> {
         .map(|&n| {
             let config = MultiChipConfig { chips: n, ..MultiChipConfig::fusion3d() };
             let system = MultiChipSystem::new(config.clone());
-            let gates = partition_occupancy(&full, n);
-            let per_chip: Vec<Vec<fusion3d_nerf::sampler::RayWorkload>> = gates
+            let per_chip: Vec<FrameTrace> = partition_occupancy(&full, n)
                 .iter()
-                .map(|g| camera.rays().map(|(_, _, ray)| sample_ray(&ray, g, &sampler).1).collect())
+                .map(|gate| trace_frame(gate, &camera, &sampler))
                 .collect();
             let report = system.simulate(&per_chip, false);
             ScalePoint {

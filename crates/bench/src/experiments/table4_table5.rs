@@ -3,12 +3,12 @@
 //! scenes).
 
 use crate::support::{
-    for_each_scene, large_scene_occupancy, opt, partition_occupancy, print_table, reported,
-    trace_camera, trace_sampler, TRACE_RES,
+    for_each_scene, large_scene_occupancy, large_scene_trace, opt, partition_occupancy,
+    print_table, reported, trace_camera, trace_sampler, TRACE_RES,
 };
 use fusion3d_baselines::devices;
 use fusion3d_multichip::system::MultiChipSystem;
-use fusion3d_nerf::sampler::{sample_ray, RayWorkload};
+use fusion3d_nerf::pipeline::{trace_frame, FrameTrace};
 use fusion3d_nerf::scenes::LargeScene;
 
 /// Simulated multi-chip result for one large scene.
@@ -36,14 +36,13 @@ pub struct LargeSceneResult {
 /// ground-truth occupancy is partitioned into four expert gates
 /// (emulating the trained MoE specialization of Fig. 8) and every chip
 /// marches the full ray set through its own gate.
-pub fn per_chip_workloads(scene: LargeScene, chips: usize) -> Vec<Vec<RayWorkload>> {
+pub fn per_chip_workloads(scene: LargeScene, chips: usize) -> Vec<FrameTrace> {
     let full = large_scene_occupancy(scene);
-    let gates = partition_occupancy(&full, chips);
     let camera = trace_camera(TRACE_RES);
     let sampler = trace_sampler();
-    gates
+    partition_occupancy(&full, chips)
         .iter()
-        .map(|gate| camera.rays().map(|(_, _, ray)| sample_ray(&ray, gate, &sampler).1).collect())
+        .map(|gate| trace_frame(gate, &camera, &sampler))
         .collect()
 }
 
@@ -55,16 +54,8 @@ pub fn simulate_large_scene(scene: LargeScene) -> LargeSceneResult {
     let train = system.simulate(&workloads, true);
     // Unique scene points and marching steps from the full-gate trace
     // (the union of the per-chip sample sets).
-    let full = large_scene_occupancy(scene);
-    let camera = trace_camera(TRACE_RES);
-    let sampler = trace_sampler();
-    let mut unique = 0u64;
-    let mut steps = 0u64;
-    for (_, _, ray) in camera.rays() {
-        let (_, wl) = sample_ray(&ray, &full, &sampler);
-        unique += wl.total_samples() as u64;
-        steps += wl.total_steps() as u64;
-    }
+    let full = large_scene_trace(scene);
+    let (unique, steps) = (full.total_samples, full.total_steps);
     let power = system.config().total_power_w();
     let inf_pts = unique as f64 / inf.total_seconds;
     let train_pts = unique as f64 / train.total_seconds;

@@ -8,7 +8,7 @@ use fusion3d_nerf::scenes::SyntheticScene;
 
 /// Per-scene T1 speedup.
 pub fn per_scene_speedups() -> Vec<(SyntheticScene, f64)> {
-    for_each_scene(&SyntheticScene::ALL, |scene| (scene, t1_speedup(&scene_trace(scene).workloads)))
+    for_each_scene(&SyntheticScene::ALL, |scene| (scene, t1_speedup(&scene_trace(scene))))
 }
 
 /// Prints the Table VI reproduction.

@@ -188,40 +188,38 @@ impl FusionChip {
         }
     }
 
+    /// The analytic report of a frame (or, with `training`, a training
+    /// step) over `trace`, whose Stage I took `sampling_cycles`.
+    pub(crate) fn stage_report(
+        &self,
+        trace: &FrameTrace,
+        sampling_cycles: u64,
+        training: bool,
+    ) -> SimReport {
+        let (points, rays) = (trace.total_samples, trace.ray_count() as u64);
+        let (mode, post_processing) = if training {
+            (PipelineMode::Training, self.postproc.training_cycles(points, rays))
+        } else {
+            (PipelineMode::Inference, self.postproc.frame_cycles(points, rays))
+        };
+        let stages = StageCycles {
+            sampling: sampling_cycles,
+            interpolation: self.interp.cycles_for_points(points, rays, mode),
+            post_processing,
+        };
+        self.report(stages, points, rays)
+    }
+
     /// Simulates rendering one frame whose Stage-I workload was
     /// captured in `trace`.
     pub fn simulate_frame(&self, trace: &FrameTrace) -> SimReport {
-        let s1 = simulate_sampling(&self.sampling, &trace.workloads);
-        let stages = StageCycles {
-            sampling: s1.cycles,
-            interpolation: self.interp.cycles_for_points(
-                trace.total_samples,
-                trace.ray_count() as u64,
-                PipelineMode::Inference,
-            ),
-            post_processing: self
-                .postproc
-                .frame_cycles(trace.total_samples, trace.ray_count() as u64),
-        };
-        self.report(stages, trace.total_samples, trace.ray_count() as u64)
+        self.stage_report(trace, simulate_sampling(&self.sampling, trace).cycles, false)
     }
 
     /// Simulates one training step over a batch whose Stage-I workload
     /// was captured in `trace` (forward + backward + feature update).
     pub fn simulate_training_step(&self, trace: &FrameTrace) -> SimReport {
-        let s1 = simulate_sampling(&self.sampling, &trace.workloads);
-        let stages = StageCycles {
-            sampling: s1.cycles,
-            interpolation: self.interp.cycles_for_points(
-                trace.total_samples,
-                trace.ray_count() as u64,
-                PipelineMode::Training,
-            ),
-            post_processing: self
-                .postproc
-                .training_cycles(trace.total_samples, trace.ray_count() as u64),
-        };
-        self.report(stages, trace.total_samples, trace.ray_count() as u64)
+        self.stage_report(trace, simulate_sampling(&self.sampling, trace).cycles, true)
     }
 
     /// Frames per second for a frame workload.
@@ -244,22 +242,19 @@ impl FusionChip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use fusion3d_nerf::sampler::PairJob;
 
     fn synthetic_trace(rays: usize, samples_per_ray: u16, steps_per_ray: u16) -> FrameTrace {
-        let workloads: Vec<RayWorkload> = (0..rays)
-            .map(|_| RayWorkload {
-                valid_pairs: 1,
-                samples_per_pair: vec![samples_per_ray],
-                steps_per_pair: vec![steps_per_ray],
-                lattice_steps_per_pair: vec![steps_per_ray.saturating_mul(3)],
-            })
-            .collect();
-        FrameTrace {
-            total_samples: rays as u64 * samples_per_ray as u64,
-            total_steps: rays as u64 * steps_per_ray as u64,
-            workloads,
+        let job = PairJob {
+            samples: samples_per_ray,
+            steps: steps_per_ray,
+            lattice_steps: steps_per_ray.saturating_mul(3),
+        };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
         }
+        trace
     }
 
     #[test]

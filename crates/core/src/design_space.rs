@@ -114,21 +114,17 @@ pub fn sweep_voltage(trace: &FrameTrace, voltages: &[f64]) -> Vec<DesignPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use fusion3d_nerf::sampler::PairJob;
 
     fn probe() -> FrameTrace {
-        FrameTrace {
-            workloads: (0..1024)
-                .map(|i| RayWorkload {
-                    valid_pairs: 1,
-                    samples_per_pair: vec![10 + (i % 8) as u16],
-                    steps_per_pair: vec![16 + (i % 8) as u16],
-                    lattice_steps_per_pair: vec![64],
-                })
-                .collect(),
-            total_samples: (0..1024u64).map(|i| 10 + (i % 8)).sum(),
-            total_steps: (0..1024u64).map(|i| 16 + (i % 8)).sum(),
+        let mut trace = FrameTrace::default();
+        for i in 0..1024u16 {
+            trace.push_ray(
+                1,
+                &[PairJob { samples: 10 + i % 8, steps: 16 + i % 8, lattice_steps: 64 }],
+            );
         }
+        trace
     }
 
     #[test]

@@ -56,3 +56,26 @@ pub use chip::{FusionChip, SimReport, Stage, StageCycles};
 pub use config::{ChipConfig, Module};
 pub use energy::EnergyModel;
 pub use sampling::{simulate_sampling, t1_speedup, SamplingModuleConfig, SchedulingPolicy};
+
+#[cfg(test)]
+pub(crate) mod test_scenes {
+    use fusion3d_nerf::camera::{orbit_poses, Camera};
+    use fusion3d_nerf::math::Vec3;
+    use fusion3d_nerf::pipeline::{trace_frame, FrameTrace};
+    use fusion3d_nerf::sampler::SamplerConfig;
+    use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
+
+    /// Stage-I traces of the eight synthetic scenes' evaluation view at
+    /// `res`² pixels, on the paper tables' fine sampler.
+    pub(crate) fn synthetic_scene_traces(res: u32) -> Vec<FrameTrace> {
+        let pose = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, 8)[2];
+        let camera = Camera::new(pose, res, res, 0.9);
+        let sampler = SamplerConfig { steps_per_diagonal: 512, max_samples_per_ray: 256 };
+        SyntheticScene::ALL
+            .iter()
+            .map(|&s| {
+                trace_frame(&ProceduralScene::synthetic(s).occupancy_grid(32), &camera, &sampler)
+            })
+            .collect()
+    }
+}

@@ -168,21 +168,19 @@ pub fn interface_load(trace: &FrameTrace, fps: f64) -> InterfaceReport {
 mod tests {
     use super::*;
     use crate::chip::FusionChip;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use fusion3d_nerf::sampler::PairJob;
 
     fn trace(rays: usize, samples_per_ray: u16) -> FrameTrace {
-        FrameTrace {
-            workloads: (0..rays)
-                .map(|_| RayWorkload {
-                    valid_pairs: 1,
-                    samples_per_pair: vec![samples_per_ray],
-                    steps_per_pair: vec![samples_per_ray + 6],
-                    lattice_steps_per_pair: vec![samples_per_ray * 4],
-                })
-                .collect(),
-            total_samples: rays as u64 * samples_per_ray as u64,
-            total_steps: rays as u64 * (samples_per_ray as u64 + 6),
+        let job = PairJob {
+            samples: samples_per_ray,
+            steps: samples_per_ray + 6,
+            lattice_steps: samples_per_ray * 4,
+        };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
         }
+        trace
     }
 
     #[test]

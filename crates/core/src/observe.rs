@@ -13,9 +13,7 @@
 use crate::chip::{FusionChip, SimReport};
 use crate::config::Module;
 use crate::noc::{check_noc, NocConfig, NocReport};
-use crate::pipeline_sim::{
-    simulate_pipeline_attributed, BufferConfig, CycleAttribution, PipelineSimReport,
-};
+use crate::pipeline_sim::{step_pipeline, BufferConfig, CycleAttribution, PipelineSimReport};
 use crate::sampling::{simulate_sampling, SamplingSimResult};
 use fusion3d_nerf::pipeline::FrameTrace;
 use fusion3d_obs::{Report, SpanId};
@@ -65,9 +63,8 @@ pub fn record_frame_trace(trace: &FrameTrace, report: &mut Report) {
     m.counter_add("frame.steps", "steps", trace.total_steps);
     m.gauge_set("frame.hit_rate", "ratio", trace.hit_rate());
     m.gauge_set("frame.samples_per_ray", "samples", trace.mean_samples_per_ray());
-    for w in &trace.workloads {
-        let samples: u64 = w.samples_per_pair.iter().map(|&s| u64::from(s)).sum();
-        m.observe("ray.samples", "samples", samples);
+    for ray in trace.rays() {
+        m.observe("ray.samples", "samples", ray.total_samples());
     }
 }
 
@@ -99,7 +96,7 @@ pub struct FrameObservation {
 /// # Panics
 ///
 /// Panics if either FIFO capacity in `buffers` is zero (propagated from
-/// [`simulate_pipeline_attributed`]).
+/// [`crate::pipeline_sim::simulate_pipeline_attributed`]).
 pub fn observe_frame(
     chip: &FusionChip,
     trace: &FrameTrace,
@@ -107,9 +104,11 @@ pub fn observe_frame(
     training: bool,
     report: &mut Report,
 ) -> FrameObservation {
-    let analytic =
-        if training { chip.simulate_training_step(trace) } else { chip.simulate_frame(trace) };
-    let (stepped, attribution) = simulate_pipeline_attributed(chip, trace, buffers, training);
+    // Stage I runs once: the analytic report, the stepped pipeline and
+    // the `sampling.*` metrics all read this one result.
+    let sampling = simulate_sampling(chip.sampling_config(), trace);
+    let analytic = chip.stage_report(trace, sampling.cycles, training);
+    let (stepped, attribution) = step_pipeline(chip, trace, buffers, training, sampling.cycles);
 
     // Span tree: attributed stage cycles laid out under the frame root.
     let root_name = if training { "train_step" } else { "frame" };
@@ -163,8 +162,7 @@ pub fn observe_frame(
     m.counter_add("stage.postproc.cycles", "cycles", analytic.stages.post_processing);
 
     record_frame_trace(trace, report);
-    simulate_sampling(chip.sampling_config(), &trace.workloads)
-        .record(chip.sampling_config().cores, report);
+    sampling.record(chip.sampling_config().cores, report);
     let feature_dim = chip.config().model_levels as u64 * FEATURES_PER_LEVEL;
     check_noc(&NocConfig::fusion3d(), trace, feature_dim, &analytic.stages).record(report);
 
@@ -174,20 +172,38 @@ pub fn observe_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use crate::pipeline_sim::simulate_pipeline_attributed;
+    use crate::test_scenes::synthetic_scene_traces;
+    use fusion3d_nerf::sampler::PairJob;
 
     fn trace(rays: usize, samples: u16) -> FrameTrace {
-        FrameTrace {
-            workloads: (0..rays)
-                .map(|_| RayWorkload {
-                    valid_pairs: 1,
-                    samples_per_pair: vec![samples],
-                    steps_per_pair: vec![samples + 4],
-                    lattice_steps_per_pair: vec![samples * 4],
-                })
-                .collect(),
-            total_samples: rays as u64 * samples as u64,
-            total_steps: rays as u64 * (samples as u64 + 4),
+        let job = PairJob { samples, steps: samples + 4, lattice_steps: samples * 4 };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
+        }
+        trace
+    }
+
+    #[test]
+    fn one_stage_one_simulation_matches_the_separate_simulations() {
+        let chip = FusionChip::scaled_up();
+        let buffers = BufferConfig::fusion3d();
+        for (scene, trace) in synthetic_scene_traces(128).iter().enumerate() {
+            for training in [false, true] {
+                let obs = observe_frame(&chip, trace, &buffers, training, &mut Report::new("t"));
+                let analytic = if training {
+                    chip.simulate_training_step(trace)
+                } else {
+                    chip.simulate_frame(trace)
+                };
+                assert_eq!(obs.analytic, analytic, "scene {scene}, training {training}");
+                assert_eq!(
+                    (obs.stepped, obs.attribution),
+                    simulate_pipeline_attributed(&chip, trace, &buffers, training),
+                    "scene {scene}, training {training}"
+                );
+            }
         }
     }
 

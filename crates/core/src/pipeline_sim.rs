@@ -123,6 +123,20 @@ pub fn simulate_pipeline_attributed(
     buffers: &BufferConfig,
     training: bool,
 ) -> (PipelineSimReport, CycleAttribution) {
+    let sampling_cycles = simulate_sampling(chip.sampling_config(), trace).cycles;
+    step_pipeline(chip, trace, buffers, training, sampling_cycles)
+}
+
+/// [`simulate_pipeline_attributed`] for a frame whose Stage I took
+/// `sampling_cycles`, so a caller that already simulated it does not
+/// simulate it again.
+pub(crate) fn step_pipeline(
+    chip: &FusionChip,
+    trace: &FrameTrace,
+    buffers: &BufferConfig,
+    training: bool,
+    sampling_cycles: u64,
+) -> (PipelineSimReport, CycleAttribution) {
     assert!(
         buffers.sample_fifo > 0 && buffers.feature_fifo > 0,
         "FIFO capacities must be positive"
@@ -141,8 +155,7 @@ pub fn simulate_pipeline_attributed(
     }
 
     // Sustained per-stage rates in points per cycle.
-    let s1 = simulate_sampling(chip.sampling_config(), &trace.workloads);
-    let r1 = total as f64 / s1.cycles.max(1) as f64;
+    let r1 = total as f64 / sampling_cycles.max(1) as f64;
     let mode = if training { PipelineMode::Training } else { PipelineMode::Inference };
     let s2_cycles = {
         let c = chip.config();
@@ -175,7 +188,7 @@ pub fn simulate_pipeline_attributed(
     // Hard upper bound so a modelling bug cannot spin forever; the
     // saturating multiply keeps the guard meaningful even for
     // adversarial stage-cycle sums (lint rule A2).
-    let limit = (s1.cycles + s2_cycles + s3_cycles + 1000).saturating_mul(4);
+    let limit = (sampling_cycles + s2_cycles + s3_cycles + 1000).saturating_mul(4);
 
     while drained < total {
         report.cycles += 1;
@@ -259,21 +272,15 @@ pub fn simulate_pipeline_attributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use fusion3d_nerf::sampler::PairJob;
 
     fn trace(rays: usize, samples: u16) -> FrameTrace {
-        FrameTrace {
-            workloads: (0..rays)
-                .map(|_| RayWorkload {
-                    valid_pairs: 1,
-                    samples_per_pair: vec![samples],
-                    steps_per_pair: vec![samples + 4],
-                    lattice_steps_per_pair: vec![samples * 4],
-                })
-                .collect(),
-            total_samples: rays as u64 * samples as u64,
-            total_steps: rays as u64 * (samples as u64 + 4),
+        let job = PairJob { samples, steps: samples + 4, lattice_steps: samples * 4 };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
         }
+        trace
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! same trace under both configurations.
 
 use fusion3d_nerf::math::{GENERAL_INTERSECT_COST, NORMALIZED_INTERSECT_COST};
-use fusion3d_nerf::sampler::RayWorkload;
+use fusion3d_nerf::pipeline::FrameTrace;
+use fusion3d_nerf::sampler::PairJob;
 
 /// Relative hardware cost of one division versus one multiply/add,
 /// used to convert operation counts into pre-processing cycles.
@@ -124,12 +125,12 @@ impl SamplingModuleConfig {
     }
 
     /// Marching cycles of one pair job.
-    fn pair_march_cycles(&self, samples: u64, steps: u64, lattice: u64) -> u64 {
+    fn pair_march_cycles(&self, job: &PairJob) -> u64 {
         if self.partitioned() {
-            let skips = steps.saturating_sub(samples);
-            samples + skips.div_ceil(SKIPS_PER_CYCLE)
+            let (samples, steps) = (u64::from(job.samples), u64::from(job.steps));
+            samples + steps.saturating_sub(samples).div_ceil(SKIPS_PER_CYCLE)
         } else {
-            lattice
+            u64::from(job.lattice_steps)
         }
     }
 }
@@ -176,11 +177,10 @@ impl SamplingSimResult {
 ///
 /// # Panics
 ///
-/// Panics if the configuration has zero cores or ALUs.
-pub fn simulate_sampling(
-    config: &SamplingModuleConfig,
-    workloads: &[RayWorkload],
-) -> SamplingSimResult {
+/// Panics if the configuration has zero cores or ALUs, or, under
+/// [`SchedulingPolicy::DynamicWholeRay`], if a ray marches more pairs
+/// than there are cores.
+pub fn simulate_sampling(config: &SamplingModuleConfig, trace: &FrameTrace) -> SamplingSimResult {
     assert!(config.cores > 0, "sampling module needs at least one core");
     assert!(config.preproc_alus > 0, "intersection path needs at least one ALU");
 
@@ -189,40 +189,45 @@ pub fn simulate_sampling(
     // unit; the general mode computes intersections on the core.
     let (preproc_per_ray, oncore_intersect) =
         if config.partitioned() { (intersect_cycles, 0) } else { (0, intersect_cycles) };
+    let rays = trace.ray_count();
 
     let mut result = SamplingSimResult {
         cycles: 0,
         busy_core_cycles: 0,
-        rays: workloads.len() as u64,
+        rays: rays as u64,
         pairs: 0,
         steps: 0,
-        preproc_cycles: preproc_per_ray * workloads.len() as u64,
+        preproc_cycles: preproc_per_ray * rays as u64,
     };
 
     // Pipelined pre-processing: ray i is ready at (i+1) × per-ray.
     let ready = |i: usize| (i as u64 + 1) * preproc_per_ray;
-
-    let mut core_free = vec![0u64; config.cores];
+    // Marching cycles of a pair job, plus the on-core intersection
+    // when it is the ray's first.
+    let job_cycles = |pair_idx: usize, j: &PairJob| {
+        let intersect = if pair_idx == 0 { oncore_intersect } else { 0 };
+        config.pair_march_cycles(j) + config.job_overhead + intersect
+    };
 
     match config.policy {
         SchedulingPolicy::RayBatch => {
             let mut batch_start = 0u64;
-            for (batch_idx, batch) in workloads.chunks(config.cores).enumerate() {
+            let mut traced = trace.rays();
+            for batch_idx in 0..rays.div_ceil(config.cores) {
                 let last_ray = (batch_idx + 1) * config.cores;
-                let ready_t = ready((last_ray - 1).min(workloads.len() - 1));
+                let ready_t = ready((last_ray - 1).min(rays - 1));
                 let start = batch_start.max(ready_t);
                 let mut makespan = 0u64;
-                for w in batch {
-                    let march: u64 =
-                        pair_iter(w).map(|(s, t, l)| config.pair_march_cycles(s, t, l)).sum();
-                    let job = if w.valid_pairs > 0 {
+                for ray in traced.by_ref().take(config.cores) {
+                    let march: u64 = ray.jobs.iter().map(|j| config.pair_march_cycles(j)).sum();
+                    let job = if ray.valid_pairs > 0 {
                         oncore_intersect + march + config.job_overhead
                     } else {
                         oncore_intersect
                     };
                     result.busy_core_cycles += job;
-                    result.steps += w.total_steps() as u64;
-                    result.pairs += w.valid_pairs as u64;
+                    result.steps += ray.total_steps();
+                    result.pairs += u64::from(ray.valid_pairs);
                     makespan = makespan.max(job);
                 }
                 batch_start = start + makespan;
@@ -230,50 +235,51 @@ pub fn simulate_sampling(
             result.cycles = batch_start;
         }
         SchedulingPolicy::PairByPair => {
-            for (i, w) in workloads.iter().enumerate() {
+            let mut core_free = vec![0u64; config.cores];
+            for (i, ray) in trace.rays().enumerate() {
                 let ready_t = ready(i);
-                for (pair_idx, (s, t, l)) in pair_iter(w).enumerate() {
-                    let mut job = config.pair_march_cycles(s, t, l) + config.job_overhead;
-                    if pair_idx == 0 {
-                        job += oncore_intersect;
-                    }
+                for (pair_idx, j) in ray.jobs.iter().enumerate() {
+                    let job = job_cycles(pair_idx, j);
                     let core =
                         core_free.iter().enumerate().min_by_key(|(_, &t)| t).map_or(0, |(c, _)| c);
                     let start = core_free[core].max(ready_t);
                     core_free[core] = start + job;
                     result.busy_core_cycles += job;
-                    result.steps += t;
+                    result.steps += u64::from(j.steps);
                     result.pairs += 1;
                 }
             }
             result.cycles = core_free.iter().copied().max().unwrap_or(0);
         }
         SchedulingPolicy::DynamicWholeRay => {
-            for (i, w) in workloads.iter().enumerate() {
-                let k = w.steps_per_pair.len();
+            // The cores are interchangeable, so only the multiset of
+            // their free times matters: keep it sorted. A ray of k pairs
+            // dispatches when k cores are free, at the k-th smallest
+            // free time; its pairs take the k earliest-free cores, which
+            // are then free at `dispatch + job` (each at least the k-th
+            // smallest, so only the order against the rest can change).
+            let mut free = vec![0u64; config.cores];
+            for (i, ray) in trace.rays().enumerate() {
+                let k = ray.jobs.len();
                 if k == 0 {
                     continue;
                 }
-                let ready_t = ready(i);
-                // Dispatch when at least k cores are free: at the k-th
-                // smallest core-free time.
-                let mut free_times = core_free.clone();
-                free_times.sort_unstable();
-                let dispatch = free_times[k - 1].max(ready_t);
-                let mut chosen: Vec<usize> = (0..config.cores).collect();
-                chosen.sort_unstable_by_key(|&c| core_free[c]);
-                for ((pair_idx, (s, t, l)), &core) in pair_iter(w).enumerate().zip(chosen.iter()) {
-                    let mut job = config.pair_march_cycles(s, t, l) + config.job_overhead;
-                    if pair_idx == 0 {
-                        job += oncore_intersect;
-                    }
-                    core_free[core] = dispatch + job;
+                assert!(
+                    k <= config.cores,
+                    "a ray marches {k} pairs but the sampling module has only {} cores",
+                    config.cores
+                );
+                let dispatch = free[k - 1].max(ready(i));
+                for ((pair_idx, j), slot) in ray.jobs.iter().enumerate().zip(free.iter_mut()) {
+                    let job = job_cycles(pair_idx, j);
+                    *slot = dispatch + job;
                     result.busy_core_cycles += job;
-                    result.steps += t;
+                    result.steps += u64::from(j.steps);
                     result.pairs += 1;
                 }
+                free.sort_unstable();
             }
-            result.cycles = core_free.iter().copied().max().unwrap_or(0);
+            result.cycles = free.last().copied().unwrap_or(0);
         }
     }
 
@@ -281,22 +287,11 @@ pub fn simulate_sampling(
     result
 }
 
-/// Iterates a workload's pairs as `(samples, steps, lattice_steps)`.
-fn pair_iter(w: &RayWorkload) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-    (0..w.steps_per_pair.len()).map(move |i| {
-        (
-            *w.samples_per_pair.get(i).unwrap_or(&0) as u64,
-            w.steps_per_pair[i] as u64,
-            *w.lattice_steps_per_pair.get(i).unwrap_or(&w.steps_per_pair[i]) as u64,
-        )
-    })
-}
-
 /// The Table VI ablation: speedup of the full Technique T1 over the
 /// naive sampling module on the same workload.
-pub fn t1_speedup(workloads: &[RayWorkload]) -> f64 {
-    let naive = simulate_sampling(&SamplingModuleConfig::naive_baseline(), workloads);
-    let fusion = simulate_sampling(&SamplingModuleConfig::fusion3d(), workloads);
+pub fn t1_speedup(trace: &FrameTrace) -> f64 {
+    let naive = simulate_sampling(&SamplingModuleConfig::naive_baseline(), trace);
+    let fusion = simulate_sampling(&SamplingModuleConfig::fusion3d(), trace);
     if fusion.cycles == 0 {
         1.0
     } else {
@@ -307,16 +302,148 @@ pub fn t1_speedup(workloads: &[RayWorkload]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_scenes::synthetic_scene_traces;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
-    fn workload(pairs: &[(u16, u16)]) -> RayWorkload {
-        RayWorkload {
-            valid_pairs: pairs.len() as u8,
-            samples_per_pair: pairs.iter().map(|&(s, _)| s).collect(),
-            steps_per_pair: pairs.iter().map(|&(_, t)| t).collect(),
-            // By default the fine lattice spans 4x the marched steps
-            // (the naive module cannot skip empty cells).
-            lattice_steps_per_pair: pairs.iter().map(|&(_, t)| t.saturating_mul(4)).collect(),
+    /// A trace of rays given as `(samples, steps)` per pair. The fine
+    /// lattice spans 4x the marched steps (the naive module cannot skip
+    /// empty cells).
+    fn trace(rays: &[&[(u16, u16)]]) -> FrameTrace {
+        let mut trace = FrameTrace::default();
+        for pairs in rays {
+            let jobs: Vec<PairJob> = pairs
+                .iter()
+                .map(|&(samples, steps)| PairJob {
+                    samples,
+                    steps,
+                    lattice_steps: steps.saturating_mul(4),
+                })
+                .collect();
+            trace.push_ray(pairs.len() as u8, &jobs);
         }
+        trace
+    }
+
+    /// The clone-and-argsort `DynamicWholeRay` scheduler that the
+    /// sorted free-time vector replaced, kept as its oracle: per ray, a
+    /// sorted copy of the per-core free times gives the dispatch time,
+    /// and the ray's pairs go to the cores argsorted by free time.
+    fn dynamic_whole_ray_oracle(
+        config: &SamplingModuleConfig,
+        trace: &FrameTrace,
+    ) -> SamplingSimResult {
+        assert_eq!(config.policy, SchedulingPolicy::DynamicWholeRay);
+        let intersect = config.intersection.cycles_per_ray(config.preproc_alus);
+        let (preproc, oncore) = if config.partitioned() { (intersect, 0) } else { (0, intersect) };
+        let rays = trace.ray_count() as u64;
+        let mut result = SamplingSimResult {
+            cycles: 0,
+            busy_core_cycles: 0,
+            rays,
+            pairs: 0,
+            steps: 0,
+            preproc_cycles: preproc * rays,
+        };
+        let mut core_free = vec![0u64; config.cores];
+        for (i, ray) in trace.rays().enumerate() {
+            let k = ray.jobs.len();
+            if k == 0 {
+                continue;
+            }
+            let ready = (i as u64 + 1) * preproc;
+            let mut free_times = core_free.clone();
+            free_times.sort_unstable();
+            let dispatch = free_times[k - 1].max(ready);
+            let mut chosen: Vec<usize> = (0..config.cores).collect();
+            chosen.sort_unstable_by_key(|&c| core_free[c]);
+            for ((pair_idx, j), &core) in ray.jobs.iter().enumerate().zip(chosen.iter()) {
+                let mut job = config.pair_march_cycles(j) + config.job_overhead;
+                if pair_idx == 0 {
+                    job += oncore;
+                }
+                core_free[core] = dispatch + job;
+                result.busy_core_cycles += job;
+                result.steps += u64::from(j.steps);
+                result.pairs += 1;
+            }
+        }
+        result.cycles = core_free.iter().copied().max().unwrap_or(0).max(result.preproc_cycles);
+        result
+    }
+
+    /// Every dynamic whole-ray configuration of the oracle sweep: core
+    /// counts from the most pairs a scene ray marches (4) up, with and
+    /// without job overhead, in both intersection modes.
+    fn dynamic_sweep() -> Vec<SamplingModuleConfig> {
+        let mut configs = Vec::new();
+        for cores in [4, 8, 16, 32] {
+            for job_overhead in [0, 2] {
+                for intersection in [IntersectionMode::General, IntersectionMode::Normalized] {
+                    configs.push(SamplingModuleConfig {
+                        cores,
+                        intersection,
+                        job_overhead,
+                        ..SamplingModuleConfig::fusion3d()
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn sorted_free_times_match_the_argsort_oracle_on_the_scenes() {
+        for (scene, trace) in synthetic_scene_traces(128).iter().enumerate() {
+            for config in dynamic_sweep() {
+                assert_eq!(
+                    simulate_sampling(&config, trace),
+                    dynamic_whole_ray_oracle(&config, trace),
+                    "scene {scene}, {config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_free_times_match_the_argsort_oracle_under_ties() {
+        // Job lengths from a handful of values, so many cores free up
+        // at the same cycle and the oracle's argsort breaks ties.
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut trace = FrameTrace::default();
+            for _ in 0..600 {
+                let marched = rng.gen_range(0..=4usize);
+                let jobs: Vec<PairJob> = (0..marched)
+                    .map(|_| {
+                        let samples = rng.gen_range(0..3u16);
+                        PairJob {
+                            samples,
+                            steps: samples + 4 * rng.gen_range(0..2u16),
+                            lattice_steps: rng.gen_range(1..4u16),
+                        }
+                    })
+                    .collect();
+                // Some rays are cut by the sample cap before their last
+                // valid pair.
+                let valid = if marched > 0 { marched + rng.gen_range(0..2usize) } else { 0 };
+                trace.push_ray(valid as u8, &jobs);
+            }
+            for config in dynamic_sweep() {
+                assert_eq!(
+                    simulate_sampling(&config, &trace),
+                    dynamic_whole_ray_oracle(&config, &trace),
+                    "seed {seed}, {config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a ray marches 3 pairs but the sampling module has only 2 cores")]
+    fn a_ray_wider_than_the_core_pool_is_rejected() {
+        let cfg = SamplingModuleConfig { cores: 2, ..SamplingModuleConfig::fusion3d() };
+        simulate_sampling(&cfg, &trace(&[&[(1, 2), (1, 2), (1, 2)]]));
     }
 
     #[test]
@@ -335,7 +462,7 @@ mod tests {
     #[test]
     fn empty_workload_is_free() {
         let cfg = SamplingModuleConfig::fusion3d();
-        let r = simulate_sampling(&cfg, &[]);
+        let r = simulate_sampling(&cfg, &FrameTrace::default());
         assert_eq!(r.cycles, 0);
         assert_eq!(r.rays, 0);
         assert_eq!(r.core_utilization(cfg.cores), 0.0);
@@ -346,7 +473,7 @@ mod tests {
         let cfg = SamplingModuleConfig::fusion3d();
         // Pair A: 4 samples, 10 steps (6 skips -> 2 skip cycles).
         // Pair B: 2 samples, 6 steps (4 skips -> 1 skip cycle).
-        let w = [workload(&[(4, 10), (2, 6)])];
+        let w = trace(&[&[(4, 10), (2, 6)]]);
         let r = simulate_sampling(&cfg, &w);
         assert_eq!(r.rays, 1);
         assert_eq!(r.pairs, 2);
@@ -360,7 +487,7 @@ mod tests {
     #[test]
     fn naive_marches_the_full_lattice_with_oncore_intersection() {
         let cfg = SamplingModuleConfig::naive_baseline();
-        let w = [workload(&[(4, 10)])]; // lattice = 40
+        let w = trace(&[&[(4, 10)]]); // lattice = 40
         let r = simulate_sampling(&cfg, &w);
         // One core: 63 (intersection) + 40 (lattice) + 2 (overhead).
         assert_eq!(r.cycles, 63 + 40 + cfg.job_overhead);
@@ -378,12 +505,7 @@ mod tests {
         };
         // Two batches of two rays; each batch bounded by its longest
         // ray (100 dense samples vs 10).
-        let w = [
-            workload(&[(100, 100)]),
-            workload(&[(10, 10)]),
-            workload(&[(100, 100)]),
-            workload(&[(10, 10)]),
-        ];
+        let w = trace(&[&[(100, 100)], &[(10, 10)], &[(100, 100)], &[(10, 10)]]);
         let r = simulate_sampling(&cfg, &w);
         assert!(r.cycles >= 200, "barrier makespan: {}", r.cycles);
         let dynamic = simulate_sampling(
@@ -395,13 +517,17 @@ mod tests {
 
     #[test]
     fn dynamic_matches_pair_by_pair_closely() {
-        let w: Vec<RayWorkload> = (0..64)
-            .map(|i| {
-                let a = 5 + (i * 7) % 40;
-                let b = 3 + (i * 13) % 25;
-                workload(&[(a as u16, a as u16), (b as u16, b as u16)])
-            })
-            .collect();
+        let mut w = FrameTrace::default();
+        for i in 0..64u16 {
+            let a = 5 + (i * 7) % 40;
+            let b = 3 + (i * 13) % 25;
+            let jobs = [(a, a), (b, b)].map(|(samples, steps)| PairJob {
+                samples,
+                steps,
+                lattice_steps: steps * 4,
+            });
+            w.push_ray(2, &jobs);
+        }
         let base = SamplingModuleConfig::fusion3d();
         let pair = simulate_sampling(
             &SamplingModuleConfig { policy: SchedulingPolicy::PairByPair, ..base },
@@ -419,8 +545,13 @@ mod tests {
 
     #[test]
     fn utilization_bounded_and_consistent() {
-        let w: Vec<RayWorkload> =
-            (0..100).map(|i| workload(&[(3, 10 + (i % 30) as u16)])).collect();
+        let mut w = FrameTrace::default();
+        for i in 0..100u16 {
+            w.push_ray(
+                1,
+                &[PairJob { samples: 3, steps: 10 + i % 30, lattice_steps: 40 + 4 * (i % 30) }],
+            );
+        }
         for cfg in [SamplingModuleConfig::fusion3d(), SamplingModuleConfig::naive_baseline()] {
             let r = simulate_sampling(&cfg, &w);
             let u = r.core_utilization(cfg.cores);
@@ -433,23 +564,19 @@ mod tests {
     fn t1_speedup_larger_for_sparse_workloads() {
         // Sparse scene: rays retain a couple of samples across long
         // mostly-empty spans.
-        let sparse: Vec<RayWorkload> = (0..128)
-            .map(|i| RayWorkload {
-                valid_pairs: 1,
-                samples_per_pair: vec![2 + (i % 3) as u16],
-                steps_per_pair: vec![40],
-                lattice_steps_per_pair: vec![250],
-            })
-            .collect();
+        let mut sparse = FrameTrace::default();
+        for i in 0..128u16 {
+            sparse.push_ray(1, &[PairJob { samples: 2 + i % 3, steps: 40, lattice_steps: 250 }]);
+        }
         // Dense scene: a large fraction of the span is occupied.
-        let dense: Vec<RayWorkload> = (0..128)
-            .map(|i| RayWorkload {
-                valid_pairs: 2,
-                samples_per_pair: vec![40 + (i % 20) as u16, 25],
-                steps_per_pair: vec![55 + (i % 20) as u16, 35],
-                lattice_steps_per_pair: vec![130, 120],
-            })
-            .collect();
+        let mut dense = FrameTrace::default();
+        for i in 0..128u16 {
+            let jobs = [
+                PairJob { samples: 40 + i % 20, steps: 55 + i % 20, lattice_steps: 130 },
+                PairJob { samples: 25, steps: 35, lattice_steps: 120 },
+            ];
+            dense.push_ray(2, &jobs);
+        }
         let s_sparse = t1_speedup(&sparse);
         let s_dense = t1_speedup(&dense);
         assert!(s_sparse > 1.5 * s_dense, "sparse {s_sparse} vs dense {s_dense}");
@@ -460,7 +587,7 @@ mod tests {
     #[test]
     fn rays_missing_the_model_cost_only_preprocessing() {
         let cfg = SamplingModuleConfig::fusion3d();
-        let w = vec![workload(&[]); 32];
+        let w = trace(&[&[] as &[_]; 32]);
         let r = simulate_sampling(&cfg, &w);
         assert_eq!(r.pairs, 0);
         assert_eq!(r.busy_core_cycles, 0);
@@ -471,6 +598,6 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         let cfg = SamplingModuleConfig { cores: 0, ..SamplingModuleConfig::fusion3d() };
-        simulate_sampling(&cfg, &[]);
+        simulate_sampling(&cfg, &FrameTrace::default());
     }
 }

@@ -115,25 +115,25 @@ pub fn plan_training(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion3d_nerf::sampler::RayWorkload;
+    use fusion3d_nerf::sampler::PairJob;
 
     /// A paper-scale optimizer batch: ~2^18 samples over ~15k rays
     /// (matching 199 M pts/s × 2 s / 2000 iterations).
     fn paper_batch() -> FrameTrace {
-        let rays = 15_000usize;
         let samples_per_ray = 13u16;
-        FrameTrace {
-            workloads: (0..rays)
-                .map(|_| RayWorkload {
-                    valid_pairs: 2,
-                    samples_per_pair: vec![samples_per_ray - 4, 4],
-                    steps_per_pair: vec![samples_per_ray + 2, 8],
-                    lattice_steps_per_pair: vec![120, 60],
-                })
-                .collect(),
-            total_samples: rays as u64 * samples_per_ray as u64,
-            total_steps: rays as u64 * (samples_per_ray as u64 + 10),
+        let jobs = [
+            PairJob {
+                samples: samples_per_ray - 4,
+                steps: samples_per_ray + 2,
+                lattice_steps: 120,
+            },
+            PairJob { samples: 4, steps: 8, lattice_steps: 60 },
+        ];
+        let mut trace = FrameTrace::default();
+        for _ in 0..15_000 {
+            trace.push_ray(2, &jobs);
         }
+        trace
     }
 
     #[test]

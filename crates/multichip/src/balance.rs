@@ -10,7 +10,7 @@
 //! deployment turns on top of the conflict-free access T4 guarantees.
 
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::sampler::RayWorkload;
+use fusion3d_nerf::pipeline::FrameTrace;
 
 /// Errors from gate rebalancing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,17 +50,11 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Builds the report from per-chip Stage-I workloads.
-    pub fn from_workloads(per_chip: &[Vec<RayWorkload>]) -> Self {
+    /// Builds the report from per-chip Stage-I traces.
+    pub fn from_workloads(per_chip: &[FrameTrace]) -> Self {
         LoadReport {
-            samples: per_chip
-                .iter()
-                .map(|chip| chip.iter().map(|w| w.total_samples() as u64).sum())
-                .collect(),
-            steps: per_chip
-                .iter()
-                .map(|chip| chip.iter().map(|w| w.total_steps() as u64).sum())
-                .collect(),
+            samples: per_chip.iter().map(|trace| trace.total_samples).collect(),
+            steps: per_chip.iter().map(|trace| trace.total_steps).collect(),
         }
     }
 
@@ -194,22 +188,24 @@ pub fn rebalance_gates(gates: &mut [OccupancyGrid], tolerance: f64) -> Result<us
 mod tests {
     use super::*;
     use fusion3d_nerf::math::Vec3;
+    use fusion3d_nerf::sampler::PairJob;
 
-    fn workload(samples: u16) -> RayWorkload {
-        RayWorkload {
-            valid_pairs: 1,
-            samples_per_pair: vec![samples],
-            steps_per_pair: vec![samples + 4],
-            lattice_steps_per_pair: vec![samples * 3],
+    /// A chip trace of `rays` one-pair rays of `samples` samples each.
+    fn workload(rays: usize, samples: u16) -> FrameTrace {
+        let job = PairJob { samples, steps: samples + 4, lattice_steps: samples * 3 };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
         }
+        trace
     }
 
     #[test]
     fn load_report_and_imbalance() {
         let per_chip = vec![
-            vec![workload(10); 4], // 40 samples
-            vec![workload(10); 4],
-            vec![workload(30); 4], // 120 samples
+            workload(4, 10), // 40 samples
+            workload(4, 10),
+            workload(4, 30), // 120 samples
         ];
         let report = LoadReport::from_workloads(&per_chip);
         assert_eq!(report.samples, vec![40, 40, 120]);
@@ -220,7 +216,7 @@ mod tests {
 
     #[test]
     fn balanced_loads_report_unity() {
-        let per_chip = vec![vec![workload(12); 8]; 4];
+        let per_chip = vec![workload(8, 12); 4];
         let report = LoadReport::from_workloads(&per_chip);
         assert_eq!(report.sample_imbalance(), 1.0);
         assert_eq!(report.step_imbalance(), 1.0);
@@ -318,7 +314,7 @@ mod tests {
 
     #[test]
     fn load_report_records_per_chip_metrics() {
-        let per_chip = vec![vec![workload(10); 4], vec![workload(30); 2]];
+        let per_chip = vec![workload(4, 10), workload(2, 30)];
         let report = LoadReport::from_workloads(&per_chip);
         let mut obs = fusion3d_obs::Report::new("load");
         report.record(&mut obs);

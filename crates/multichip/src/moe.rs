@@ -32,9 +32,9 @@ use fusion3d_nerf::image::Image;
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::pipeline::render_layer;
+use fusion3d_nerf::pipeline::{render_layer, trace_frame, FrameTrace};
 use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
+use fusion3d_nerf::sampler::{sample_ray_into, SamplerConfig};
 use fusion3d_nerf::trainer::{TrainScratch, TrainerConfig};
 use rand::Rng;
 
@@ -183,19 +183,10 @@ impl<E: Encoding> MoeNerf<E> {
         img
     }
 
-    /// Captures per-expert (per-chip) Stage-I workloads for one frame,
+    /// Captures per-expert (per-chip) Stage-I traces for one frame,
     /// for the multi-chip workload-balance analysis.
-    pub fn per_chip_workloads(
-        &self,
-        camera: &Camera,
-        sampler: &SamplerConfig,
-    ) -> Vec<Vec<RayWorkload>> {
-        self.experts
-            .iter()
-            .map(|e| {
-                camera.rays().map(|(_, _, ray)| sample_ray(&ray, &e.occupancy, sampler).1).collect()
-            })
-            .collect()
+    pub fn per_chip_workloads(&self, camera: &Camera, sampler: &SamplerConfig) -> Vec<FrameTrace> {
+        self.experts.iter().map(|e| trace_frame(&e.occupancy, camera, sampler)).collect()
     }
 }
 
@@ -379,6 +370,7 @@ mod tests {
     use fusion3d_nerf::math::Ray;
     use fusion3d_nerf::reference;
     use fusion3d_nerf::render::{composite, composite_backward};
+    use fusion3d_nerf::sampler::sample_ray;
     use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -664,7 +656,7 @@ mod tests {
         let per_chip = moe.per_chip_workloads(&cam, &SamplerConfig::default());
         assert_eq!(per_chip.len(), 3);
         for chip in &per_chip {
-            assert_eq!(chip.len(), 64);
+            assert_eq!(chip.ray_count(), 64);
         }
     }
 }

@@ -5,7 +5,7 @@
 use crate::comm::{moe_bytes, FrameWorkload};
 use fusion3d_core::chip::FusionChip;
 use fusion3d_core::config::ChipConfig;
-use fusion3d_nerf::sampler::RayWorkload;
+use fusion3d_nerf::pipeline::FrameTrace;
 
 /// The chip-to-chip link substrate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,8 +197,7 @@ impl MultiChipSystem {
     }
 
     /// Simulates one frame (or training batch) given each chip's
-    /// Stage-I workload, as produced by
-    /// `MoeNerf::per_chip_workloads`.
+    /// Stage-I trace, as produced by `MoeNerf::per_chip_workloads`.
     ///
     /// `training` selects the training pipeline on every chip.
     ///
@@ -206,32 +205,21 @@ impl MultiChipSystem {
     ///
     /// Panics if `per_chip_workloads.len()` differs from the chip
     /// count.
-    pub fn simulate(
-        &self,
-        per_chip_workloads: &[Vec<RayWorkload>],
-        training: bool,
-    ) -> SystemReport {
+    pub fn simulate(&self, per_chip_workloads: &[FrameTrace], training: bool) -> SystemReport {
         assert_eq!(per_chip_workloads.len(), self.chips.len(), "need one workload per chip");
         let mut chip_seconds = Vec::with_capacity(self.chips.len());
         let mut total_points = 0u64;
         let mut rays = 0u64;
         let mut chip_energy = 0.0f64;
-        for (chip, workloads) in self.chips.iter().zip(per_chip_workloads) {
-            let samples: u64 = workloads.iter().map(|w| w.total_samples() as u64).sum();
-            let steps: u64 = workloads.iter().map(|w| w.total_steps() as u64).sum();
-            let trace = fusion3d_nerf::pipeline::FrameTrace {
-                workloads: workloads.clone(),
-                total_samples: samples,
-                total_steps: steps,
-            };
+        for (chip, trace) in self.chips.iter().zip(per_chip_workloads) {
             let report = if training {
-                chip.simulate_training_step(&trace)
+                chip.simulate_training_step(trace)
             } else {
-                chip.simulate_frame(&trace)
+                chip.simulate_frame(trace)
             };
             chip_seconds.push(report.seconds);
             chip_energy += report.energy_j;
-            total_points = total_points.max(samples);
+            total_points = total_points.max(trace.total_samples);
             rays = rays.max(trace.ray_count() as u64);
         }
         // Fusion traffic: ray broadcast + per-chip pixel partial sums.
@@ -256,17 +244,20 @@ impl MultiChipSystem {
 mod tests {
     use super::*;
 
-    fn workload(steps: u16, samples: u16) -> RayWorkload {
-        RayWorkload {
-            valid_pairs: 1,
-            samples_per_pair: vec![samples],
-            steps_per_pair: vec![steps],
-            lattice_steps_per_pair: vec![steps.saturating_mul(3)],
+    use fusion3d_nerf::sampler::PairJob;
+
+    /// A chip trace of `rays` one-pair rays.
+    fn chip_trace(rays: usize, steps: u16, samples: u16) -> FrameTrace {
+        let job = PairJob { samples, steps, lattice_steps: steps.saturating_mul(3) };
+        let mut trace = FrameTrace::default();
+        for _ in 0..rays {
+            trace.push_ray(1, &[job]);
         }
+        trace
     }
 
-    fn uniform_chip_workloads(chips: usize, rays: usize, samples: u16) -> Vec<Vec<RayWorkload>> {
-        (0..chips).map(|_| (0..rays).map(|_| workload(samples + 4, samples)).collect()).collect()
+    fn uniform_chip_workloads(chips: usize, rays: usize, samples: u16) -> Vec<FrameTrace> {
+        vec![chip_trace(rays, samples + 4, samples); chips]
     }
 
     #[test]
@@ -302,7 +293,7 @@ mod tests {
         let sys = MultiChipSystem::fusion3d();
         let mut wl = uniform_chip_workloads(4, 256, 12);
         // Chip 2 gets 4x the work.
-        wl[2] = (0..256).map(|_| workload(52, 48)).collect();
+        wl[2] = chip_trace(256, 52, 48);
         let report = sys.simulate(&wl, false);
         assert!(report.imbalance() > 1.5, "imbalance {}", report.imbalance());
         let balanced = sys.simulate(&uniform_chip_workloads(4, 256, 12), false);

@@ -74,8 +74,8 @@ pub use image::Image;
 pub use math::{Aabb, Ray, Vec3};
 pub use model::{ModelConfig, NerfModel};
 pub use occupancy::OccupancyGrid;
-pub use pipeline::{render_image, trace_frame, FrameTrace, PipelineConfig};
-pub use sampler::{RayWorkload, SamplerConfig};
+pub use pipeline::{render_image, trace_frame, trace_rays, FrameTrace, PipelineConfig, TracedRay};
+pub use sampler::{PairJob, RayWorkload, SamplerConfig};
 pub use scenes::{LargeScene, ProceduralScene, SyntheticScene};
 pub use trainer::{DataVolume, Trainer, TrainerConfig};
 

@@ -24,7 +24,7 @@ use crate::mlp::SH_DIM;
 use crate::model::{sh_row, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{CompositeState, ShadedSample};
-use crate::sampler::{sample_ray, sample_ray_append, RayWorkload, SamplerConfig};
+use crate::sampler::{count_ray, sample_ray_append, PairJob, SamplerConfig};
 use crate::trainer::worker_scratches;
 use fusion3d_par::Pool;
 
@@ -443,46 +443,117 @@ pub fn render_layer<E: Encoding>(
 
 /// Stage-level workload statistics of one frame, consumed by the
 /// accelerator simulator.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The layout is flat: every marched ray–cube pair's [`PairJob`] lies
+/// in one vector, ray after ray (in raster order for [`trace_frame`]),
+/// and each ray keeps its valid pair count and the end of its pairs in
+/// that vector. Rays that miss the model cube are included with zero
+/// pairs. Build a trace with [`trace_frame`], [`trace_rays`] or, for
+/// synthetic workloads, [`FrameTrace::push_ray`]; read it through
+/// [`FrameTrace::rays`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrameTrace {
-    /// Per-ray Stage-I workloads, in raster order (rays that miss the
-    /// model cube entirely are included with zero pairs).
-    pub workloads: Vec<RayWorkload>,
+    /// Every marched pair of every ray, ray after ray.
+    jobs: Vec<PairJob>,
+    /// Per ray, in trace order.
+    rays: Vec<RayEntry>,
     /// Total retained samples (Stage II/III workload).
     pub total_samples: u64,
     /// Total marching steps (Stage I workload).
     pub total_steps: u64,
 }
 
+/// One ray's entry in a [`FrameTrace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RayEntry {
+    valid_pairs: u8,
+    /// End of the ray's marched pairs in `FrameTrace::jobs`; the ray's
+    /// pairs start where the previous ray's end.
+    jobs_end: usize,
+}
+
+/// One ray of a [`FrameTrace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TracedRay<'a> {
+    /// Octant cubes the ray validly intersects. The sample cap can stop
+    /// the march before the last of them, so this can exceed
+    /// `jobs.len()`.
+    pub valid_pairs: u8,
+    /// The marched pairs, front to back.
+    pub jobs: &'a [PairJob],
+}
+
+impl TracedRay<'_> {
+    /// Retained samples of the ray.
+    pub fn total_samples(&self) -> u64 {
+        self.jobs.iter().map(|j| u64::from(j.samples)).sum()
+    }
+
+    /// Marching steps of the ray.
+    pub fn total_steps(&self) -> u64 {
+        self.jobs.iter().map(|j| u64::from(j.steps)).sum()
+    }
+}
+
 impl FrameTrace {
+    /// Appends a ray that validly intersects `valid_pairs` octant cubes
+    /// and marched `jobs`, and adds its samples and steps to the totals.
+    pub fn push_ray(&mut self, valid_pairs: u8, jobs: &[PairJob]) {
+        self.jobs.extend_from_slice(jobs);
+        self.close_ray(valid_pairs);
+    }
+
+    /// Ends the ray whose marched pairs were appended to `self.jobs`
+    /// since the previous ray ended, and adds them to the totals.
+    fn close_ray(&mut self, valid_pairs: u8) {
+        let start = self.rays.last().map_or(0, |r| r.jobs_end);
+        for job in &self.jobs[start..] {
+            self.total_samples += u64::from(job.samples);
+            self.total_steps += u64::from(job.steps);
+        }
+        // lint: allow(h2): amortized — one entry per ray into the
+        // frame trace's output product, sized per row
+        self.rays.push(RayEntry { valid_pairs, jobs_end: self.jobs.len() });
+    }
+
+    /// The rays of the frame, in trace order.
+    pub fn rays(&self) -> impl ExactSizeIterator<Item = TracedRay<'_>> + '_ {
+        let mut start = 0;
+        self.rays.iter().map(move |r| {
+            let jobs = &self.jobs[start..r.jobs_end];
+            start = r.jobs_end;
+            TracedRay { valid_pairs: r.valid_pairs, jobs }
+        })
+    }
+
     /// Number of rays in the frame.
     pub fn ray_count(&self) -> usize {
-        self.workloads.len()
+        self.rays.len()
     }
 
     /// Mean retained samples per ray.
     pub fn mean_samples_per_ray(&self) -> f64 {
-        if self.workloads.is_empty() {
+        if self.rays.is_empty() {
             0.0
         } else {
-            self.total_samples as f64 / self.workloads.len() as f64
+            self.total_samples as f64 / self.rays.len() as f64
         }
     }
 
     /// Fraction of rays with at least one valid ray–cube pair.
     pub fn hit_rate(&self) -> f64 {
-        if self.workloads.is_empty() {
+        if self.rays.is_empty() {
             return 0.0;
         }
-        let hits = self.workloads.iter().filter(|w| w.valid_pairs > 0).count();
-        hits as f64 / self.workloads.len() as f64
+        let hits = self.rays.iter().filter(|r| r.valid_pairs > 0).count();
+        hits as f64 / self.rays.len() as f64
     }
 }
 
-/// Captures the Stage-I workload of a frame without shading it. Rays
-/// trace one pixel row per work chunk across the pool; per-chunk
-/// traces merge in chunk order, so the result matches a serial sweep
-/// exactly.
+/// Captures the Stage-I workload of a frame without shading it. Each
+/// pixel row is one [`trace_rays`] task across the pool; rows are
+/// concatenated in row order with their offsets rebased, so the result
+/// matches a serial sweep exactly.
 pub fn trace_frame(
     occupancy: &OccupancyGrid,
     camera: &Camera,
@@ -490,24 +561,45 @@ pub fn trace_frame(
 ) -> FrameTrace {
     let width = camera.width() as usize;
     let count = width * camera.height() as usize;
-    let chunks = Pool::new().parallel_chunks(count, width.max(1), |_, range| {
-        let mut chunk = FrameTrace::default();
-        for i in range {
-            let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-            let (samples, workload) = sample_ray(&ray, occupancy, sampler);
-            chunk.total_samples += samples.len() as u64;
-            chunk.total_steps += workload.total_steps() as u64;
-            // lint: allow(h2): the per-ray workload list is the
-            // frame trace's output product, not shading scratch
-            chunk.workloads.push(workload);
-        }
-        chunk
+    let rows = Pool::new().parallel_chunks(count, width.max(1), |_, range| {
+        let rays = range.map(|i| camera.ray_for_pixel((i % width) as u32, (i / width) as u32));
+        trace_rays(rays, occupancy, sampler)
     });
-    let mut trace = FrameTrace::default();
-    for chunk in chunks {
-        trace.total_samples += chunk.total_samples;
-        trace.total_steps += chunk.total_steps;
-        trace.workloads.extend(chunk.workloads);
+    let mut trace = FrameTrace {
+        jobs: Vec::with_capacity(rows.iter().map(|r| r.jobs.len()).sum()),
+        rays: Vec::with_capacity(count),
+        ..FrameTrace::default()
+    };
+    for row in rows {
+        let base = trace.jobs.len();
+        trace.jobs.extend_from_slice(&row.jobs);
+        trace.rays.extend(row.rays.iter().map(|r| RayEntry { jobs_end: base + r.jobs_end, ..*r }));
+        trace.total_samples += row.total_samples;
+        trace.total_steps += row.total_steps;
+    }
+    trace
+}
+
+/// The Stage-I trace of `rays`, in order, on the calling thread: a
+/// counting walk (the march of [`crate::sampler::sample_ray`], keeping
+/// no sample) fills the flat job vector with no per-ray allocation.
+pub fn trace_rays(
+    rays: impl IntoIterator<Item = Ray>,
+    occupancy: &OccupancyGrid,
+    sampler: &SamplerConfig,
+) -> FrameTrace {
+    let rays = rays.into_iter();
+    let expected = rays.size_hint().0;
+    let mut trace = FrameTrace {
+        // Scene rays march about two pairs each.
+        jobs: Vec::with_capacity(2 * expected),
+        rays: Vec::with_capacity(expected),
+        ..FrameTrace::default()
+    };
+    let mut cube_pairs = Vec::with_capacity(8);
+    for ray in rays {
+        let valid_pairs = count_ray(&ray, occupancy, sampler, &mut cube_pairs, &mut trace.jobs);
+        trace.close_ray(valid_pairs);
     }
     trace
 }

@@ -10,9 +10,11 @@
 //!   filtered through the occupancy grid, so only points in non-empty
 //!   space reach Stages II/III.
 //!
-//! Per-ray workload statistics ([`RayWorkload`]) are captured for the
-//! accelerator simulator, whose dynamic workload scheduler (T1-2)
-//! dispatches whole rays onto sampling cores.
+//! Per-pair job lengths ([`PairJob`]) are counted for the accelerator
+//! simulator, whose dynamic workload scheduler (T1-2) dispatches whole
+//! rays onto sampling cores. [`crate::pipeline::trace_frame`] counts
+//! them with an allocation-free walk; [`sample_ray`]'s [`RayWorkload`]
+//! is that walk's oracle.
 
 use crate::batch::SampleBatch;
 use crate::math::{Aabb, Ray, TSpan, Vec3};
@@ -59,8 +61,22 @@ pub struct RaySample {
     pub cube: u8,
 }
 
-/// Per-ray workload statistics consumed by the accelerator simulator's
-/// dynamic workload scheduler.
+/// One marched ray–cube pair: the job a sampling core runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PairJob {
+    /// Retained (occupied) samples.
+    pub samples: u16,
+    /// Marching steps (fine steps in occupied cells plus one DDA step
+    /// per skipped empty cell) — the job length on a sampling core.
+    pub steps: u16,
+    /// Fine-lattice steps spanning the pair (`span / δt`), i.e. the
+    /// cost a naive module without occupancy-grid DDA skipping would
+    /// pay marching the pair.
+    pub lattice_steps: u16,
+}
+
+/// Per-ray workload statistics of [`sample_ray`], kept as the oracle
+/// of the counting walk behind [`crate::pipeline::trace_frame`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RayWorkload {
     /// Number of octant cubes the ray validly intersects (the paper:
@@ -153,8 +169,6 @@ pub fn sample_ray(
     'pairs: for (cube, span) in pairs {
         workload
             .lattice_steps_per_pair
-            // lint: allow(h2): per-ray workload-tracing variant with
-            // with_capacity'd output; shading uses sample_ray_into
             .push((span.length() / dt).ceil().min(u16::MAX as f32) as u16);
         let mut retained_in_pair = 0u16;
         let mut steps_in_pair = 0u16;
@@ -168,12 +182,11 @@ pub fn sample_ray(
             steps_in_pair = steps_in_pair.saturating_add(1);
             let p = ray.at(t);
             if occupancy.is_occupied(p) {
-                // lint: allow(h2): tracing variant — see above
                 samples.push(RaySample { t, dt, position: p, cube });
                 retained_in_pair += 1;
                 if samples.len() >= config.max_samples_per_ray {
-                    workload.samples_per_pair.push(retained_in_pair); // lint: allow(h2): tracing variant
-                    workload.steps_per_pair.push(steps_in_pair); // lint: allow(h2): tracing variant
+                    workload.samples_per_pair.push(retained_in_pair);
+                    workload.steps_per_pair.push(steps_in_pair);
                     break 'pairs;
                 }
                 t += dt;
@@ -186,10 +199,60 @@ pub fn sample_ray(
                 t = (t0 + k * dt).max(t + dt);
             }
         }
-        workload.samples_per_pair.push(retained_in_pair); // lint: allow(h2): tracing variant
-        workload.steps_per_pair.push(steps_in_pair); // lint: allow(h2): tracing variant
+        workload.samples_per_pair.push(retained_in_pair);
+        workload.steps_per_pair.push(steps_in_pair);
     }
     (samples, workload)
+}
+
+/// The counting walk behind [`crate::pipeline::trace_frame`]: marches
+/// `ray` exactly as [`sample_ray`] does, but keeps no sample. It
+/// appends one [`PairJob`] per marched pair to `jobs` and returns the
+/// ray's valid pair count. A ray stopped by the sample cap marches
+/// fewer pairs than it validly intersects, as in [`sample_ray`].
+/// `cube_pairs` is caller-owned scratch reused across rays.
+pub(crate) fn count_ray(
+    ray: &Ray,
+    occupancy: &OccupancyGrid,
+    config: &SamplerConfig,
+    cube_pairs: &mut Vec<(u8, TSpan)>,
+    jobs: &mut Vec<PairJob>,
+) -> u8 {
+    ray_cube_pairs_into(ray, cube_pairs);
+    let dt = config.step();
+    let mut retained = 0usize;
+    for &(_, span) in cube_pairs.iter() {
+        let lattice_steps = (span.length() / dt).ceil().min(u16::MAX as f32) as u16;
+        let mut job = PairJob { samples: 0, steps: 0, lattice_steps };
+        let mut capped = false;
+        // The march of `sample_ray`, step for step.
+        let t0 = span.t_near + dt * 0.5;
+        let mut t = t0;
+        while t < span.t_far {
+            job.steps = job.steps.saturating_add(1);
+            let p = ray.at(t);
+            if occupancy.is_occupied(p) {
+                job.samples += 1;
+                retained += 1;
+                if retained >= config.max_samples_per_ray {
+                    capped = true;
+                    break;
+                }
+                t += dt;
+            } else {
+                let exit = occupancy.cell_exit_t(ray, t);
+                let k = ((exit - t0) / dt).floor() + 1.0;
+                t = (t0 + k * dt).max(t + dt);
+            }
+        }
+        // lint: allow(h2): amortized — appends to the row's flat job
+        // vector, the frame trace's output product
+        jobs.push(job);
+        if capped {
+            break;
+        }
+    }
+    cube_pairs.len() as u8
 }
 
 /// [`sample_ray`] marching into a caller-owned [`SampleBatch`]
@@ -199,8 +262,8 @@ pub fn sample_ray(
 /// [`sample_ray`]; per-cube statistics stay with the tracing path.
 /// It takes fewer steps: the occupancy grid's empty-space summary
 /// lets it skip spans and span tails that hold no sample, which
-/// [`sample_ray`] still marches because its step counts are the
-/// sampling cores' job lengths.
+/// [`sample_ray`] and the trace walk still march because their step
+/// counts are the sampling cores' job lengths.
 pub fn sample_ray_into(
     ray: &Ray,
     occupancy: &OccupancyGrid,

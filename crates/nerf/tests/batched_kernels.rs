@@ -17,9 +17,9 @@ use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::pipeline::{render_image, PipelineConfig};
+use fusion3d_nerf::pipeline::{render_image, trace_frame, trace_rays, FrameTrace, PipelineConfig};
 use fusion3d_nerf::reference;
-use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, SamplerConfig};
+use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, PairJob, RayWorkload, SamplerConfig};
 use fusion3d_nerf::trainer::{Trainer, TrainerConfig};
 use fusion3d_nerf::{Dataset, ProceduralScene, SyntheticScene};
 use fusion3d_par::set_thread_override;
@@ -334,14 +334,11 @@ fn sweep_rays(grid: &OccupancyGrid, rng: &mut SmallRng) -> Vec<Ray> {
     rays
 }
 
-/// `sample_ray_into` skips the ray–octant spans and span tails that the
-/// occupancy grid's empty-space summary rules out, yet must emit
-/// exactly `sample_ray`'s samples: t, δt and positions bit for bit.
-/// The grids put occupied cells where that skip is tightest (alone, on
-/// faces and corners, on octant planes, with a gap inside one pair),
-/// at resolutions that do and do not divide into summary blocks.
-#[test]
-fn sample_ray_into_matches_sample_ray() {
+/// Grids that put occupied cells where Stage-I skipping is tightest
+/// (alone, on faces and corners, on octant planes, with a gap inside
+/// one pair), at resolutions that do and do not divide into summary
+/// blocks.
+fn sweep_grids() -> Vec<OccupancyGrid> {
     let sphere = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.4);
     let mut grids = vec![sphere, grid_with(24, &[[7, 11, 3]]), grid_with(25, &[[12, 12, 12]])];
     for r in [5, 7, 24, 25] {
@@ -350,15 +347,110 @@ fn sample_ray_into_matches_sample_ray() {
     for r in [24, 25] {
         grids.push(grid_with(r, &two_cluster_cells(r)));
     }
-    let configs = [
+    grids
+}
+
+/// Samplers of the sweep; the last caps rays after three samples.
+fn sweep_configs() -> [SamplerConfig; 3] {
+    [
         SamplerConfig { steps_per_diagonal: 64, max_samples_per_ray: 48 },
         SamplerConfig { steps_per_diagonal: 192, max_samples_per_ray: 128 },
         SamplerConfig { steps_per_diagonal: 97, max_samples_per_ray: 3 },
-    ];
+    ]
+}
+
+/// `sample_ray`'s workload as the flat trace's pair jobs.
+fn jobs_of(workload: &RayWorkload) -> Vec<PairJob> {
+    assert_eq!(workload.samples_per_pair.len(), workload.steps_per_pair.len());
+    assert_eq!(workload.lattice_steps_per_pair.len(), workload.steps_per_pair.len());
+    (0..workload.steps_per_pair.len())
+        .map(|i| PairJob {
+            samples: workload.samples_per_pair[i],
+            steps: workload.steps_per_pair[i],
+            lattice_steps: workload.lattice_steps_per_pair[i],
+        })
+        .collect()
+}
+
+/// The counting walk behind `trace_frame` keeps no sample, yet must
+/// count exactly what `sample_ray` counts: per ray its valid pairs and,
+/// per marched pair, retained samples, marching steps and lattice
+/// steps. Rays the sample cap stops before their last valid pair march
+/// fewer pairs than they intersect; the sweep includes such rays.
+#[test]
+fn traced_rays_match_sample_ray_workloads() {
+    // A one-sample cap stops most rays in their first occupied pair.
+    let mut configs = sweep_configs().to_vec();
+    configs.push(SamplerConfig { steps_per_diagonal: 150, max_samples_per_ray: 1 });
+    let mut rng = SmallRng::seed_from_u64(41);
+    let (mut rays_checked, mut cut_short) = (0, 0);
+    for grid in &sweep_grids() {
+        let rays = sweep_rays(grid, &mut rng);
+        for config in &configs {
+            let trace = trace_rays(rays.iter().copied(), grid, config);
+            assert_eq!(trace.ray_count(), rays.len());
+            let (mut samples, mut steps) = (0u64, 0u64);
+            for (ray, traced) in rays.iter().zip(trace.rays()) {
+                let (kept, workload) = sample_ray(ray, grid, config);
+                let what = format!(
+                    "res {} ray {ray:?} cap {}",
+                    grid.resolution(),
+                    config.max_samples_per_ray
+                );
+                assert_eq!(traced.valid_pairs, workload.valid_pairs, "valid pairs: {what}");
+                assert_eq!(traced.jobs, jobs_of(&workload).as_slice(), "pair jobs: {what}");
+                assert_eq!(traced.total_samples(), kept.len() as u64, "samples: {what}");
+                samples += kept.len() as u64;
+                steps += u64::from(workload.total_steps());
+                rays_checked += 1;
+                cut_short += usize::from(traced.jobs.len() < usize::from(traced.valid_pairs));
+            }
+            assert_eq!((trace.total_samples, trace.total_steps), (samples, steps));
+        }
+    }
+    assert!(rays_checked > 10_000, "only {rays_checked} rays checked");
+    assert!(cut_short > 100, "only {cut_short} rays stopped before their last valid pair");
+}
+
+/// `trace_frame` traces rows as pool tasks and concatenates them; at
+/// any thread count it must equal a serial per-pixel `sample_ray`
+/// sweep in raster order, pair job for pair job.
+#[test]
+fn trace_frame_matches_a_serial_sample_ray_sweep_at_any_thread_count() {
+    let occupancy = ProceduralScene::synthetic(SyntheticScene::Ship).occupancy_grid(32);
+    let pose = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, 8)[2];
+    // Not square, so a swapped row and column would show.
+    let camera = Camera::new(pose, 40, 27, 0.9);
+    for sampler in [
+        SamplerConfig { steps_per_diagonal: 512, max_samples_per_ray: 256 },
+        SamplerConfig { steps_per_diagonal: 150, max_samples_per_ray: 2 },
+    ] {
+        let mut serial = FrameTrace::default();
+        for (_, _, ray) in camera.rays() {
+            let (_, workload) = sample_ray(&ray, &occupancy, &sampler);
+            serial.push_ray(workload.valid_pairs, &jobs_of(&workload));
+        }
+        assert!(serial.total_samples > 0);
+        for threads in [1, 4] {
+            set_thread_override(Some(threads));
+            let traced = trace_frame(&occupancy, &camera, &sampler);
+            set_thread_override(None);
+            assert_eq!(traced, serial, "{threads} threads, {sampler:?}");
+        }
+    }
+}
+
+/// `sample_ray_into` skips the ray–octant spans and span tails that the
+/// occupancy grid's empty-space summary rules out, yet must emit
+/// exactly `sample_ray`'s samples: t, δt and positions bit for bit,
+/// on the sweep grids, where that skip is tightest.
+#[test]
+fn sample_ray_into_matches_sample_ray() {
+    let configs = sweep_configs();
     let mut batch = SampleBatch::new();
     let mut rng = SmallRng::seed_from_u64(37);
     let (mut rays_with_samples, mut capped, mut gaps) = (0, 0, 0);
-    for grid in &grids {
+    for grid in &sweep_grids() {
         for ray in sweep_rays(grid, &mut rng) {
             for config in &configs {
                 let (scalar, _) = sample_ray(&ray, grid, config);

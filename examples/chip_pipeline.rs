@@ -68,7 +68,7 @@ fn main() {
         ("dynamic whole-ray (T1-2)", SchedulingPolicy::DynamicWholeRay),
     ] {
         let cfg = SamplingModuleConfig { policy, ..SamplingModuleConfig::fusion3d() };
-        let r = simulate_sampling(&cfg, &trace.workloads);
+        let r = simulate_sampling(&cfg, &trace);
         println!(
             "  {:<26} {:>9} cycles, {:>5.1}% core utilization",
             name,

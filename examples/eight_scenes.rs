@@ -39,7 +39,7 @@ fn main() {
             trace.hit_rate() * 100.0,
             report.points_per_second() / 1e6,
             fps,
-            t1_speedup(&trace.workloads),
+            t1_speedup(&trace),
         )
     });
 

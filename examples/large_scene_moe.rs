@@ -98,7 +98,7 @@ fn main() {
     // Communication: MoE Level-1 tiling vs a layer-split mapping.
     let workload = FrameWorkload {
         rays: view.camera.pixel_count(),
-        samples: per_chip.iter().flatten().map(|w| w.total_samples() as u64).sum(),
+        samples: per_chip.iter().map(|trace| trace.total_samples).sum(),
         feature_dim: 8,
         training: false,
     };

@@ -248,15 +248,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     if flag_present(&flags, "multichip") {
         use fusion3d::multichip::system::MultiChipSystem;
         let system = MultiChipSystem::fusion3d();
-        let gates = fusion3d_bench_partition(&occupancy, 4);
-        let per_chip: Vec<Vec<fusion3d::nerf::RayWorkload>> = gates
+        let per_chip: Vec<fusion3d::nerf::FrameTrace> = fusion3d_bench_partition(&occupancy, 4)
             .iter()
-            .map(|g| {
-                camera
-                    .rays()
-                    .map(|(_, _, ray)| fusion3d::nerf::sampler::sample_ray(&ray, g, &sampler).1)
-                    .collect()
-            })
+            .map(|gate| trace_frame(gate, &camera, &sampler))
             .collect();
         let report = system.simulate(&per_chip, false);
         println!(

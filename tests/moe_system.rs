@@ -90,7 +90,7 @@ fn multichip_system_runs_trained_moe_workloads() {
     assert!(inference.energy_j > 0.0);
     assert!(inference.imbalance() >= 1.0);
 
-    let samples: u64 = per_chip.iter().flatten().map(|w| w.total_samples() as u64).sum();
+    let samples: u64 = per_chip.iter().map(|trace| trace.total_samples).sum();
     let workload =
         FrameWorkload { rays: camera.pixel_count(), samples, feature_dim: 6, training: false };
     assert!(moe_bytes(&workload, 4) * 5 < layer_split_bytes(&workload, 4));
