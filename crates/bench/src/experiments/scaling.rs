@@ -2,10 +2,8 @@
 //! varying numbers of chips" (Sec. V-A, Fig. 8 top row), and the
 //! convergent PSNR improves with the number of experts (Fig. 13(a)).
 
-use crate::support::{
-    large_scene_occupancy, partition_occupancy, print_table, trace_camera, trace_sampler, TRACE_RES,
-};
-use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
+use crate::support::{large_scene_occupancy, print_table, trace_camera, trace_sampler, TRACE_RES};
+use fusion3d_multichip::moe::{partition_occupancy, MoeNerf, MoeTrainer};
 use fusion3d_multichip::system::{MultiChipConfig, MultiChipSystem};
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;

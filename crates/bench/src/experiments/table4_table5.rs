@@ -3,10 +3,11 @@
 //! scenes).
 
 use crate::support::{
-    for_each_scene, large_scene_occupancy, large_scene_trace, opt, partition_occupancy,
-    print_table, reported, trace_camera, trace_sampler, TRACE_RES,
+    for_each_scene, large_scene_occupancy, large_scene_trace, opt, print_table, reported,
+    trace_camera, trace_sampler, TRACE_RES,
 };
 use fusion3d_baselines::devices;
+use fusion3d_multichip::moe::partition_occupancy;
 use fusion3d_multichip::system::MultiChipSystem;
 use fusion3d_nerf::pipeline::{trace_frame, FrameTrace};
 use fusion3d_nerf::scenes::LargeScene;

@@ -75,44 +75,6 @@ where
     Pool::new().parallel_chunks(scenes.len(), 1, |index, _| work(scenes[index]))
 }
 
-/// Partitions a scene occupancy grid into `experts` per-chip gates,
-/// emulating the *partial* spatial specialization MoE training
-/// produces (Fig. 8: regions are dominated by one expert, but many are
-/// shared by two or more). Cells deep inside another expert's
-/// azimuthal sector (the inner half around its center) are pruned from
-/// an expert's gate; boundary regions stay shared by all.
-pub fn partition_occupancy(full: &OccupancyGrid, experts: usize) -> Vec<OccupancyGrid> {
-    let mut grids: Vec<OccupancyGrid> =
-        (0..experts).map(|_| OccupancyGrid::new(full.resolution(), full.threshold())).collect();
-    if experts == 1 {
-        grids[0] = full.clone();
-        return grids;
-    }
-    let sector = std::f32::consts::TAU / experts as f32;
-    for cell in full.occupied_cells() {
-        let c = full.cell_center(cell);
-        let angle = (c.z - 0.5).atan2(c.x - 0.5) + std::f32::consts::PI;
-        for (e, grid) in grids.iter_mut().enumerate() {
-            // Angular distance to each *other* expert's sector center.
-            let strongly_owned_by_other = (0..experts).any(|m| {
-                if m == e {
-                    return false;
-                }
-                let center = (m as f32 + 0.5) * sector;
-                let mut d = (angle - center).abs();
-                if d > std::f32::consts::PI {
-                    d = std::f32::consts::TAU - d;
-                }
-                d < 0.25 * sector
-            });
-            if !strongly_owned_by_other {
-                grid.set_cell(cell, true);
-            }
-        }
-    }
-    grids
-}
-
 /// Formats one table row with fixed-width columns.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
@@ -185,23 +147,6 @@ mod tests {
             mic.total_samples,
             ship.total_samples
         );
-    }
-
-    #[test]
-    fn partition_covers_and_overlaps() {
-        let full = scene_occupancy(SyntheticScene::Hotdog);
-        let parts = partition_occupancy(&full, 4);
-        assert_eq!(parts.len(), 4);
-        // Every occupied cell is owned by at least one expert.
-        for cell in full.occupied_cells() {
-            assert!(parts.iter().any(|g| g.is_cell_occupied(cell)));
-        }
-        // Each expert holds a strict subset.
-        let total: f64 = parts.iter().map(|g| g.occupancy_ratio()).sum();
-        assert!(total >= full.occupancy_ratio());
-        for p in &parts {
-            assert!(p.occupancy_ratio() < full.occupancy_ratio());
-        }
     }
 
     #[test]

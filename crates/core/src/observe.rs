@@ -108,7 +108,7 @@ pub fn observe_frame(
     // the `sampling.*` metrics all read this one result.
     let sampling = simulate_sampling(chip.sampling_config(), trace);
     let analytic = chip.stage_report(trace, sampling.cycles, training);
-    let (stepped, attribution) = step_pipeline(chip, trace, buffers, training, sampling.cycles);
+    let (stepped, attribution) = step_pipeline(trace, buffers, &analytic.stages);
 
     // Span tree: attributed stage cycles laid out under the frame root.
     let root_name = if training { "train_step" } else { "frame" };

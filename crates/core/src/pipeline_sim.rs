@@ -12,8 +12,7 @@
 //! chip's Memory Clusters answer with their software-configurable
 //! ping-pong arrays.
 
-use crate::chip::FusionChip;
-use crate::interp::PipelineMode;
+use crate::chip::{FusionChip, StageCycles};
 use crate::sampling::simulate_sampling;
 use fusion3d_nerf::pipeline::FrameTrace;
 
@@ -124,18 +123,18 @@ pub fn simulate_pipeline_attributed(
     training: bool,
 ) -> (PipelineSimReport, CycleAttribution) {
     let sampling_cycles = simulate_sampling(chip.sampling_config(), trace).cycles;
-    step_pipeline(chip, trace, buffers, training, sampling_cycles)
+    step_pipeline(trace, buffers, &chip.stage_report(trace, sampling_cycles, training).stages)
 }
 
-/// [`simulate_pipeline_attributed`] for a frame whose Stage I took
-/// `sampling_cycles`, so a caller that already simulated it does not
-/// simulate it again.
+/// [`simulate_pipeline_attributed`] for a frame whose per-stage cycles
+/// the chip's analytic report already holds
+/// ([`FusionChip::stage_report`]), so a caller that simulated Stage I
+/// does not simulate it again and every stage runs at the chip's own
+/// rate.
 pub(crate) fn step_pipeline(
-    chip: &FusionChip,
     trace: &FrameTrace,
     buffers: &BufferConfig,
-    training: bool,
-    sampling_cycles: u64,
+    stages: &StageCycles,
 ) -> (PipelineSimReport, CycleAttribution) {
     assert!(
         buffers.sample_fifo > 0 && buffers.feature_fifo > 0,
@@ -155,22 +154,13 @@ pub(crate) fn step_pipeline(
     }
 
     // Sustained per-stage rates in points per cycle.
+    let StageCycles {
+        sampling: sampling_cycles,
+        interpolation: s2_cycles,
+        post_processing: s3_cycles,
+    } = *stages;
     let r1 = total as f64 / sampling_cycles.max(1) as f64;
-    let mode = if training { PipelineMode::Training } else { PipelineMode::Inference };
-    let s2_cycles = {
-        let c = chip.config();
-        let interp = crate::interp::InterpModuleConfig::fusion3d(c.interp_cores, c.model_levels);
-        interp.cycles_for_points(total, trace.ray_count() as u64, mode)
-    };
     let r2 = total as f64 / s2_cycles.max(1) as f64;
-    let s3_cycles = {
-        let pp = crate::postproc::PostProcConfig::fusion3d(5312);
-        if training {
-            pp.training_cycles(total, trace.ray_count() as u64)
-        } else {
-            pp.frame_cycles(total, trace.ray_count() as u64)
-        }
-    };
     let r3 = total as f64 / s3_cycles.max(1) as f64;
 
     let mut report = PipelineSimReport {

@@ -15,38 +15,36 @@
 //! where `C_e` is expert `e`'s composited radiance (black background)
 //! and `T_e` its residual transmittance. Each expert renders its layer
 //! on the unchanged single-chip pipeline
-//! ([`fusion3d_nerf::pipeline::render_layer`]) and trains on the same
-//! batched kernels as [`fusion3d_nerf::trainer::Trainer`]. Only
-//! per-pixel partial sums ever cross chips, which is what slashes
-//! chip-to-chip communication by ~94 % (Fig. 12(a)). During training, gradients flow to each
-//! expert through its own compositing (including the shared
-//! background product), and the per-expert occupancy grids gradually
+//! ([`fusion3d_nerf::pipeline::render_layer`]). Only per-pixel partial
+//! sums ever cross chips, which is what slashes chip-to-chip
+//! communication by ~94 % (Fig. 12(a)).
+//!
+//! [`MoeTrainer`] trains on the single model's own step,
+//! [`TrainState::fused_step`]: every expert runs each training ray
+//! through Stage I, one batched forward and compositing over black, and
+//! its gradient flows back through its own compositing, with the shared
+//! background attenuated by the other experts' transmittances. The
+//! batch shards, the sparse shard-order gradient merge, the
+//! learning-rate schedule and the batched occupancy refreshes are
+//! [`fusion3d_nerf::trainer::Trainer`]'s; a one-expert MoE trains bit
+//! for bit as `Trainer` does. The per-expert occupancy grids gradually
 //! prune the regions an expert does not own — the specialization
 //! visualized in the paper's Fig. 8.
 
-use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::{Encoding, HashGrid};
 use fusion3d_nerf::image::Image;
 use fusion3d_nerf::math::Vec3;
-use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
+use fusion3d_nerf::model::{ModelConfig, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_layer, trace_frame, FrameTrace};
-use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray_into, SamplerConfig};
-use fusion3d_nerf::trainer::{TrainScratch, TrainerConfig};
+use fusion3d_nerf::sampler::SamplerConfig;
+use fusion3d_nerf::trainer::{tail_mean, TrainState, TrainerConfig};
 use rand::Rng;
+use std::f32::consts::{PI, TAU};
 
-/// One expert: a complete small NeRF model plus its gating occupancy
-/// grid, resident on one chip.
-#[derive(Debug)]
-pub struct Expert<E: Encoding = HashGrid> {
-    /// The expert's field.
-    pub model: NerfModel<E>,
-    /// The expert's occupancy grid (the MoE gate).
-    pub occupancy: OccupancyGrid,
-}
+pub use fusion3d_nerf::trainer::Expert;
 
 /// A Mixture-of-Experts NeRF: `N` complete small models whose pixel
 /// outputs are fused by addition. Generic over the experts' spatial
@@ -111,19 +109,13 @@ impl MoeNerf<HashGrid> {
         rng: &mut R,
     ) -> Self {
         assert!(expert_count > 0, "MoE needs at least one expert");
-        let sector = std::f32::consts::TAU / expert_count as f32;
+        let sector = TAU / expert_count as f32;
         let experts = (0..expert_count)
             .map(|e| {
                 let model = NerfModel::new(per_expert, rng);
                 let mut occupancy = OccupancyGrid::new(occupancy_resolution, occupancy_threshold);
                 for cell in 0..occupancy.cell_count() {
-                    let c = occupancy.cell_center(cell);
-                    let angle = (c.z - 0.5).atan2(c.x - 0.5) + std::f32::consts::PI;
-                    let center = (e as f32 + 0.5) * sector;
-                    let mut d = (angle - center).abs();
-                    if d > std::f32::consts::PI {
-                        d = std::f32::consts::TAU - d;
-                    }
+                    let d = sector_distance(occupancy.cell_center(cell), e, sector);
                     occupancy.set_cell(cell, d <= sector * 0.6);
                 }
                 Expert { model, occupancy }
@@ -131,6 +123,47 @@ impl MoeNerf<HashGrid> {
             .collect();
         MoeNerf { experts }
     }
+}
+
+/// The angle around the model cube's vertical axis between point `c`
+/// and the center of sector `e` of width `sector`, in `[0, π]`.
+fn sector_distance(c: Vec3, e: usize, sector: f32) -> f32 {
+    let angle = (c.z - 0.5).atan2(c.x - 0.5) + PI;
+    let d = (angle - (e as f32 + 0.5) * sector).abs();
+    if d > PI {
+        TAU - d
+    } else {
+        d
+    }
+}
+
+/// Partitions a scene occupancy grid into `experts` per-chip gates,
+/// emulating the *partial* spatial specialization MoE training
+/// produces (Fig. 8: regions are dominated by one expert, but many are
+/// shared by two or more). Cells deep inside another expert's
+/// azimuthal sector (the inner half around its center) are pruned from
+/// an expert's gate; boundary regions stay shared by all. The
+/// simulator's multi-chip traces use these gates in place of trained
+/// ones.
+pub fn partition_occupancy(full: &OccupancyGrid, experts: usize) -> Vec<OccupancyGrid> {
+    let mut grids: Vec<OccupancyGrid> =
+        (0..experts).map(|_| OccupancyGrid::new(full.resolution(), full.threshold())).collect();
+    if experts == 1 {
+        grids[0] = full.clone();
+        return grids;
+    }
+    let sector = TAU / experts as f32;
+    for cell in full.occupied_cells() {
+        let c = full.cell_center(cell);
+        for (e, grid) in grids.iter_mut().enumerate() {
+            let strongly_owned_by_other =
+                (0..experts).any(|m| m != e && sector_distance(c, m, sector) < 0.25 * sector);
+            if !strongly_owned_by_other {
+                grid.set_cell(cell, true);
+            }
+        }
+    }
+    grids
 }
 
 impl<E: Encoding> MoeNerf<E> {
@@ -190,45 +223,21 @@ impl<E: Encoding> MoeNerf<E> {
     }
 }
 
-/// One expert's training working set, reused by every step: its
-/// Stage-I samples, the forward state its backward pass reuses, and
-/// the per-sample rows between compositing and the model.
-#[derive(Debug, Default)]
-struct ExpertScratch {
-    samples: SampleBatch,
-    kernel: KernelScratch,
-    shaded: Vec<ShadedSample>,
-    weights: Vec<f32>,
-    sample_grads: Vec<SampleGrad>,
-    d_sigma: Vec<f32>,
-    d_color: Vec<Vec3>,
-    /// The expert's transmittance behind the current ray.
-    transmittance: f32,
-}
-
-/// Trains a [`MoeNerf`] end to end with pixel-sum fusion.
+/// Trains a [`MoeNerf`] end to end with pixel-sum fusion, on the
+/// training step [`fusion3d_nerf::trainer::Trainer`] runs for one
+/// model.
 #[derive(Debug)]
 pub struct MoeTrainer<E: Encoding = HashGrid> {
     moe: MoeNerf<E>,
-    optimizers: Vec<ModelOptimizer>,
-    grads: Vec<ModelGrads>,
-    scratch: Vec<ExpertScratch>,
-    /// The occupancy refresh's buffers, shared by the experts in turn.
-    refresh: TrainScratch,
-    config: TrainerConfig,
-    iteration: u32,
+    state: TrainState,
 }
 
 impl<E: Encoding> MoeTrainer<E> {
     /// Creates a trainer over an existing MoE model. Every expert's
     /// optimizer takes its settings from `config.adam`.
     pub fn new(moe: MoeNerf<E>, config: TrainerConfig) -> Self {
-        let optimizers =
-            moe.experts.iter().map(|e| ModelOptimizer::new(config.adam, &e.model)).collect();
-        let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
-        let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
-        let refresh = TrainScratch::new();
-        MoeTrainer { moe, optimizers, grads, scratch, refresh, config, iteration: 0 }
+        let state = TrainState::new(config, &moe.experts);
+        MoeTrainer { moe, state }
     }
 
     /// The MoE model.
@@ -238,7 +247,7 @@ impl<E: Encoding> MoeTrainer<E> {
 
     /// Iterations completed.
     pub fn iteration(&self) -> u32 {
-        self.iteration
+        self.state.iteration()
     }
 
     /// Consumes the trainer, returning the trained MoE.
@@ -246,116 +255,25 @@ impl<E: Encoding> MoeTrainer<E> {
         self.moe
     }
 
-    fn maybe_refresh_occupancy<R: Rng>(&mut self, rng: &mut R) {
-        if self.iteration >= self.config.occupancy_warmup
-            && self.iteration.is_multiple_of(self.config.occupancy_update_interval)
-        {
-            let decay = self.config.occupancy_decay;
-            for expert in &mut self.moe.experts {
-                self.refresh.refresh_occupancy(&mut expert.occupancy, &expert.model, decay, rng);
-            }
-        }
-    }
-
-    /// One optimization step on a random ray batch. Every expert runs
-    /// each ray through the batched kernels — Stage I, one model
-    /// forward, compositing over black — and keeps its forward state
-    /// for the backward pass that follows the fused loss.
+    /// One optimization step on a random ray batch
+    /// ([`TrainState::fused_step`] over every expert); returns the mean
+    /// loss.
     pub fn step<R: Rng>(&mut self, dataset: &Dataset, rng: &mut R) -> f64 {
-        self.maybe_refresh_occupancy(rng);
-        let batch = dataset.sample_batch(self.config.rays_per_batch, rng);
-        for g in &mut self.grads {
-            g.zero();
-        }
-        let mut loss_sum = 0.0f64;
-        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
-        let MoeTrainer { moe, grads, scratch, config, .. } = &mut *self;
-
-        for (ray, target) in &batch {
-            let mut color = Vec3::ZERO;
-            for (expert, s) in moe.experts.iter().zip(scratch.iter_mut()) {
-                sample_ray_into(ray, &expert.occupancy, &config.sampler, &mut s.samples);
-                expert.model.forward_batch(s.samples.positions(), ray.direction, &mut s.kernel);
-                s.shaded.clear();
-                s.shaded.extend(
-                    s.kernel
-                        .sigma()
-                        .iter()
-                        .zip(s.kernel.color())
-                        .zip(s.samples.dts())
-                        .map(|((&sigma, &color), &dt)| ShadedSample { sigma, color, dt }),
-                );
-                let (c, t) = composite_into(&s.shaded, Vec3::ZERO, false, &mut s.weights);
-                color += c;
-                s.transmittance = t;
-            }
-            let trans_product: f32 = scratch.iter().map(|s| s.transmittance).product();
-            color += config.background * trans_product;
-
-            let err = color - *target;
-            loss_sum += (err.length_squared() / 3.0) as f64;
-            let d_pixel = err * (2.0 * inv_norm);
-
-            // Backward per expert: each expert sees the shared
-            // background attenuated by the other experts'
-            // transmittances, so composite_backward's background term
-            // carries exactly ∂(bg · Π T)/∂(this expert).
-            for (e, (expert, g)) in moe.experts.iter().zip(grads.iter_mut()).enumerate() {
-                let others: f32 = scratch
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != e)
-                    .map(|(_, s)| s.transmittance)
-                    .product();
-                let effective_bg = config.background * others;
-                let s = &mut scratch[e];
-                composite_backward_into(&s.shaded, effective_bg, d_pixel, &mut s.sample_grads);
-                s.d_sigma.clear();
-                s.d_sigma.extend(s.sample_grads.iter().map(|g| g.d_sigma));
-                s.d_color.clear();
-                s.d_color.extend(s.sample_grads.iter().map(|g| g.d_color));
-                expert.model.backward_batch(
-                    s.samples.positions(),
-                    &s.d_sigma,
-                    &s.d_color,
-                    &mut s.kernel,
-                    g,
-                );
-            }
-        }
-
-        for (expert, (opt, grads)) in
-            self.moe.experts.iter_mut().zip(self.optimizers.iter_mut().zip(self.grads.iter()))
-        {
-            opt.step(&mut expert.model, grads);
-        }
-        self.iteration += 1;
-        loss_sum / batch.len() as f64
+        self.state.fused_step(&mut self.moe.experts, dataset, rng).loss
     }
 
     /// Runs `iterations` steps, returning the mean loss of the final
     /// quarter.
     pub fn train<R: Rng>(&mut self, dataset: &Dataset, iterations: u32, rng: &mut R) -> f64 {
-        let mut tail = Vec::new();
-        for i in 0..iterations {
-            let loss = self.step(dataset, rng);
-            if i >= iterations - iterations.div_ceil(4) {
-                tail.push(loss);
-            }
-        }
-        if tail.is_empty() {
-            0.0
-        } else {
-            tail.iter().sum::<f64>() / tail.len() as f64
-        }
+        tail_mean(iterations, || self.step(dataset, rng))
     }
 
     /// Mean PSNR of the MoE render against every dataset view.
     pub fn evaluate_psnr(&self, dataset: &Dataset) -> f64 {
+        let config = self.state.config();
         let mut total = 0.0;
         for view in dataset.views() {
-            let rendered =
-                self.moe.render_image(&view.camera, &self.config.sampler, self.config.background);
+            let rendered = self.moe.render_image(&view.camera, &config.sampler, config.background);
             total += rendered.psnr(&view.image);
         }
         total / dataset.views().len() as f64
@@ -365,13 +283,16 @@ impl<E: Encoding> MoeTrainer<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion3d_nerf::adam::Adam;
     use fusion3d_nerf::camera::orbit_poses;
     use fusion3d_nerf::encoding::HashGridConfig;
     use fusion3d_nerf::math::Ray;
+    use fusion3d_nerf::model::ModelGrads;
     use fusion3d_nerf::reference;
-    use fusion3d_nerf::render::{composite, composite_backward};
+    use fusion3d_nerf::render::{composite, composite_backward, ShadedSample};
     use fusion3d_nerf::sampler::sample_ray;
     use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
+    use fusion3d_nerf::trainer::{Trainer, GRAD_SHARDS};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -451,62 +372,115 @@ mod tests {
         (positions, shaded)
     }
 
-    /// The per-sample MoE step: the same RNG draws, occupancy refreshes
-    /// and Adam steps as [`MoeTrainer::step`], with every expert's
-    /// samples evaluated through `reference::model_forward` and
-    /// backpropagated through `reference::model_backward`.
-    fn oracle_step(trainer: &mut MoeTrainer, dataset: &Dataset, rng: &mut SmallRng) -> f64 {
-        trainer.maybe_refresh_occupancy(rng);
-        let config = trainer.config;
-        let batch = dataset.sample_batch(config.rays_per_batch, rng);
-        for g in &mut trainer.grads {
-            g.zero();
-        }
-        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
-        let mut loss_sum = 0.0f64;
-        for (ray, target) in &batch {
-            let layers: Vec<_> = trainer
-                .moe
+    /// The MoE step with nothing batched, sparse or parallel, over its
+    /// own copy of the experts: the same RNG draws, learning-rate
+    /// schedule, occupancy refreshes and shard geometry as
+    /// [`TrainState::fused_step`], with every expert's samples evaluated
+    /// through `reference::model_forward` and backpropagated through
+    /// `reference::model_backward`, the refreshes probing one cell at a
+    /// time, the shard gradients merged densely in shard order and one
+    /// dense Adam step per parameter group.
+    struct MoeOracle {
+        experts: Vec<Expert>,
+        /// Per expert, the grid, density and color Adam states.
+        adams: Vec<[Adam; 3]>,
+        config: TrainerConfig,
+        iteration: u32,
+    }
+
+    impl MoeOracle {
+        fn new(moe: MoeNerf, config: TrainerConfig) -> Self {
+            let adams = moe
                 .experts
                 .iter()
-                .map(|expert| oracle_shade(expert, ray, &config.sampler))
+                .map(|Expert { model, .. }| {
+                    [
+                        Adam::new(config.adam, model.grid().param_count()),
+                        Adam::new(config.adam, model.density_mlp().param_count()),
+                        Adam::new(config.adam, model.color_mlp().param_count()),
+                    ]
+                })
                 .collect();
-            let mut color = Vec3::ZERO;
-            let mut trans = Vec::new();
-            for (_, shaded) in &layers {
-                let out = composite(shaded, Vec3::ZERO, false);
-                color += out.color;
-                trans.push(out.final_transmittance);
+            MoeOracle { experts: moe.experts, adams, config, iteration: 0 }
+        }
+
+        fn oracle_step(&mut self, dataset: &Dataset, rng: &mut SmallRng) -> f64 {
+            let (config, it) = (self.config, self.iteration);
+            if it > 0 && it.is_multiple_of(config.lr_decay_interval) {
+                let decays = (it / config.lr_decay_interval) as i32;
+                let lr = config.adam.learning_rate * config.lr_decay.powi(decays);
+                self.adams.iter_mut().flatten().for_each(|adam| adam.set_learning_rate(lr));
             }
-            color += config.background * trans.iter().product::<f32>();
-            let err = color - *target;
-            loss_sum += (err.length_squared() / 3.0) as f64;
-            let d_pixel = err * (2.0 * inv_norm);
-            for (e, (expert, (positions, shaded))) in
-                trainer.moe.experts.iter().zip(&layers).enumerate()
+            if it >= config.occupancy_warmup && it.is_multiple_of(config.occupancy_update_interval)
             {
-                let others: f32 =
-                    trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
-                let grads = composite_backward(shaded, config.background * others, d_pixel);
-                let d_sigma: Vec<f32> = grads.iter().map(|g| g.d_sigma).collect();
-                let d_color: Vec<Vec3> = grads.iter().map(|g| g.d_color).collect();
-                reference::model_backward(
-                    &expert.model,
-                    positions,
-                    ray.direction,
-                    &d_sigma,
-                    &d_color,
-                    &mut trainer.grads[e],
-                );
+                for Expert { model, occupancy } in &mut self.experts {
+                    let sigma = |p| reference::model_forward(model, &[p], Vec3::Z).0[0];
+                    occupancy.update(sigma, config.occupancy_decay, rng);
+                }
             }
+            let batch = dataset.sample_batch(config.rays_per_batch, rng);
+            let alloc = |experts: &[Expert]| -> Vec<ModelGrads> {
+                experts.iter().map(|e| e.model.alloc_grads()).collect()
+            };
+            let mut grads = alloc(&self.experts);
+            let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
+            let mut loss_sum = 0.0f64;
+            for shard in batch.chunks(batch.len().div_ceil(GRAD_SHARDS)) {
+                let mut shard_grads = alloc(&self.experts);
+                let mut shard_loss = 0.0f64;
+                for (ray, target) in shard {
+                    let layers: Vec<_> = self
+                        .experts
+                        .iter()
+                        .map(|expert| oracle_shade(expert, ray, &config.sampler))
+                        .collect();
+                    let mut color = Vec3::ZERO;
+                    let mut trans = Vec::new();
+                    for (_, shaded) in &layers {
+                        let out = composite(shaded, Vec3::ZERO, false);
+                        color += out.color;
+                        trans.push(out.final_transmittance);
+                    }
+                    color += config.background * trans.iter().product::<f32>();
+                    let err = color - *target;
+                    shard_loss += (err.length_squared() / 3.0) as f64;
+                    let d_pixel = err * (2.0 * inv_norm);
+                    for (e, (expert, (positions, shaded))) in
+                        self.experts.iter().zip(&layers).enumerate()
+                    {
+                        let others: f32 = trans
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, _)| j != e)
+                            .map(|(_, &t)| t)
+                            .product();
+                        let grads = composite_backward(shaded, config.background * others, d_pixel);
+                        let d_sigma: Vec<f32> = grads.iter().map(|g| g.d_sigma).collect();
+                        let d_color: Vec<Vec3> = grads.iter().map(|g| g.d_color).collect();
+                        reference::model_backward(
+                            &expert.model,
+                            positions,
+                            ray.direction,
+                            &d_sigma,
+                            &d_color,
+                            &mut shard_grads[e],
+                        );
+                    }
+                }
+                loss_sum += shard_loss;
+                grads.iter_mut().zip(&shard_grads).for_each(|(total, g)| total.accumulate(g));
+            }
+            for ((expert, [grid, density, color]), g) in
+                self.experts.iter_mut().zip(&mut self.adams).zip(&grads)
+            {
+                let model = &mut expert.model;
+                grid.step(model.grid_mut().params_mut(), &g.grid);
+                density.step(model.density_mlp_mut().params_mut(), &g.density);
+                color.step(model.color_mlp_mut().params_mut(), &g.color);
+            }
+            self.iteration += 1;
+            loss_sum / batch.len() as f64
         }
-        for (expert, (opt, grads)) in
-            trainer.moe.experts.iter_mut().zip(trainer.optimizers.iter_mut().zip(&trainer.grads))
-        {
-            opt.step(&mut expert.model, grads);
-        }
-        trainer.iteration += 1;
-        loss_sum / batch.len() as f64
     }
 
     /// The MoE frame through the scalar oracle: per pixel, every
@@ -541,55 +515,147 @@ mod tests {
     fn batched_step_matches_the_per_sample_oracle() {
         let scene = ProceduralScene::synthetic(SyntheticScene::Hotdog);
         let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
-        let config =
-            TrainerConfig { background: Vec3::new(0.55, 0.7, 0.9), ..quick_trainer_config() };
-        let trainer = || {
-            let mut rng = SmallRng::seed_from_u64(5);
-            let moe = MoeNerf::with_partitioned_gates(3, small_expert_config(), 12, 0.5, &mut rng);
-            MoeTrainer::new(moe, config)
+        // The learning rate decays at steps 50 and 100.
+        let config = TrainerConfig {
+            background: Vec3::new(0.55, 0.7, 0.9),
+            lr_decay_interval: 50,
+            ..quick_trainer_config()
         };
-        let (mut batched, mut oracle) = (trainer(), trainer());
+        let moe = || {
+            let mut rng = SmallRng::seed_from_u64(5);
+            MoeNerf::with_partitioned_gates(3, small_expert_config(), 12, 0.5, &mut rng)
+        };
         let gate = |x: &Expert| -> Vec<bool> {
             (0..x.occupancy.cell_count()).map(|c| x.occupancy.is_cell_occupied(c)).collect()
         };
-        let initial_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
-        let (mut batched_rng, mut oracle_rng) =
-            (SmallRng::seed_from_u64(6), SmallRng::seed_from_u64(6));
-        let mut refreshes = 0;
-        for step in 0..120u32 {
-            refreshes += u32::from(
-                step >= config.occupancy_warmup
-                    && step.is_multiple_of(config.occupancy_update_interval),
-            );
-            let loss = batched.step(&dataset, &mut batched_rng);
-            let expected = oracle_step(&mut oracle, &dataset, &mut oracle_rng);
-            assert_eq!(loss.to_bits(), expected.to_bits(), "loss of step {step}");
-        }
-        assert!(refreshes >= 3, "{refreshes} occupancy refreshes");
+        for threads in [1, 4] {
+            fusion3d_par::set_thread_override(Some(threads));
+            let (mut batched, mut oracle) =
+                (MoeTrainer::new(moe(), config), MoeOracle::new(moe(), config));
+            let initial_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
+            let (mut batched_rng, mut oracle_rng) =
+                (SmallRng::seed_from_u64(6), SmallRng::seed_from_u64(6));
+            let mut refreshes = 0;
+            for step in 0..120u32 {
+                refreshes += u32::from(
+                    step >= config.occupancy_warmup
+                        && step.is_multiple_of(config.occupancy_update_interval),
+                );
+                let loss = batched.step(&dataset, &mut batched_rng);
+                let expected = oracle.oracle_step(&dataset, &mut oracle_rng);
+                assert_eq!(
+                    loss.to_bits(),
+                    expected.to_bits(),
+                    "{threads} threads: loss of step {step}"
+                );
+            }
+            assert!(refreshes >= 3, "{refreshes} occupancy refreshes");
 
-        for (e, (b, o)) in batched.moe().experts().iter().zip(oracle.moe().experts()).enumerate() {
-            assert_eq!(bits(b.model.grid().params()), bits(o.model.grid().params()), "grid {e}");
-            assert_eq!(
-                bits(b.model.density_mlp().params()),
-                bits(o.model.density_mlp().params()),
-                "density MLP {e}"
-            );
-            assert_eq!(
-                bits(b.model.color_mlp().params()),
-                bits(o.model.color_mlp().params()),
-                "color MLP {e}"
-            );
-            assert_eq!(gate(b), gate(o), "gate {e}");
-        }
-        let final_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
-        assert_ne!(final_gates, initial_gates, "the refreshes never moved a gate");
+            for (e, (b, o)) in batched.moe().experts().iter().zip(&oracle.experts).enumerate() {
+                assert_eq!(
+                    bits(b.model.grid().params()),
+                    bits(o.model.grid().params()),
+                    "grid {e}"
+                );
+                assert_eq!(
+                    bits(b.model.density_mlp().params()),
+                    bits(o.model.density_mlp().params()),
+                    "density MLP {e}"
+                );
+                assert_eq!(
+                    bits(b.model.color_mlp().params()),
+                    bits(o.model.color_mlp().params()),
+                    "color MLP {e}"
+                );
+                assert_eq!(gate(b), gate(o), "gate {e}");
+            }
+            let final_gates: Vec<Vec<bool>> = batched.moe().experts().iter().map(gate).collect();
+            assert_ne!(final_gates, initial_gates, "the refreshes never moved a gate");
 
-        let camera = test_camera(12);
-        let image = batched.moe().render_image(&camera, &config.sampler, config.background);
-        let expected = oracle_render(oracle.moe(), &camera, &config.sampler, config.background);
-        let flat =
-            |pixels: &[Vec3]| bits(&pixels.iter().flat_map(|p| p.to_array()).collect::<Vec<_>>());
-        assert_eq!(flat(image.pixels()), flat(&expected), "fused pixels");
+            let camera = test_camera(12);
+            let image = batched.moe().render_image(&camera, &config.sampler, config.background);
+            let oracle_moe = MoeNerf::from_experts(oracle.experts);
+            let expected = oracle_render(&oracle_moe, &camera, &config.sampler, config.background);
+            let flat = |pixels: &[Vec3]| {
+                bits(&pixels.iter().flat_map(|p| p.to_array()).collect::<Vec<_>>())
+            };
+            assert_eq!(flat(image.pixels()), flat(&expected), "fused pixels");
+        }
+        fusion3d_par::set_thread_override(None);
+    }
+
+    /// A one-expert MoE is the single model: from the same
+    /// initialization and random stream, `MoeTrainer` and `Trainer`
+    /// agree bit for bit in every loss, parameter and occupancy cell.
+    #[test]
+    fn one_expert_trains_as_the_single_model() {
+        let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
+        let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
+        // Crosses the refreshes at steps 32 and 48 and the decay at
+        // step 50.
+        let config = TrainerConfig { lr_decay_interval: 50, ..quick_trainer_config() };
+        let mut rng = SmallRng::seed_from_u64(8);
+        let (resolution, threshold) = (config.occupancy_resolution, config.occupancy_threshold);
+        let moe = MoeNerf::new(1, small_expert_config(), resolution, threshold, &mut rng);
+        let mut moe_trainer = MoeTrainer::new(moe, config);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut trainer = Trainer::new(NerfModel::new(small_expert_config(), &mut rng), config);
+        let (mut moe_rng, mut rng) = (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
+        for step in 0..60 {
+            let moe_loss = moe_trainer.step(&dataset, &mut moe_rng);
+            let loss = trainer.step(&dataset, &mut rng).loss;
+            assert_eq!(moe_loss.to_bits(), loss.to_bits(), "loss of step {step}");
+        }
+        let (expert, model) = (&moe_trainer.moe().experts()[0], trainer.model());
+        assert_eq!(bits(expert.model.grid().params()), bits(model.grid().params()), "grid");
+        assert_eq!(
+            bits(expert.model.density_mlp().params()),
+            bits(model.density_mlp().params()),
+            "density MLP"
+        );
+        assert_eq!(
+            bits(expert.model.color_mlp().params()),
+            bits(model.color_mlp().params()),
+            "color MLP"
+        );
+        let cells = |g: &OccupancyGrid| {
+            (0..g.cell_count()).map(|c| g.is_cell_occupied(c)).collect::<Vec<_>>()
+        };
+        assert_eq!(cells(&expert.occupancy), cells(trainer.occupancy()), "occupancy");
+        assert!(trainer.occupancy().occupancy_ratio() < 1.0, "the refreshes never cleared a cell");
+    }
+
+    #[test]
+    fn step_follows_the_learning_rate_schedule() {
+        let scene = ProceduralScene::synthetic(SyntheticScene::Hotdog);
+        let dataset = Dataset::from_scene(&scene, 4, 16, 0.9);
+        // The learning rate decays to zero from the second step on.
+        let config =
+            TrainerConfig { lr_decay: 0.0, lr_decay_interval: 1, ..quick_trainer_config() };
+        let mut rng = SmallRng::seed_from_u64(3);
+        let moe = MoeNerf::new(2, small_expert_config(), 12, 0.5, &mut rng);
+        let mut trainer = MoeTrainer::new(moe, config);
+        let params = |t: &MoeTrainer| -> Vec<u32> {
+            t.moe()
+                .experts()
+                .iter()
+                .flat_map(|e| {
+                    let m = &e.model;
+                    bits(m.grid().params())
+                        .into_iter()
+                        .chain(bits(m.density_mlp().params()))
+                        .chain(bits(m.color_mlp().params()))
+                })
+                .collect()
+        };
+        let initial = params(&trainer);
+        trainer.step(&dataset, &mut rng);
+        let first = params(&trainer);
+        assert_ne!(first, initial, "the first step moved nothing");
+        for _ in 0..3 {
+            trainer.step(&dataset, &mut rng);
+        }
+        assert_eq!(params(&trainer), first, "parameters moved at a zero learning rate");
     }
 
     #[test]
@@ -657,6 +723,23 @@ mod tests {
         assert_eq!(per_chip.len(), 3);
         for chip in &per_chip {
             assert_eq!(chip.ray_count(), 64);
+        }
+    }
+
+    #[test]
+    fn partition_covers_and_overlaps() {
+        let full = ProceduralScene::synthetic(SyntheticScene::Hotdog).occupancy_grid(32);
+        let parts = partition_occupancy(&full, 4);
+        assert_eq!(parts.len(), 4);
+        // Every occupied cell is owned by at least one expert.
+        for cell in full.occupied_cells() {
+            assert!(parts.iter().any(|g| g.is_cell_occupied(cell)));
+        }
+        // Each expert holds a strict subset.
+        let total: f64 = parts.iter().map(|g| g.occupancy_ratio()).sum();
+        assert!(total >= full.occupancy_ratio());
+        for p in &parts {
+            assert!(p.occupancy_ratio() < full.occupancy_ratio());
         }
     }
 }

@@ -191,10 +191,9 @@ impl OccupancyGrid {
     /// Instant-NGP's periodic occupancy-grid update (run every few
     /// training iterations).
     ///
-    /// The training loops run the same refresh with the densities
+    /// The training step runs the same refresh with the densities
     /// evaluated in batches between its two halves, which draw every
-    /// probe point and then apply every density
-    /// ([`crate::trainer::TrainScratch::refresh_occupancy`]).
+    /// probe point and then apply every density.
     pub fn update<F, R>(&mut self, density: F, decay: f32, rng: &mut R)
     where
         F: Fn(Vec3) -> f32,

@@ -6,13 +6,16 @@
 //! and applies Adam. The trainer also maintains the occupancy grid
 //! (periodically refreshed from the current density field) and keeps a
 //! byte-accurate ledger of inter- and intra-stage data volumes — the
-//! quantities behind the paper's Fig. 3 bandwidth analysis.
+//! quantities behind the paper's Fig. 3 bandwidth analysis. The one
+//! step ([`TrainState::fused_step`]) trains any number of experts whose
+//! pixels add: [`Trainer`] runs it over one, the multi-chip MoE over
+//! several.
 
 use crate::adam::AdamConfig;
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::dataset::Dataset;
 use crate::dirty::DirtyBlocks;
-use crate::encoding::Encoding;
+use crate::encoding::{Encoding, HashGrid};
 use crate::image::Image;
 use crate::math::Vec3;
 use crate::model::{ModelGrads, ModelOptimizer, NerfModel};
@@ -28,7 +31,7 @@ use rand::Rng;
 /// f32 gradient-accumulation order — are identical no matter how many
 /// workers execute them. Thread counts above this see no further
 /// training speedup.
-pub(crate) const GRAD_SHARDS: usize = 16;
+pub const GRAD_SHARDS: usize = 16;
 
 /// Cells per task of the batched occupancy refresh: one model call
 /// each. Fixed, like [`GRAD_SHARDS`], so the chunk boundaries never
@@ -192,45 +195,54 @@ pub struct StepStats {
     pub samples: usize,
 }
 
-/// One slice of a training batch: a private gradient buffer plus a
-/// bitmap of the grid-gradient blocks its backward passes wrote, so
-/// zeroing and merging visit only those.
+/// One expert: a complete model plus the occupancy grid that gates its
+/// samples. [`Trainer`] trains one; the multi-chip MoE trains several
+/// whose pixels add.
 #[derive(Debug)]
-struct ShardScratch {
+pub struct Expert<E: Encoding = HashGrid> {
+    /// The expert's field.
+    pub model: NerfModel<E>,
+    /// The expert's occupancy grid (the MoE gate).
+    pub occupancy: OccupancyGrid,
+}
+
+/// A gradient buffer plus a bitmap of the grid-gradient blocks it may
+/// hold nonzero values in, so zeroing and merging visit only those.
+#[derive(Debug)]
+struct SparseGrads {
     grads: ModelGrads,
     dirty: DirtyBlocks,
 }
 
-impl ShardScratch {
+impl SparseGrads {
     fn new<E: Encoding>(model: &NerfModel<E>) -> Self {
-        ShardScratch {
+        SparseGrads {
             grads: model.alloc_grads(),
             dirty: DirtyBlocks::new(model.grid().param_count()),
         }
     }
 }
 
-/// The working memory of one pool worker: Stage-I samples, kernel
-/// scratch and the per-sample gradient rows, reused by every task the
-/// worker runs, so the hot loop allocates nothing per ray.
+/// One expert's layer of the ray a worker is training on: its Stage-I
+/// samples and the forward state its backward pass reuses, kept until
+/// the fused pixel's loss is known.
 #[derive(Debug, Default)]
-struct WorkerScratch {
+struct LayerScratch {
     samples: SampleBatch,
     kernel: KernelScratch,
+    /// The transmittance left behind the layer's last sample.
+    transmittance: f32,
+}
+
+/// The working memory of one pool worker: one layer per expert and the
+/// per-sample gradient rows, reused by every task the worker runs, so
+/// the hot loop allocates nothing per ray.
+#[derive(Debug, Default)]
+struct WorkerScratch {
+    layers: Vec<LayerScratch>,
     sample_grads: Vec<SampleGrad>,
     d_sigma: Vec<f32>,
     d_color: Vec<Vec3>,
-}
-
-/// Training working memory kept across steps: one scratch per pool
-/// worker, and the per-cell buffers of the batched occupancy refresh.
-/// [`Trainer`] owns one; the multi-chip MoE trainer keeps one for its
-/// experts' refreshes.
-#[derive(Debug, Default)]
-pub struct TrainScratch {
-    workers: Vec<WorkerScratch>,
-    points: Vec<Vec3>,
-    densities: Vec<f32>,
 }
 
 /// The worker scratches for `pool` running `tasks` tasks, grown to
@@ -248,98 +260,47 @@ pub(crate) fn worker_scratches<'a, W: Default>(
     workers
 }
 
-impl TrainScratch {
-    /// Empty scratch, sized by its first use.
-    pub fn new() -> Self {
-        TrainScratch::default()
-    }
-
-    /// Refreshes `grid` from `model`'s density field, bit-identically
-    /// to [`OccupancyGrid::update`] with [`NerfModel::density_at`]: the
-    /// probe points are drawn in cell order, their densities evaluated
-    /// in fixed chunks of cells across the pool through
-    /// [`NerfModel::density_batch`], and the EMA applied in cell order.
-    pub fn refresh_occupancy<E: Encoding, R: Rng>(
-        &mut self,
-        grid: &mut OccupancyGrid,
-        model: &NerfModel<E>,
-        decay: f32,
-        rng: &mut R,
-    ) {
-        let TrainScratch { workers, points, densities } = self;
-        points.resize(grid.cell_count(), Vec3::ZERO);
-        densities.resize(grid.cell_count(), 0.0);
-        grid.draw_probe_points(rng, points);
-        let pool = Pool::new();
-        let workers = worker_scratches(workers, &pool, points.len().div_ceil(REFRESH_CHUNK));
-        let chunks = points.chunks(REFRESH_CHUNK).zip(densities.chunks_mut(REFRESH_CHUNK));
-        pool.run_tasks(chunks, workers, |_, (points, out), worker| {
-            model.density_batch(points, out, &mut worker.kernel);
-        });
-        grid.apply_densities(densities, decay);
-    }
-}
-
-/// A NeRF trainer owning the model, occupancy grid, and optimizer
-/// state. Generic over the model's spatial encoding (hash grid by
-/// default).
+/// Everything the training step keeps across steps except the experts
+/// themselves: the configuration and iteration count, per expert the
+/// Adam state and the last step's merged gradient, per gradient shard
+/// one sparse gradient per expert, one scratch per pool worker, and the
+/// occupancy refresh's per-cell buffers.
+///
+/// [`Trainer`] steps it over one expert; the multi-chip MoE trainer
+/// over all of its experts, whose pixels fuse as
+/// `Σ_e C_e + background · Π_e T_e`.
 #[derive(Debug)]
-pub struct Trainer<E: Encoding = crate::encoding::HashGrid> {
-    model: NerfModel<E>,
-    occupancy: OccupancyGrid,
-    optimizer: ModelOptimizer,
-    /// The merged gradient of the last step.
-    grads: ModelGrads,
-    /// The grid-gradient blocks `grads` may hold nonzero values in:
-    /// the union of the last step's shard bitmaps.
-    merged: DirtyBlocks,
+pub struct TrainState {
     config: TrainerConfig,
     iteration: u32,
-    volume: DataVolume,
-    shards: Vec<ShardScratch>,
-    scratch: TrainScratch,
+    optimizers: Vec<ModelOptimizer>,
+    /// Per expert, the merged gradient of the last step and the union
+    /// of the shard bitmaps.
+    merged: Vec<SparseGrads>,
+    /// Per shard, one sparse gradient per expert.
+    shards: Vec<Vec<SparseGrads>>,
+    workers: Vec<WorkerScratch>,
+    points: Vec<Vec3>,
+    densities: Vec<f32>,
 }
 
-impl<E: Encoding> Trainer<E> {
-    /// Creates a trainer for `model`. The occupancy grid starts fully
-    /// occupied (no gating) until the first refresh.
-    pub fn new(model: NerfModel<E>, config: TrainerConfig) -> Self {
-        let mut occupancy =
-            OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
-        occupancy.fill();
-        let optimizer = ModelOptimizer::new(config.adam, &model);
-        let grads = model.alloc_grads();
-        let merged = DirtyBlocks::new(model.grid().param_count());
-        Trainer {
-            model,
-            occupancy,
-            optimizer,
-            grads,
-            merged,
+impl TrainState {
+    /// The state for training `experts` under `config`: each expert's
+    /// optimizer takes its settings from `config.adam`.
+    pub fn new<E: Encoding>(config: TrainerConfig, experts: &[Expert<E>]) -> Self {
+        TrainState {
             config,
             iteration: 0,
-            volume: DataVolume::default(),
+            optimizers: experts
+                .iter()
+                .map(|e| ModelOptimizer::new(config.adam, &e.model))
+                .collect(),
+            merged: experts.iter().map(|e| SparseGrads::new(&e.model)).collect(),
             shards: Vec::new(),
-            scratch: TrainScratch::new(),
+            workers: Vec::new(),
+            points: Vec::new(),
+            densities: Vec::new(),
         }
-    }
-
-    /// The model being trained.
-    #[inline]
-    pub fn model(&self) -> &NerfModel<E> {
-        &self.model
-    }
-
-    /// Mutable model access (used by quantized-training experiments).
-    #[inline]
-    pub fn model_mut(&mut self) -> &mut NerfModel<E> {
-        &mut self.model
-    }
-
-    /// The current occupancy grid.
-    #[inline]
-    pub fn occupancy(&self) -> &OccupancyGrid {
-        &self.occupancy
     }
 
     /// The trainer configuration.
@@ -354,6 +315,245 @@ impl<E: Encoding> Trainer<E> {
         self.iteration
     }
 
+    /// Refreshes `expert`'s occupancy grid from its density field,
+    /// bit-identically to [`OccupancyGrid::update`] with
+    /// [`NerfModel::density_at`]: the probe points are drawn in cell
+    /// order, their densities evaluated in fixed chunks of cells across
+    /// the pool through [`NerfModel::density_batch`], and the EMA
+    /// applied in cell order.
+    fn refresh_occupancy<E: Encoding, R: Rng>(&mut self, expert: &mut Expert<E>, rng: &mut R) {
+        let TrainState { config, workers, points, densities, .. } = self;
+        let grid = &mut expert.occupancy;
+        points.resize(grid.cell_count(), Vec3::ZERO);
+        densities.resize(grid.cell_count(), 0.0);
+        grid.draw_probe_points(rng, points);
+        let pool = Pool::new();
+        let workers = worker_scratches(workers, &pool, points.len().div_ceil(REFRESH_CHUNK));
+        let chunks = points.chunks(REFRESH_CHUNK).zip(densities.chunks_mut(REFRESH_CHUNK));
+        let model = &expert.model;
+        pool.run_tasks(chunks, workers, |_, (points, out), worker| {
+            // Any layer's kernel scratch serves; the first step makes one
+            // per expert.
+            worker.layers.resize_with(worker.layers.len().max(1), LayerScratch::default);
+            model.density_batch(points, out, &mut worker.layers[0].kernel);
+        });
+        grid.apply_densities(densities, config.occupancy_decay);
+    }
+
+    /// One optimization step of `experts` on a random batch from
+    /// `dataset`, with their pixels fused by addition.
+    ///
+    /// The learning-rate schedule applies first, then the occupancy
+    /// refreshes in expert order. Per ray, every expert runs Stage I,
+    /// one batched forward and compositing over black; the pixel is
+    /// `Σ_e C_e + background · Π_e T_e`, and expert `e`'s backward sees
+    /// the background attenuated by the other experts,
+    /// `background · Π_{j≠e} T_j`. The batch splits into fixed ray-range
+    /// shards, each with one sparse gradient per expert; every expert's
+    /// shards merge in shard order and its Adam step visits only the
+    /// blocks they wrote.
+    ///
+    /// With one expert this is exactly the single-model step: its color
+    /// over black plus `+0.0` is its color, `1.0 · T` is `T`, and the
+    /// empty product is `1.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `experts` is not the expert count the state was built
+    /// for.
+    pub fn fused_step<E: Encoding, R: Rng>(
+        &mut self,
+        experts: &mut [Expert<E>],
+        dataset: &Dataset,
+        rng: &mut R,
+    ) -> StepStats {
+        assert_eq!(experts.len(), self.optimizers.len(), "the state was built for other experts");
+        let config = self.config;
+        let it = self.iteration;
+        if config.lr_decay != 1.0
+            && config.lr_decay_interval > 0
+            && it > 0
+            && it.is_multiple_of(config.lr_decay_interval)
+        {
+            let decays = it / config.lr_decay_interval;
+            let lr = config.adam.learning_rate * config.lr_decay.powi(decays as i32);
+            for optimizer in &mut self.optimizers {
+                optimizer.set_learning_rate(lr);
+            }
+        }
+        if it >= config.occupancy_warmup && it.is_multiple_of(config.occupancy_update_interval) {
+            for expert in experts.iter_mut() {
+                self.refresh_occupancy(expert, rng);
+            }
+        }
+        let batch = dataset.sample_batch(config.rays_per_batch, rng);
+
+        // Shard the batch into contiguous ray ranges, one gradient
+        // buffer per shard and expert. Shard geometry depends only on
+        // the batch size, and shards merge in shard-index order below,
+        // so the updated parameters are bitwise-identical for any
+        // thread count.
+        let max_shards = GRAD_SHARDS.min(batch.len()).max(1);
+        let rays_per_shard = batch.len().div_ceil(max_shards);
+        // Re-derive the count from the shard size so the last shard
+        // ends exactly at the batch boundary: batch sizes that are not
+        // multiples of GRAD_SHARDS would otherwise leave trailing
+        // shards whose start lies past the end of the batch.
+        let shard_count = batch.len().div_ceil(rays_per_shard.max(1)).max(1);
+        while self.shards.len() < shard_count {
+            // lint: allow(h2): shards grow lazily to the shard count
+            // on the first step, then are reused by every later one
+            self.shards.push(experts.iter().map(|e| SparseGrads::new(&e.model)).collect());
+        }
+        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
+
+        // Workers read the experts while holding exclusive access to
+        // their shard and scratch.
+        let pool = Pool::new();
+        let workers = worker_scratches(&mut self.workers, &pool, shard_count);
+        let experts_ref: &[Expert<E>] = experts;
+        let shards = self.shards[..shard_count].iter_mut();
+        let stats = pool.run_tasks(shards, workers, |index, shard, w| {
+            // Only the blocks this shard wrote last step are nonzero.
+            shard.iter_mut().for_each(|g| g.grads.zero_dirty(&mut g.dirty));
+            w.layers.resize_with(experts_ref.len(), LayerScratch::default);
+            let WorkerScratch { layers, sample_grads, d_sigma, d_color } = w;
+            let start = (index * rays_per_shard).min(batch.len());
+            let end = (start + rays_per_shard).min(batch.len());
+            let mut loss_sum = 0.0f64;
+            let mut sample_count = 0usize;
+            for (ray, target) in &batch[start..end] {
+                // Forward, per expert: Stage I into the reusable SoA
+                // batch, one batched model call, compositing over black.
+                // Colors add and transmittances multiply in expert order.
+                let mut color = Vec3::ZERO;
+                for (expert, layer) in experts_ref.iter().zip(layers.iter_mut()) {
+                    let LayerScratch { samples, kernel, transmittance } = layer;
+                    sample_ray_into(ray, &expert.occupancy, &config.sampler, samples);
+                    sample_count += samples.len();
+                    expert.model.forward_batch(samples.positions(), ray.direction, kernel);
+                    kernel.build_shaded(samples.dts());
+                    let (c, t) =
+                        composite_into(&kernel.shaded, Vec3::ZERO, false, &mut kernel.weights);
+                    color += c;
+                    *transmittance = t;
+                }
+                let behind: f32 = layers.iter().map(|l| l.transmittance).product();
+                let err = color + config.background * behind - *target;
+                loss_sum += (err.length_squared() / 3.0) as f64;
+                // d(mean squared error)/d(pixel color).
+                let d_pixel = err * (2.0 * inv_norm);
+                for (e, (expert, g)) in experts_ref.iter().zip(shard.iter_mut()).enumerate() {
+                    // `background · Π_{j≠e} T_j`: the product in expert
+                    // order, skipping `e`.
+                    let others: f32 = layers
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != e)
+                        .map(|(_, l)| l.transmittance)
+                        .product();
+                    let LayerScratch { samples, kernel, .. } = &mut layers[e];
+                    let background = config.background * others;
+                    composite_backward_into(&kernel.shaded, background, d_pixel, sample_grads);
+                    d_sigma.clear();
+                    d_color.clear();
+                    for s in sample_grads.iter() {
+                        d_sigma.push(s.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
+                        d_color.push(s.d_color); // lint: allow(h2): amortized into retained scratch capacity
+                    }
+                    let positions = samples.positions();
+                    expert.model.backward_batch(positions, d_sigma, d_color, kernel, &mut g.grads);
+                    expert.model.grid().mark_written(&kernel.enc, &mut g.dirty);
+                }
+            }
+            (loss_sum, sample_count)
+        });
+
+        // Fixed-order merge: losses and shard gradients accumulate in
+        // shard-index order regardless of which worker finished first.
+        let mut loss_sum = 0.0f64;
+        let mut sample_count = 0usize;
+        for (loss, samples) in stats {
+            loss_sum += loss;
+            sample_count += samples;
+        }
+        // The grid gradients merge over dirty blocks only, bit-identical
+        // to zeroing the merged buffer and adding every shard densely in
+        // shard order. A shard's grid gradient is +0.0 outside its
+        // bitmap (it was zeroed there and its backward wrote nothing
+        // else), and the merged buffer is +0.0 outside the last step's
+        // union, zeroed here. An f32 sum that starts at +0.0 never
+        // becomes -0.0 under round-to-nearest (a sum is -0.0 only when
+        // both addends are), so adding an untouched shard's +0.0 never
+        // changes a bit and skipping it is exact. And `Adam::step` skips
+        // entries whose gradient is exactly zero, so stepping only this
+        // step's union performs the same updates.
+        let updates = self.optimizers.iter_mut().zip(&mut self.merged);
+        for (e, (expert, (optimizer, merged))) in experts.iter_mut().zip(updates).enumerate() {
+            merged.grads.zero_dirty(&mut merged.dirty);
+            for SparseGrads { grads, dirty } in self.shards[..shard_count].iter().map(|s| &s[e]) {
+                merged.grads.accumulate_dirty(grads, dirty);
+                merged.dirty.union_with(dirty);
+            }
+            optimizer.step_dirty(&mut expert.model, &merged.grads, &merged.dirty);
+        }
+        self.iteration += 1;
+        StepStats { loss: loss_sum / batch.len() as f64, rays: batch.len(), samples: sample_count }
+    }
+}
+
+/// A NeRF trainer owning the model, occupancy grid, and optimizer
+/// state: the one-expert caller of [`TrainState::fused_step`]. Generic
+/// over the model's spatial encoding (hash grid by default).
+#[derive(Debug)]
+pub struct Trainer<E: Encoding = HashGrid> {
+    expert: Expert<E>,
+    state: TrainState,
+    volume: DataVolume,
+}
+
+impl<E: Encoding> Trainer<E> {
+    /// Creates a trainer for `model`. The occupancy grid starts fully
+    /// occupied (no gating) until the first refresh.
+    pub fn new(model: NerfModel<E>, config: TrainerConfig) -> Self {
+        let mut occupancy =
+            OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
+        occupancy.fill();
+        let expert = Expert { model, occupancy };
+        let state = TrainState::new(config, std::slice::from_ref(&expert));
+        Trainer { expert, state, volume: DataVolume::default() }
+    }
+
+    /// The model being trained.
+    #[inline]
+    pub fn model(&self) -> &NerfModel<E> {
+        &self.expert.model
+    }
+
+    /// Mutable model access (used by quantized-training experiments).
+    #[inline]
+    pub fn model_mut(&mut self) -> &mut NerfModel<E> {
+        &mut self.expert.model
+    }
+
+    /// The current occupancy grid.
+    #[inline]
+    pub fn occupancy(&self) -> &OccupancyGrid {
+        &self.expert.occupancy
+    }
+
+    /// The trainer configuration.
+    #[inline]
+    pub fn config(&self) -> &TrainerConfig {
+        self.state.config()
+    }
+
+    /// Iterations completed.
+    #[inline]
+    pub fn iteration(&self) -> u32 {
+        self.state.iteration()
+    }
+
     /// The cumulative data-volume ledger.
     #[inline]
     pub fn data_volume(&self) -> &DataVolume {
@@ -363,7 +563,7 @@ impl<E: Encoding> Trainer<E> {
     /// Consumes the trainer, returning the trained model and occupancy
     /// grid.
     pub fn into_parts(self) -> (NerfModel<E>, OccupancyGrid) {
-        (self.model, self.occupancy)
+        (self.expert.model, self.expert.occupancy)
     }
 
     /// Registers the one-time end-to-end input volume (the training
@@ -379,178 +579,35 @@ impl<E: Encoding> Trainer<E> {
     /// parameters). Call once after training when tracking Fig. 3
     /// volumes.
     pub fn record_model_output(&mut self) {
-        self.volume.end_to_end_io += self.model.param_count() as u64 * 4;
-    }
-
-    fn maybe_refresh_occupancy<R: Rng>(&mut self, rng: &mut R) {
-        if self.iteration >= self.config.occupancy_warmup
-            && self.iteration.is_multiple_of(self.config.occupancy_update_interval)
-        {
-            let Trainer { model, occupancy, config, scratch, .. } = self;
-            scratch.refresh_occupancy(occupancy, model, config.occupancy_decay, rng);
-        }
-    }
-
-    fn account_step_volume(&mut self, rays: usize, samples: usize) {
-        self.volume = self.volume
-            + estimate_step_volume_dims(
-                self.model.grid().output_dim() as u64,
-                rays as u64,
-                samples as u64,
-            );
+        self.volume.end_to_end_io += self.expert.model.param_count() as u64 * 4;
     }
 
     /// Runs one optimization step on a random batch from `dataset`.
     pub fn step<R: Rng>(&mut self, dataset: &Dataset, rng: &mut R) -> StepStats {
-        if self.config.lr_decay != 1.0
-            && self.config.lr_decay_interval > 0
-            && self.iteration > 0
-            && self.iteration.is_multiple_of(self.config.lr_decay_interval)
-        {
-            let decays = self.iteration / self.config.lr_decay_interval;
-            self.optimizer.set_learning_rate(
-                self.config.adam.learning_rate * self.config.lr_decay.powi(decays as i32),
-            );
-        }
-        self.maybe_refresh_occupancy(rng);
-        let batch = dataset.sample_batch(self.config.rays_per_batch, rng);
-
-        // Shard the batch into contiguous ray ranges, one gradient
-        // buffer per shard. Shard geometry depends only on the batch
-        // size, and shards merge in shard-index order below, so the
-        // updated parameters are bitwise-identical for any thread
-        // count.
-        let max_shards = GRAD_SHARDS.min(batch.len()).max(1);
-        let rays_per_shard = batch.len().div_ceil(max_shards);
-        // Re-derive the count from the shard size so the last shard
-        // ends exactly at the batch boundary: batch sizes that are not
-        // multiples of GRAD_SHARDS would otherwise leave trailing
-        // shards whose start lies past the end of the batch.
-        let shard_count = batch.len().div_ceil(rays_per_shard.max(1)).max(1);
-        while self.shards.len() < shard_count {
-            // lint: allow(h2): shards grow lazily to the shard count
-            // on the first step, then are reused by every later one
-            self.shards.push(ShardScratch::new(&self.model));
-        }
-        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
-
-        // Split the borrow: workers read the model/occupancy/config
-        // while holding exclusive access to their shard and scratch.
-        let pool = Pool::new();
-        let Trainer { model, occupancy, config, shards, scratch, .. } = &mut *self;
-        let model: &NerfModel<E> = model;
-        let occupancy: &OccupancyGrid = occupancy;
-        let config: &TrainerConfig = config;
-        let batch_ref = &batch;
-        let workers = worker_scratches(&mut scratch.workers, &pool, shard_count);
-
-        let shard_stats: Vec<(f64, usize)> =
-            pool.run_tasks(shards[..shard_count].iter_mut(), workers, |index, shard, w| {
-                // Only the blocks this shard wrote last step are nonzero.
-                shard.grads.zero_dirty(&mut shard.dirty);
-                let start = (index * rays_per_shard).min(batch_ref.len());
-                let end = (start + rays_per_shard).min(batch_ref.len());
-                let mut loss_sum = 0.0f64;
-                let mut sample_count = 0usize;
-                for (ray, target) in &batch_ref[start..end] {
-                    // Stage I into the reusable SoA batch, then one
-                    // batched forward/backward over the whole ray.
-                    sample_ray_into(ray, occupancy, &config.sampler, &mut w.samples);
-                    sample_count += w.samples.len();
-                    model.forward_batch(w.samples.positions(), ray.direction, &mut w.kernel);
-                    w.kernel.build_shaded(w.samples.dts());
-                    let (color, _) = composite_into(
-                        &w.kernel.shaded,
-                        config.background,
-                        false,
-                        &mut w.kernel.weights,
-                    );
-                    let err = color - *target;
-                    loss_sum += (err.length_squared() / 3.0) as f64;
-                    // d(mean squared error)/d(pixel color).
-                    let d_pixel = err * (2.0 * inv_norm);
-                    composite_backward_into(
-                        &w.kernel.shaded,
-                        config.background,
-                        d_pixel,
-                        &mut w.sample_grads,
-                    );
-                    w.d_sigma.clear();
-                    w.d_color.clear();
-                    for g in &w.sample_grads {
-                        w.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
-                        w.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
-                    }
-                    model.backward_batch(
-                        w.samples.positions(),
-                        &w.d_sigma,
-                        &w.d_color,
-                        &mut w.kernel,
-                        &mut shard.grads,
-                    );
-                    model.grid().mark_written(&w.kernel.enc, &mut shard.dirty);
-                }
-                (loss_sum, sample_count)
-            });
-
-        // Fixed-order merge: losses and shard gradients accumulate in
-        // shard-index order regardless of which worker finished first.
-        let mut loss_sum = 0.0f64;
-        let mut sample_count = 0usize;
-        for (loss, samples) in shard_stats {
-            loss_sum += loss;
-            sample_count += samples;
-        }
-        // The grid gradients merge over dirty blocks only, bit-identical
-        // to zeroing `grads` and adding every shard densely in shard
-        // order. A shard's grid gradient is +0.0 outside its bitmap (it
-        // was zeroed there and its backward wrote nothing else), and
-        // `grads` is +0.0 outside the last step's union, zeroed here.
-        // An f32 sum that starts at +0.0 never becomes -0.0 under
-        // round-to-nearest (a sum is -0.0 only when both addends are),
-        // so adding an untouched shard's +0.0 never changes a bit and
-        // skipping it is exact. And `Adam::step` skips entries whose
-        // gradient is exactly zero, so stepping only this step's union
-        // performs the same updates.
-        self.grads.zero_dirty(&mut self.merged);
-        for shard in &self.shards[..shard_count] {
-            self.grads.accumulate_dirty(&shard.grads, &shard.dirty);
-            self.merged.union_with(&shard.dirty);
-        }
-        self.optimizer.step_dirty(&mut self.model, &self.grads, &self.merged);
-        self.iteration += 1;
-        self.account_step_volume(batch.len(), sample_count);
-        StepStats { loss: loss_sum / batch.len() as f64, rays: batch.len(), samples: sample_count }
+        let stats = self.state.fused_step(std::slice::from_mut(&mut self.expert), dataset, rng);
+        let enc_dim = self.expert.model.grid().output_dim() as u64;
+        self.volume = self.volume
+            + estimate_step_volume_dims(enc_dim, stats.rays as u64, stats.samples as u64);
+        stats
     }
 
     /// Runs `iterations` steps and returns the mean loss of the final
     /// quarter of them.
     pub fn train<R: Rng>(&mut self, dataset: &Dataset, iterations: u32, rng: &mut R) -> f64 {
-        let mut tail = Vec::new();
-        for i in 0..iterations {
-            let stats = self.step(dataset, rng);
-            if i >= iterations - iterations.div_ceil(4) {
-                tail.push(stats.loss);
-            }
-        }
-        if tail.is_empty() {
-            0.0
-        } else {
-            tail.iter().sum::<f64>() / tail.len() as f64
-        }
+        tail_mean(iterations, || self.step(dataset, rng).loss)
     }
 
     /// Renders every view of `dataset` with the current model and
     /// returns the mean PSNR.
     pub fn evaluate_psnr(&self, dataset: &Dataset) -> f64 {
         let cfg = PipelineConfig {
-            sampler: self.config.sampler,
-            background: self.config.background,
+            sampler: self.config().sampler,
+            background: self.config().background,
             early_stop: false,
         };
         let mut total = 0.0;
         for view in dataset.views() {
-            let rendered = render_image(&self.model, &self.occupancy, &view.camera, &cfg);
+            let rendered = render_image(self.model(), self.occupancy(), &view.camera, &cfg);
             total += rendered.psnr(&view.image);
         }
         total / dataset.views().len() as f64
@@ -559,12 +616,27 @@ impl<E: Encoding> Trainer<E> {
     /// Renders an arbitrary view with the current model.
     pub fn render(&self, camera: &crate::camera::Camera) -> Image {
         let cfg = PipelineConfig {
-            sampler: self.config.sampler,
-            background: self.config.background,
+            sampler: self.config().sampler,
+            background: self.config().background,
             early_stop: true,
         };
-        render_image(&self.model, &self.occupancy, camera, &cfg)
+        render_image(self.model(), self.occupancy(), camera, &cfg)
     }
+}
+
+/// Runs `step` `iterations` times and returns the mean of the losses
+/// of the final quarter of them (0.0 for no iterations): what
+/// [`Trainer::train`] and the MoE trainer's `train` report.
+pub fn tail_mean(iterations: u32, mut step: impl FnMut() -> f64) -> f64 {
+    let tail = iterations.div_ceil(4);
+    let mut sum = 0.0;
+    for i in 0..iterations {
+        let loss = step();
+        if i >= iterations - tail {
+            sum += loss;
+        }
+    }
+    sum / tail.max(1) as f64
 }
 
 #[cfg(test)]
@@ -713,10 +785,11 @@ mod tests {
             assert_eq!(got.samples, expected.samples, "samples of step {step}");
             // The sparse merge leaves the same buffer as the dense one,
             // untouched blocks included.
+            let grads = &trainer.state.merged[0].grads;
             for (x, y) in [
-                (&trainer.grads.grid, &oracle.grads.grid),
-                (&trainer.grads.density, &oracle.grads.density),
-                (&trainer.grads.color, &oracle.grads.color),
+                (&grads.grid, &oracle.grads.grid),
+                (&grads.density, &oracle.grads.density),
+                (&grads.color, &oracle.grads.color),
             ] {
                 assert!(x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits()), "step {step}");
             }
@@ -732,14 +805,15 @@ mod tests {
         assert_eq!(cells(trainer.occupancy()), cells(&oracle.occupancy), "occupancy bits");
         assert!(trainer.occupancy().occupancy_ratio() < 1.0, "the refreshes never cleared a cell");
         for (group, (x, y)) in
-            trainer.optimizer.groups().iter().zip(oracle.optimizer.groups()).enumerate()
+            trainer.state.optimizers[0].groups().iter().zip(oracle.optimizer.groups()).enumerate()
         {
             assert_eq!(x.step_count(), y.step_count(), "Adam steps of group {group}");
             assert_eq!(bits(x.moments().0), bits(y.moments().0), "first moments of group {group}");
             assert_eq!(bits(x.moments().1), bits(y.moments().1), "second moments of group {group}");
         }
-        let visited: usize = trainer.merged.runs().map(|run| run.len()).sum();
-        visited as f64 / trainer.grads.grid.len() as f64
+        let merged = &trainer.state.merged[0];
+        let visited: usize = merged.dirty.runs().map(|run| run.len()).sum();
+        visited as f64 / merged.grads.grid.len() as f64
     }
 
     #[test]
@@ -766,6 +840,15 @@ mod tests {
             assert_eq!(visited, 1.0, "{threads} threads: the dense-grid merge visited {visited}");
         }
         fusion3d_par::set_thread_override(None);
+    }
+
+    #[test]
+    fn tail_mean_averages_the_final_quarter() {
+        let mut losses = [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0].into_iter();
+        // Seven steps: the mean of the last ceil(7 / 4) = 2 losses.
+        assert_eq!(tail_mean(7, || losses.next().unwrap()), 2.5);
+        assert_eq!(losses.next(), None, "every step ran");
+        assert_eq!(tail_mean(0, || unreachable!()), 0.0);
     }
 
     #[test]
@@ -837,15 +920,5 @@ mod lr_schedule_tests {
         // After 4 decays of 0.5x the max per-step movement (which Adam
         // ties to the learning rate) must be much smaller.
         assert!(late < early * 0.5, "late step moved {late}, early step moved {early}");
-    }
-
-    #[test]
-    fn unit_decay_disables_the_schedule() {
-        let config = TrainerConfig { lr_decay: 1.0, ..TrainerConfig::default() };
-        assert_eq!(config.lr_decay, 1.0);
-        // Constructing a trainer with the schedule disabled must not
-        // alter the configured learning rate over steps — verified
-        // indirectly through the default config used by every other
-        // training test in this crate.
     }
 }

@@ -59,6 +59,15 @@ for threads in 1 4; do
 done
 cmp target/train_lego_t1.f3dm target/train_lego_t4.f3dm \
   || { echo "CLI training diverges between 1 and 4 threads"; exit 1; }
+# MoE training runs on the same sharded step: the Fig. 8 map (300 steps
+# of a four-expert MoE, under a second per run) must print
+# byte-identically at 1 and 4 worker threads.
+for threads in 1 4; do
+  FUSION3D_THREADS=$threads cargo run --release -q -p fusion3d-bench --bin fig8 \
+    > "target/fig8_t$threads.txt"
+done
+cmp target/fig8_t1.txt target/fig8_t4.txt \
+  || { echo "MoE training diverges between 1 and 4 threads"; exit 1; }
 # The paper tables cannot move silently: regenerate every table and
 # figure (~15 s on two threads) and hold the output byte-identical to
 # the committed BENCH_tables.txt.

@@ -31,8 +31,8 @@ fn main() -> ExitCode {
         Some("train") => cmd_train(&args[1..]),
         Some("render") => cmd_render(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
-        Some("scenes") => cmd_scenes(),
-        Some("chip-info") => cmd_chip_info(),
+        Some("scenes") => cmd_scenes(&args[1..]),
+        Some("chip-info") => cmd_chip_info(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -61,21 +61,29 @@ fn print_usage() {
     );
 }
 
-/// Parses `--key value` pairs and `--flag` switches.
-fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String> {
+/// Parses `command`'s arguments: `--key value` pairs and `--flag`
+/// switches, each named in `accepted` with whether it takes a value.
+/// Any other argument, and a value flag without its value, is an error.
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    accepted: &[(&str, bool)],
+) -> Result<Vec<(String, Option<String>)>, String> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         let key = arg.strip_prefix("--").ok_or_else(|| format!("expected --flag, got '{arg}'"))?;
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        if let Some(v) = value {
-            out.push((key.to_string(), Some(v.clone())));
-            i += 2;
+        let takes_value = accepted
+            .iter()
+            .find_map(|&(name, takes_value)| (name == key).then_some(takes_value))
+            .ok_or_else(|| format!("unknown flag '{arg}' for '{command}'"))?;
+        let value = if takes_value {
+            let value = rest.next().filter(|v| !v.starts_with("--"));
+            Some(value.ok_or_else(|| format!("{arg} needs a value"))?.clone())
         } else {
-            out.push((key.to_string(), None));
-            i += 1;
-        }
+            None
+        };
+        out.push((key.to_string(), value));
     }
     Ok(out)
 }
@@ -88,21 +96,26 @@ fn flag_present(flags: &[(String, Option<String>)], key: &str) -> bool {
     flags.iter().any(|(k, _)| k == key)
 }
 
+/// The value of flag `key` parsed as a `T`, or `default` when the flag
+/// is absent. Values that do not parse or that `valid` rejects are an
+/// error saying the flag must be `expected`.
+fn parse_value<T: std::str::FromStr>(
+    flags: &[(String, Option<String>)],
+    key: &str,
+    default: T,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(value) = flag_value(flags, key) else {
+        return Ok(default);
+    };
+    let parsed = value.parse().ok().filter(|v| valid(v));
+    parsed.ok_or_else(|| format!("--{key} must be {expected}, got '{value}'"))
+}
+
 /// Largest accepted `render --size`: the frame buffer grows with its
 /// square, so outside input must not choose it freely.
 const MAX_RENDER_SIZE: u32 = 4096;
-
-/// Parses `render --size` (default 128), accepting 1..=MAX_RENDER_SIZE.
-fn parse_size(flags: &[(String, Option<String>)]) -> Result<u32, String> {
-    if !flag_present(flags, "size") {
-        return Ok(128);
-    }
-    let value = flag_value(flags, "size").unwrap_or("");
-    match value.parse::<u32>() {
-        Ok(size) if (1..=MAX_RENDER_SIZE).contains(&size) => Ok(size),
-        _ => Err(format!("--size must be an integer in 1..={MAX_RENDER_SIZE}, got '{value}'")),
-    }
-}
 
 fn find_scene(name: &str) -> Result<ProceduralScene, String> {
     for s in SyntheticScene::ALL {
@@ -145,17 +158,14 @@ fn cli_trainer_config(background: Vec3) -> TrainerConfig {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let accepted =
+        [("scene", true), ("out", true), ("iters", true), ("seed", true), ("f16", false)];
+    let flags = parse_flags("train", args, &accepted)?;
     let scene_name = flag_value(&flags, "scene").ok_or("train requires --scene")?;
     let out = flag_value(&flags, "out").ok_or("train requires --out")?;
-    let iters: u32 = flag_value(&flags, "iters")
-        .unwrap_or("400")
-        .parse()
-        .map_err(|_| "--iters must be an integer")?;
-    let seed: u64 = flag_value(&flags, "seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "--seed must be an integer")?;
+    // Zero iterations would save an untrained model.
+    let iters = parse_value(&flags, "iters", 400u32, "a positive integer", |&n| n > 0)?;
+    let seed = parse_value(&flags, "seed", 42u64, "an integer", |_| true)?;
     let precision = if flag_present(&flags, "f16") { Precision::F16 } else { Precision::F32 };
 
     let scene = find_scene(scene_name)?;
@@ -184,12 +194,14 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let accepted = [("model", true), ("scene", true), ("size", true), ("out", true)];
+    let flags = parse_flags("render", args, &accepted)?;
     let model_path = flag_value(&flags, "model").ok_or("render requires --model")?;
     let scene_name =
         flag_value(&flags, "scene").ok_or("render requires --scene (for camera/background)")?;
     let out = flag_value(&flags, "out").ok_or("render requires --out")?;
-    let size = parse_size(&flags)?;
+    let expected = format!("an integer in 1..={MAX_RENDER_SIZE}");
+    let size = parse_value(&flags, "size", 128, &expected, |n| (1..=MAX_RENDER_SIZE).contains(n))?;
 
     let scene = find_scene(scene_name)?;
     let data = std::fs::read(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
@@ -214,7 +226,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("simulate", args, &[("scene", true), ("multichip", false)])?;
     let scene_name = flag_value(&flags, "scene").ok_or("simulate requires --scene")?;
     let scene = find_scene(scene_name)?;
     let occupancy = scene.occupancy_grid(32);
@@ -246,9 +258,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     );
 
     if flag_present(&flags, "multichip") {
+        use fusion3d::multichip::moe::partition_occupancy;
         use fusion3d::multichip::system::MultiChipSystem;
         let system = MultiChipSystem::fusion3d();
-        let per_chip: Vec<fusion3d::nerf::FrameTrace> = fusion3d_bench_partition(&occupancy, 4)
+        let per_chip: Vec<fusion3d::nerf::FrameTrace> = partition_occupancy(&occupancy, 4)
             .iter()
             .map(|gate| trace_frame(gate, &camera, &sampler))
             .collect();
@@ -262,40 +275,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Local copy of the bench partitioner (the CLI does not depend on the
-/// bench crate): azimuthal sectors with strong-ownership pruning.
-fn fusion3d_bench_partition(
-    full: &fusion3d::nerf::OccupancyGrid,
-    experts: usize,
-) -> Vec<fusion3d::nerf::OccupancyGrid> {
-    let mut grids: Vec<fusion3d::nerf::OccupancyGrid> = (0..experts)
-        .map(|_| fusion3d::nerf::OccupancyGrid::new(full.resolution(), full.threshold()))
-        .collect();
-    let sector = std::f32::consts::TAU / experts as f32;
-    for cell in full.occupied_cells() {
-        let c = full.cell_center(cell);
-        let angle = (c.z - 0.5).atan2(c.x - 0.5) + std::f32::consts::PI;
-        for (e, grid) in grids.iter_mut().enumerate() {
-            let strongly_owned_by_other = (0..experts).any(|m| {
-                if m == e {
-                    return false;
-                }
-                let center = (m as f32 + 0.5) * sector;
-                let mut d = (angle - center).abs();
-                if d > std::f32::consts::PI {
-                    d = std::f32::consts::TAU - d;
-                }
-                d < 0.25 * sector
-            });
-            if !strongly_owned_by_other {
-                grid.set_cell(cell, true);
-            }
-        }
-    }
-    grids
-}
-
-fn cmd_scenes() -> Result<(), String> {
+fn cmd_scenes(args: &[String]) -> Result<(), String> {
+    parse_flags("scenes", args, &[])?;
     println!("Object scenes (NeRF-Synthetic class):");
     for s in SyntheticScene::ALL {
         let scene = ProceduralScene::synthetic(s);
@@ -319,7 +300,8 @@ fn cmd_scenes() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chip_info() -> Result<(), String> {
+fn cmd_chip_info(args: &[String]) -> Result<(), String> {
+    parse_flags("chip-info", args, &[])?;
     use fusion3d::core::config::{ChipConfig, Module};
     for (label, cfg) in
         [("Prototype", ChipConfig::prototype()), ("Scaled-up", ChipConfig::scaled_up())]

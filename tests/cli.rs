@@ -39,3 +39,25 @@ fn render_rejects_an_unknown_scene() {
 fn unknown_commands_are_rejected() {
     assert_rejected(&["frobnicate"], "unknown command");
 }
+
+#[test]
+fn commands_reject_flags_they_do_not_take() {
+    assert_rejected(&["chip-info", "--foo"], "--foo");
+    assert_rejected(&["scenes", "--verbose"], "--verbose");
+    assert_rejected(&["simulate", "--scene", "lego", "--multichipp"], "--multichipp");
+    assert_rejected(&["train", "--scene", "lego", "--size", "64", "--out", "x.f3dm"], "--size");
+}
+
+#[test]
+fn a_flag_missing_its_value_is_rejected() {
+    assert_rejected(&["train", "--scene", "lego", "--out"], "--out");
+    assert_rejected(&["simulate", "--scene", "--multichip"], "--scene");
+}
+
+#[test]
+fn train_rejects_zero_iterations() {
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero_iterations.f3dm");
+    let _ = std::fs::remove_file(out);
+    assert_rejected(&["train", "--scene", "lego", "--iters", "0", "--out", out], "--iters");
+    assert!(!std::path::Path::new(out).exists(), "an untrained container was written");
+}
