@@ -39,7 +39,10 @@ pub const FIEM_MAX_INT: i32 = 1 << 24;
 /// assert_eq!(fiem_mul(-0.375, 3), -1.125);
 /// ```
 pub fn fiem_mul(value: f32, int: i32) -> f32 {
-    assert!(int.abs() <= FIEM_MAX_INT, "FIEM integer operand out of range: {int}");
+    assert!(
+        (-FIEM_MAX_INT..=FIEM_MAX_INT).contains(&int),
+        "FIEM integer operand out of range: {int}"
+    );
     let parts = F32Parts::from_f32(value);
     if int == 0 || parts.significand == 0 {
         return if parts.negative != (int < 0) { -0.0 } else { 0.0 };
@@ -59,7 +62,7 @@ pub fn fiem_mul(value: f32, int: i32) -> f32 {
 /// Panics if `value` is not finite or `|int| > 2^24`.
 pub fn int2fp_fpmul(value: f32, int: i32) -> f32 {
     assert!(value.is_finite(), "reference path requires finite input");
-    assert!(int.abs() <= FIEM_MAX_INT, "integer operand out of range: {int}");
+    assert!((-FIEM_MAX_INT..=FIEM_MAX_INT).contains(&int), "integer operand out of range: {int}");
     value * int as f32
 }
 
@@ -80,7 +83,7 @@ impl<const FRAC_BITS: u32> FixedWeight<FRAC_BITS> {
     /// Panics if the weight is outside `[0, 1]`.
     pub fn from_f32(w: f32) -> Self {
         // Keeps `1 << FRAC_BITS` exactly representable in f32 and the
-        // rounded product provably inside i32 (lint rule A4).
+        // rounded product provably inside i32 (lint rule A2).
         debug_assert!((0..=24).contains(&FRAC_BITS), "fraction width exceeds f32 significand");
         assert!((0.0..=1.0).contains(&w), "weight out of [0,1]: {w}");
         FixedWeight((w * (1 << FRAC_BITS) as f32).round() as i32)
@@ -95,6 +98,10 @@ impl<const FRAC_BITS: u32> FixedWeight<FRAC_BITS> {
     /// The represented real value.
     #[inline]
     pub fn to_f32(self) -> f32 {
+        // The same bounds `apply` states: both casts stay within the
+        // ±2^24 integers an f32 holds exactly (lint rule A2).
+        debug_assert!((0..=24).contains(&FRAC_BITS), "fraction width exceeds f32 significand");
+        debug_assert!((0..=1 << FRAC_BITS).contains(&self.0), "weight raw value out of range");
         self.0 as f32 / (1 << FRAC_BITS) as f32
     }
 
@@ -172,6 +179,21 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_oversized_integer() {
         fiem_mul(1.0, (1 << 24) + 1);
+    }
+
+    // `i32::MIN.abs()` overflows, so a magnitude check written with
+    // `abs` would panic with the wrong message in debug builds and
+    // accept the operand in release builds.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fiem_rejects_i32_min() {
+        fiem_mul(1.5, i32::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn reference_rejects_i32_min() {
+        int2fp_fpmul(1.5, i32::MIN);
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub fn scene_breakdown_at(scene: SyntheticScene, resolution: u32) -> SceneBreakd
     SceneBreakdown { scene, report, frame }
 }
 
-/// Observes one scene at the standard trace resolution.
-pub fn scene_breakdown(scene: SyntheticScene) -> SceneBreakdown {
-    scene_breakdown_at(scene, TRACE_RES)
-}
-
 /// Observes all eight synthetic scenes at `resolution`, fanned out
 /// across the worker pool, in scene order.
 pub fn all_scene_breakdowns_at(resolution: u32) -> Vec<SceneBreakdown> {

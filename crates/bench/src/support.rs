@@ -17,17 +17,6 @@ pub const OCCUPANCY_RES: u32 = 32;
 /// traces run at 160×160 and FPS numbers scale to the paper's 800×800.
 pub const TRACE_RES: u32 = 160;
 
-/// The paper's evaluation frame resolution.
-pub const PAPER_RES: u32 = 800;
-
-/// Rays in a paper-scale frame.
-pub const PAPER_RAYS: u64 = (PAPER_RES as u64) * (PAPER_RES as u64);
-
-/// Scaling factor from trace frames to paper frames.
-pub fn frame_scale() -> f64 {
-    (PAPER_RAYS as f64) / (TRACE_RES as f64 * TRACE_RES as f64)
-}
-
 /// The sampler settings used for all simulator traces: a fine lattice
 /// (the paper quotes up to 255 samples per ray), so occupancy skipping
 /// matters and per-scene Stage-I costs spread as in Table VI.

@@ -91,3 +91,24 @@ fn expert_count_psnr_matches_bench_tables() {
         .collect();
     assert_eq!(doc_table("| Experts | Convergent PSNR |"), expected, "expert-count scaling");
 }
+
+#[test]
+fn table2_psnr_matches_bench_tables() {
+    // "              48 Iter.       30.2" -> ["48 Iter.", "30.2 dB", "+0.0 dB"]
+    let rows: Vec<(String, f64)> = bench_rows("=== Table II", 2)
+        .iter()
+        .map(|line| {
+            let (label, psnr) = line.trim().rsplit_once(' ').expect("Table II row");
+            (label.trim().to_string(), number(psnr))
+        })
+        .collect();
+    let never = rows[0].1;
+    let expected: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(label, psnr)| {
+            vec![label.clone(), format!("{psnr:.1} dB"), format!("{:+.1} dB", psnr - never)]
+        })
+        .collect();
+    let header = "| Quantization frequency | Measured PSNR | vs Never |";
+    assert_eq!(doc_table(header), expected, "Table II");
+}

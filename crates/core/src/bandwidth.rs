@@ -106,6 +106,8 @@ pub fn bandwidth_for_model_size(
         volume.end_to_end_io
     } else {
         let miss_ratio = 1.0 - sram_bytes as f64 / param_bytes as f64;
+        // lint: allow(a2): miss_ratio lies in (0, 1], so the floored product never
+        // exceeds the u64 byte count it scales
         volume.end_to_end_io + (volume.stage2_internal as f64 * miss_ratio) as u64
     };
     ModelSizePoint {

@@ -136,11 +136,6 @@ impl ChipConfig {
             + self.support_sram_kb
     }
 
-    /// Clock period in nanoseconds.
-    pub fn clock_period_ns(&self) -> f64 {
-        1000.0 / self.clock_mhz
-    }
-
     /// Cycles per second.
     pub fn cycles_per_second(&self) -> f64 {
         self.clock_mhz * 1e6

@@ -189,6 +189,8 @@ pub(crate) fn step_pipeline(
         // Stage I.
         if produced1 < total {
             acc1 += r1;
+            // lint: allow(a2): flooring the rate accumulator is the design; it stays in
+            // [0, 3 · max(r1, 1)] with r1 ≤ total points, which no trace brings near 2^64
             let want = acc1 as u64;
             if want > 0 {
                 let space = buffers.sample_fifo - fifo1;
@@ -206,6 +208,8 @@ pub(crate) fn step_pipeline(
         // Stage II.
         if produced2 < total {
             acc2 += r2;
+            // lint: allow(a2): flooring the rate accumulator is the design; it stays in
+            // [0, 3 · max(r2, 1)] with r2 ≤ total points, which no trace brings near 2^64
             let want = acc2 as u64;
             if want > 0 {
                 if fifo1 == 0 {
@@ -231,6 +235,8 @@ pub(crate) fn step_pipeline(
         // post-processing cycle; a starved cycle is charged to the
         // upstream stage that caused the bubble.
         acc3 += r3;
+        // lint: allow(a2): flooring the rate accumulator is the design; it stays in
+        // [0, 3 · max(r3, 1)] with r3 ≤ total points, which no trace brings near 2^64
         let want = acc3 as u64;
         if want > 0 {
             if fifo2 == 0 {

@@ -13,46 +13,51 @@
 //! over-approximates the return value for any narrower call-site
 //! arguments.
 //!
-//! Three rule families run on top of the analysis, each scoped to the
-//! modules where its hazard corrupts reported numbers:
+//! Three rule families run on top of the analysis, all over the one
+//! list of [`ACCOUNTING_FILES`] where a silent wrap or truncation
+//! corrupts reported numbers (function bodies and `const`
+//! initializers alike):
 //!
-//! * **A2 overflow-bounds** — in the accounting and FIEM modules,
-//!   every `+` (below 64 bits), `*`, and `<<` must have a provable
-//!   result interval inside its operand type, and every narrowing
-//!   `as` cast a provable source interval inside the destination
-//!   type. `checked_*`/`saturating_*`/`wrapping_*`
-//!   are sanctioned by construction; 64-bit `+` is exempt because the
+//! * **A2 overflow-bounds and casts** — every `+` (below 64 bits),
+//!   `*`, and `<<` must have a provable result interval inside its
+//!   operand type. Every `as` cast must provably lose nothing: an int
+//!   or float source must lie inside an integer destination (`usize`
+//!   and `isize` count as 32-bit, so the proof holds on every target),
+//!   a float literal with a fractional part never casts to an integer,
+//!   and an `f32` destination takes an `f32` source or an integer
+//!   within ±2^24. `checked_*`/`saturating_*`/`wrapping_*` are
+//!   sanctioned by construction; 64-bit `+` is exempt because the
 //!   cycle/energy totals carry deliberate headroom there.
 //! * **A3 unit-consistency** — values flowing from unit-named sources
 //!   (`*_cycles`, `*_pj`/energy, `*_bytes`, `*_points`; seeded from
 //!   parameter, field, and const names) carry a unit tag; cross-unit
 //!   `+`/`-`/comparisons and unit-erasing divisions (different units
 //!   on both sides) require a `// lint: allow(a3): why`.
-//! * **A4 quantization-width audit** — in the FIEM file, every
-//!   float→int cast needs a provable (clamp- or assert-derived)
-//!   interval inside the destination, and the width constant is
+//! * **A4 quantization-width audit** — the width constant is
 //!   re-derived: a `*MAX_INT*` const must stay within `2^24` (exact
 //!   f32 significand product, the paper's FP×INT exactness claim).
 //!
-//! The analysis is deliberately fail-open: an expression it cannot
-//! evaluate becomes ⊤/untyped, and checks fire only where the operand
-//! type is known. Unknown constructs therefore cost precision (which
-//! a `debug_assert!` precondition wins back), never false positives.
+//! The analysis is deliberately fail-open for arithmetic: an
+//! expression it cannot evaluate becomes ⊤/untyped, and overflow
+//! checks fire only where the operand type is known. Unknown
+//! constructs therefore cost precision (which a `debug_assert!`
+//! precondition wins back), never false positives. Casts are the
+//! exception: a cast whose source it cannot bound is a finding.
 
 use std::collections::BTreeMap;
 
 use crate::graph::{fn_item, CallGraph};
 use crate::intervals::{is_float_type, is_int_type, type_bits, type_range, Interval};
 use crate::lexer::{match_close, match_open, Token, TokenKind};
-use crate::parse::FnItem;
-use crate::rules::{test_mask, AllowUsage, Finding, ACCOUNTING_FILES};
+use crate::parse::{ConstItem, FnItem};
+use crate::rules::{test_mask, AllowUsage, Finding};
 use crate::SourceFile;
 
-/// Files under the A2 overflow-bounds contract: the FIEM multiply
-/// plus every cycle/energy/byte accounting module. The float-heavy
+/// Files under the A2/A3/A4 contract: the FIEM multiply plus every
+/// cycle/energy/byte accounting module. The float-heavy
 /// balance/moe/system models in `multichip` are out of scope — their
 /// results are `f64` end to end.
-const A2_FILES: &[&str] = &[
+const ACCOUNTING_FILES: &[&str] = &[
     "crates/arith/src/cost.rs",
     "crates/arith/src/fiem.rs",
     "crates/core/src/bandwidth.rs",
@@ -66,41 +71,14 @@ const A2_FILES: &[&str] = &[
     "crates/multichip/src/comm.rs",
 ];
 
-/// Files under the A4 quantization-width audit: the fixed-point
-/// exact-integer multiply path.
-const A4_FILES: &[&str] = &["crates/arith/src/fiem.rs"];
-
 /// `+` is checked only below this operand width: 64-bit totals carry
 /// deliberate headroom (a u64 cycle counter cannot overflow in any
 /// simulated workload), and demanding proofs there would bury the
 /// real hazards in allows.
 const PLUS_CHECK_BELOW_BITS: u32 = 64;
 
-/// Which rule families apply to the current file.
-#[derive(Debug, Clone, Copy, Default)]
-struct Scope {
-    a2: bool,
-    a3: bool,
-    a4: bool,
-    /// File is also in A1 scope: `as` casts there are A1's business,
-    /// so A2 skips cast checks to avoid double findings.
-    a1: bool,
-}
-
-impl Scope {
-    fn of(path: &str) -> Scope {
-        Scope {
-            a2: A2_FILES.contains(&path),
-            a3: ACCOUNTING_FILES.contains(&path),
-            a4: A4_FILES.contains(&path),
-            a1: ACCOUNTING_FILES.contains(&path),
-        }
-    }
-
-    fn any(self) -> bool {
-        self.a2 || self.a3 || self.a4
-    }
-}
+/// An `f32` holds every integer in `[-2^24, 2^24]` exactly.
+const F32_EXACT_INT: Interval = Interval::Range { lo: -(1 << 24), hi: 1 << 24 };
 
 /// One abstract value: an interval plus the metadata the checks need.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +163,9 @@ struct Cx<'a> {
     env: Env,
     loops: Vec<LoopCtx>,
     quiet: bool,
-    scope: Scope,
+    /// Type an unsuffixed integer literal takes when no operand types
+    /// it: a `const` initializer's declared type, else `i32`.
+    lit_ty: Option<String>,
     self_ty: Option<String>,
     ret: Option<AbsVal>,
 }
@@ -220,15 +200,14 @@ pub(crate) fn check(
     graph: &CallGraph,
     usage: &mut [AllowUsage],
 ) -> Vec<Finding> {
+    let in_scope = |file: usize| ACCOUNTING_FILES.contains(&files[file].path.as_str());
     let mut a = Analyzer::new(files, graph, usage);
     a.build_consts();
-    a.audit_consts();
-    for node in 0..graph.nodes.len() {
-        let path = files[graph.nodes[node].file].path.as_str();
-        let scope = Scope::of(path);
-        if scope.any() {
-            a.analyze_fn(node, scope, false);
-        }
+    for file_idx in (0..files.len()).filter(|&f| in_scope(f)) {
+        a.check_consts(file_idx);
+    }
+    for node in (0..graph.nodes.len()).filter(|&n| in_scope(graph.nodes[n].file)) {
+        a.analyze_fn(node, false);
     }
     let mut findings = a.findings;
     findings
@@ -447,32 +426,21 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn report(&mut self, cx: &Cx<'a>, rules: &[&'static str], line: u32, message: String) {
+    fn report(&mut self, cx: &Cx<'a>, rule: &'static str, line: u32, message: String) {
         if cx.quiet {
             return;
         }
-        let lexed = &self.files[cx.file].lexed;
-        for rule in rules {
-            if let Some(directive_line) = lexed.allow_line(rule, line) {
+        match self.files[cx.file].lexed.allow_line(rule, line) {
+            Some(directive_line) => {
                 self.usage[cx.file].insert((directive_line, rule.to_ascii_lowercase()));
-                return;
             }
+            None => self.findings.push(Finding {
+                rule,
+                path: self.files[cx.file].path.clone(),
+                line,
+                message,
+            }),
         }
-        // Suppression keys are lowercase (`a2`), published rule IDs
-        // uppercase, matching the D/P/H families.
-        let rule = match rules[0] {
-            "a2" => "A2",
-            "a3" => "A3",
-            "a4" => "A4",
-            other => other,
-        };
-        self.findings.push(Finding {
-            rule,
-            path: self.files[cx.file].path.clone(),
-            line,
-            message,
-            id: String::new(),
-        });
     }
 
     fn resolve_ty(&self, name: &str) -> String {
@@ -487,26 +455,11 @@ impl<'a> Analyzer<'a> {
         for _ in 0..2 {
             let mut pass: BTreeMap<String, AbsVal> = BTreeMap::new();
             for file_idx in 0..self.files.len() {
-                let parsed = &self.files[file_idx].parsed;
-                for c in parsed.consts.clone() {
+                for c in self.files[file_idx].parsed.consts.clone() {
                     if self.masks[file_idx].get(c.init.0).copied().unwrap_or(false) {
                         continue;
                     }
-                    let mut cx = self.fresh_cx(file_idx, Scope::default(), true, None);
-                    let mut p = c.init.0;
-                    let mut val = self.eval(&mut cx, &mut p, c.init.1, 0, false);
-                    if let Some(ty) = c.ty.as_deref() {
-                        let ty = self.resolve_ty(ty);
-                        if is_int_type(&ty) {
-                            val.iv = val.iv.meet(type_range(&ty).unwrap_or(Interval::TOP));
-                            val.ty = Some(ty);
-                            val.weak = false;
-                        } else if is_float_type(&ty) {
-                            val.float = true;
-                            val.ty = Some(ty);
-                        }
-                    }
-                    val.unit = unit_of_name(&c.name);
+                    let val = self.eval_const(file_idx, &c, true);
                     pass.entry(c.name.clone()).and_modify(|e| *e = e.join(&val)).or_insert(val);
                 }
             }
@@ -514,35 +467,52 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// A4: statically re-derive the paper's width claims from the
-    /// named constants themselves, so drift fails in CI.
-    fn audit_consts(&mut self) {
-        for file_idx in 0..self.files.len() {
-            let path = self.files[file_idx].path.clone();
-            if !A4_FILES.contains(&path.as_str()) {
+    /// Evaluates one const initializer against its declared type: an
+    /// unsuffixed literal takes that type, as `rustc` infers it, so
+    /// `const MAX: u64 = 1 << 32;` is no `i32` overflow.
+    fn eval_const(&mut self, file_idx: usize, c: &ConstItem, quiet: bool) -> AbsVal {
+        let ty = c.ty.as_deref().map(|t| self.resolve_ty(t));
+        let mut cx = self.fresh_cx(file_idx, quiet, None);
+        cx.lit_ty = ty.clone().filter(|t| is_int_type(t));
+        let mut p = c.init.0;
+        let mut val = self.eval(&mut cx, &mut p, c.init.1, 0, false);
+        if let Some(ty) = ty {
+            if is_int_type(&ty) {
+                val.iv = val.iv.meet(type_range(&ty).unwrap_or(Interval::TOP));
+                val.ty = Some(ty);
+                val.weak = false;
+            } else if is_float_type(&ty) {
+                val.float = true;
+                val.ty = Some(ty);
+            }
+        }
+        val.unit = unit_of_name(&c.name);
+        val
+    }
+
+    /// Checks the const initializers of one accounting file: A2/A3 on
+    /// the expressions, and A4 re-derives the paper's width claim from
+    /// the named constant itself, so drift fails in CI.
+    fn check_consts(&mut self, file_idx: usize) {
+        for c in self.files[file_idx].parsed.consts.clone() {
+            if self.masks[file_idx].get(c.init.0).copied().unwrap_or(false) {
                 continue;
             }
-            let scope = Scope::of(&path);
-            for c in self.files[file_idx].parsed.consts.clone() {
-                if self.masks[file_idx].get(c.init.0).copied().unwrap_or(false) {
-                    continue;
-                }
-                let Some(val) = self.consts.get(&c.name).cloned() else { continue };
-                let Some((_, hi)) = val.iv.bounds() else { continue };
-                let cx = self.fresh_cx(file_idx, scope, false, None);
-                if c.name.contains("MAX_INT") && hi > 1 << 24 {
-                    self.report(
-                        &cx,
-                        &["a4"],
-                        c.line,
-                        format!(
-                            "`{}` = {hi} exceeds 2^24: an f32 significand times \
-                             an int this large no longer multiplies exactly, \
-                             breaking the FIEM exactness claim",
-                            c.name
-                        ),
-                    );
-                }
+            let val = self.eval_const(file_idx, &c, false);
+            let Some((_, hi)) = val.iv.bounds() else { continue };
+            if c.name.contains("MAX_INT") && hi > 1 << 24 {
+                let cx = self.fresh_cx(file_idx, false, None);
+                self.report(
+                    &cx,
+                    "A4",
+                    c.line,
+                    format!(
+                        "`{}` = {hi} exceeds 2^24: an f32 significand times an int this \
+                         large no longer multiplies exactly, breaking the FIEM \
+                         exactness claim",
+                        c.name
+                    ),
+                );
             }
         }
     }
@@ -556,7 +526,7 @@ impl<'a> Analyzer<'a> {
             Summary::NotStarted => {}
         }
         self.summaries[node] = Summary::InProgress;
-        let val = self.analyze_fn(node, Scope::default(), true);
+        let val = self.analyze_fn(node, true);
         self.summaries[node] = Summary::Done(val.clone());
         val
     }
@@ -564,7 +534,7 @@ impl<'a> Analyzer<'a> {
     /// Analyzes one function body; returns the join of its `return`
     /// values and trailing expression, met with the declared return
     /// type's range. Quiet mode computes summaries without findings.
-    fn analyze_fn(&mut self, node: usize, scope: Scope, quiet: bool) -> AbsVal {
+    fn analyze_fn(&mut self, node: usize, quiet: bool) -> AbsVal {
         let n = &self.graph.nodes[node];
         let file_idx = n.file;
         let item: &FnItem = &self.files[file_idx].parsed.fns[n.fn_index];
@@ -574,7 +544,7 @@ impl<'a> Analyzer<'a> {
         let params = item.params.clone();
         let alias_typed: BTreeMap<String, String> = item.alias_typed.iter().cloned().collect();
 
-        let mut cx = self.fresh_cx(file_idx, scope, quiet, self_ty.clone());
+        let mut cx = self.fresh_cx(file_idx, quiet, self_ty.clone());
         for p in &params {
             let mut val = match alias_typed.get(p) {
                 Some(ty) => {
@@ -606,19 +576,20 @@ impl<'a> Analyzer<'a> {
                 out.weak = false;
             } else if is_float_type(&ty) {
                 out.float = true;
+                out.ty = Some(ty);
             }
         }
         out
     }
 
-    fn fresh_cx(&self, file: usize, scope: Scope, quiet: bool, self_ty: Option<String>) -> Cx<'a> {
+    fn fresh_cx(&self, file: usize, quiet: bool, self_ty: Option<String>) -> Cx<'a> {
         Cx {
             file,
             toks: &self.files[file].lexed.tokens,
             env: Env::new(),
             loops: Vec::new(),
             quiet,
-            scope,
+            lit_ty: None,
             self_ty,
             ret: None,
         }
@@ -802,20 +773,18 @@ impl<'a> Analyzer<'a> {
                 }
             }
             let name_unit = unit_of_name(&name);
-            if cx.scope.a3 {
-                if let (Some(nu), Some(vu)) = (name_unit.as_deref(), val.unit.as_deref()) {
-                    if nu != vu {
-                        let line = cx.toks[i].line;
-                        self.report(
-                            cx,
-                            &["a3"],
-                            line,
-                            format!(
-                                "binding named in {nu} initialised from a {vu} value; \
-                                 relabeling units needs `// lint: allow(a3): why`"
-                            ),
-                        );
-                    }
+            if let (Some(nu), Some(vu)) = (name_unit.as_deref(), val.unit.as_deref()) {
+                if nu != vu {
+                    let line = cx.toks[i].line;
+                    self.report(
+                        cx,
+                        "A3",
+                        line,
+                        format!(
+                            "binding named in {nu} initialised from a {vu} value; \
+                             relabeling units needs `// lint: allow(a3): why`"
+                        ),
+                    );
                 }
             }
             if val.unit.is_none() {
@@ -1518,54 +1487,33 @@ impl<'a> Analyzer<'a> {
 
     /// Ensures `place` has an env entry before a refinement meets it,
     /// seeding it from the place's own evaluated value (its
-    /// type-derived range). Seeding ⊤ instead would let one branch's
-    /// refinement meet against an unbounded interval and leak bounds
-    /// like `[-inf, 0]` past the branch join. `span` is the place's
-    /// token span (for a `|x` absolute-value marker, pass the base
-    /// place's span).
+    /// type-derived range) over its token span `[lo, hi)`. Seeding ⊤
+    /// instead would let one branch's refinement meet against an
+    /// unbounded interval and leak bounds like `[-inf, 0]` past the
+    /// branch join.
     fn seed_place(&mut self, cx: &mut Cx<'a>, place: &str, lo: usize, hi: usize) {
-        let base = place.strip_prefix('|').unwrap_or(place);
-        if cx.env.contains_key(base) {
+        if cx.env.contains_key(place) {
             return;
         }
-        let (lo, hi) = if place.starts_with('|') { (lo, hi - 4) } else { (lo, hi) };
         let mut p = lo;
         let v = self.eval(cx, &mut p, hi, 0, true);
-        cx.env.entry(base.to_string()).or_insert(v);
+        cx.env.entry(place.to_string()).or_insert(v);
     }
 
-    /// A place span, or a place behind `.abs()`/`.unsigned_abs()`
-    /// (returned with a `|` prefix marking the absolute-value form).
+    /// A place span. `.len()` is a tracked pseudo-place; any other
+    /// trailing call (`x.abs()` included — `i32::MIN.abs()` wraps in
+    /// release builds, so `x.abs() <= k` bounds nothing) is not.
     fn refinable_place(&self, cx: &Cx<'a>, lo: usize, hi: usize) -> Option<String> {
-        if is_place_span(cx.toks, lo, hi) {
-            let s = span_text(cx.toks, lo, hi);
-            // `.len()` is a tracked pseudo-place; other trailing
-            // calls are not places.
-            if s.contains('(') && !s.ends_with(".len()") {
-                return None;
-            }
-            return Some(s);
+        if !is_place_span(cx.toks, lo, hi) {
+            return None;
         }
-        if hi >= lo + 5
-            && cx.toks[hi - 1].text == ")"
-            && cx.toks[hi - 2].text == "("
-            && matches!(cx.toks[hi - 3].text.as_str(), "abs" | "unsigned_abs")
-            && cx.toks[hi - 4].text == "."
-            && is_place_span(cx.toks, lo, hi - 4)
-        {
-            return Some(format!("|{}", span_text(cx.toks, lo, hi - 4)));
-        }
-        None
+        let s = span_text(cx.toks, lo, hi);
+        (!s.contains('(') || s.ends_with(".len()")).then_some(s)
     }
 
-    /// Narrows `place` by `place op k`. An absolute-value marker
-    /// (`|x`) narrows the base symmetrically.
+    /// Narrows `place` by `place op k`.
     fn narrow(&mut self, cx: &mut Cx<'a>, place: &str, op: &str, k: AbsVal) {
         let Some((klo, khi)) = k.iv.bounds() else { return };
-        let (abs, place) = match place.strip_prefix('|') {
-            Some(base) => (true, base),
-            None => (false, place),
-        };
         let derived = match op {
             "<" => Interval::new(i128::MIN, khi.saturating_sub(1)),
             "<=" => Interval::new(i128::MIN, khi),
@@ -1573,15 +1521,6 @@ impl<'a> Analyzer<'a> {
             ">=" => Interval::new(klo, i128::MAX),
             "==" => k.iv,
             _ => return,
-        };
-        let derived = if abs {
-            let Some((_, dhi)) = derived.bounds() else { return };
-            if dhi == i128::MAX {
-                return;
-            }
-            Interval::new(dhi.saturating_neg(), dhi)
-        } else {
-            derived
         };
         let entry = cx.env.entry(place.to_string()).or_insert_with(AbsVal::unknown);
         let met = entry.iv.meet(derived);
@@ -1638,18 +1577,14 @@ impl<'a> Analyzer<'a> {
         let mut p = b.0;
         let vb = self.eval(cx, &mut p, b.1, 0, true);
         if let Some(place) = self.refinable_place(cx, a.0, a.1) {
-            if !place.starts_with('|') {
-                let entry = cx.env.entry(place).or_insert_with(|| va.clone());
-                let met = entry.iv.meet(vb.iv);
-                entry.iv = if met.is_bottom() { entry.iv } else { met };
-            }
+            let entry = cx.env.entry(place).or_insert_with(|| va.clone());
+            let met = entry.iv.meet(vb.iv);
+            entry.iv = if met.is_bottom() { entry.iv } else { met };
         }
         if let Some(place) = self.refinable_place(cx, b.0, b.1) {
-            if !place.starts_with('|') {
-                let entry = cx.env.entry(place).or_insert_with(|| vb.clone());
-                let met = entry.iv.meet(va.iv);
-                entry.iv = if met.is_bottom() { entry.iv } else { met };
-            }
+            let entry = cx.env.entry(place).or_insert_with(|| vb.clone());
+            let met = entry.iv.meet(va.iv);
+            entry.iv = if met.is_bottom() { entry.iv } else { met };
         }
     }
 }
@@ -1872,10 +1807,11 @@ impl<'a> Analyzer<'a> {
                 (v, None)
             }
             TokenKind::Float => {
+                let ty = ["f32", "f64"].into_iter().find(|s| tok.text.ends_with(s));
                 let v = match parse_float_lit(&tok.text) {
                     Some((lo, hi)) => AbsVal {
                         iv: Interval::new(lo, hi),
-                        ty: None,
+                        ty: ty.map(str::to_string),
                         weak: false,
                         float: true,
                         unit: None,
@@ -2310,6 +2246,10 @@ impl<'a> Analyzer<'a> {
                 }
                 "as" if cx.toks[*p].kind == TokenKind::Ident => {
                     let line = cx.toks[*p].line;
+                    // `as` binds tighter than any binary operator, so a
+                    // float literal right before it is the whole source.
+                    let frac_literal = cx.toks[*p - 1].kind == TokenKind::Float
+                        && parse_float_lit(&cx.toks[*p - 1].text).is_some_and(|(lo, hi)| lo != hi);
                     *p += 1;
                     // Take the last ident of the (possibly qualified)
                     // target type.
@@ -2325,7 +2265,7 @@ impl<'a> Analyzer<'a> {
                             break;
                         }
                     }
-                    val = self.apply_cast(cx, line, val, &ty);
+                    val = self.apply_cast(cx, line, val, &ty, frac_literal);
                     place = None;
                 }
                 "?" => {
@@ -2499,11 +2439,40 @@ impl<'a> Analyzer<'a> {
         out.unwrap_or_else(AbsVal::unknown)
     }
 
-    /// `expr as Ty`: the A2/A4 narrowing checks.
-    fn apply_cast(&mut self, cx: &mut Cx<'a>, line: u32, val: AbsVal, ty: &str) -> AbsVal {
+    /// `expr as Ty`: the A2 cast rule. An `f32` destination needs an
+    /// `f32` source or an integer within ±2^24; an integer destination
+    /// needs the source interval inside it, with `usize`/`isize`
+    /// counted as 32-bit so the proof holds on every target.
+    fn apply_cast(
+        &mut self,
+        cx: &mut Cx<'a>,
+        line: u32,
+        val: AbsVal,
+        ty: &str,
+        frac_literal: bool,
+    ) -> AbsVal {
         let ty = self.resolve_ty(ty);
         if is_float_type(&ty) {
-            // int→float / float→float: precision is A1's concern.
+            let exact = ty == "f64"
+                || if val.float {
+                    val.ty.as_deref() == Some("f32")
+                } else {
+                    val.iv.subset_of(F32_EXACT_INT)
+                };
+            if !exact {
+                let src = if val.float { "f64" } else { "integer" };
+                self.report(
+                    cx,
+                    "A2",
+                    line,
+                    format!(
+                        "{src}->f32 cast with source interval {} loses precision: \
+                         `f32` holds integers only within ±2^24; bound the source \
+                         with a `debug_assert!` or keep the value in f64",
+                        fmt_iv(val.iv)
+                    ),
+                );
+            }
             return AbsVal {
                 iv: val.iv,
                 ty: Some(ty),
@@ -2516,71 +2485,54 @@ impl<'a> Analyzer<'a> {
         let Some(dst_range) = type_range(&ty) else {
             return AbsVal { ty: Some(ty), ..AbsVal::unknown() };
         };
-        let mut out = AbsVal {
-            iv: val.iv,
-            ty: Some(ty.clone()),
-            weak: false,
-            float: false,
-            unit: val.unit.clone(),
-            elem: None,
+        let portable = match ty.as_str() {
+            "usize" => type_range("u32"),
+            "isize" => type_range("i32"),
+            _ => None,
+        }
+        .unwrap_or(dst_range);
+        // Pure widening is always fine; otherwise the source interval
+        // must provably fit. `as` from float saturates since Rust 1.45,
+        // so that cast cannot wrap — but a saturated quantity is a
+        // corrupted quantity all the same.
+        let fits = |range: Interval| {
+            val.ty.as_deref().and_then(type_range).is_some_and(|src| src.subset_of(range))
+                || val.iv.subset_of(range)
         };
-        if val.float {
-            // `as` from float saturates since Rust 1.45, so the cast
-            // itself cannot wrap — but a saturated quantity is a
-            // corrupted quantity. A4 demands the proof in the FIEM
-            // file; elsewhere A1 already covers it.
-            if cx.scope.a4 && !val.iv.subset_of(dst_range) {
-                self.report(
-                    cx,
-                    &["a4", "a2"],
-                    line,
-                    format!(
-                        "float->{ty} cast with unproven interval {}: cannot show the \
-                         value fits `{ty}`; clamp the value or add a \
-                         `debug_assert!` range precondition",
-                        fmt_iv(val.iv)
-                    ),
-                );
-            }
-            out.iv = val.iv.saturate_to(dst_range);
-            return out;
+        if frac_literal {
+            self.report(
+                cx,
+                "A2",
+                line,
+                format!("float literal with a fractional part truncates when cast to `{ty}`"),
+            );
+        } else if !fits(portable) {
+            let what = if val.float { "float" } else { "integer" };
+            let width = if portable == dst_range { "" } else { " (counted as 32-bit)" };
+            self.report(
+                cx,
+                "A2",
+                line,
+                format!(
+                    "{what} cast to `{ty}`{width} with unproven interval {}: add a \
+                     `debug_assert!` bound, clamp, or use `try_from`",
+                    fmt_iv(val.iv)
+                ),
+            );
         }
-        // int→int: pure widening is always fine; otherwise the source
-        // interval must provably fit the destination.
-        let widening =
-            val.ty.as_deref().and_then(type_range).is_some_and(|src| src.subset_of(dst_range));
-        if !widening && !val.iv.subset_of(dst_range) {
-            if cx.scope.a2 && !cx.scope.a1 {
-                self.report(
-                    cx,
-                    &["a2"],
-                    line,
-                    format!(
-                        "narrowing cast to `{ty}` with unproven interval {}: add a \
-                         `debug_assert!` bound, clamp, or use `try_from`",
-                        fmt_iv(val.iv)
-                    ),
-                );
-            } else if cx.scope.a4 {
-                self.report(
-                    cx,
-                    &["a4", "a2"],
-                    line,
-                    format!(
-                        "narrowing cast to `{ty}` with unproven interval {} in a \
-                         quantization-audit file",
-                        fmt_iv(val.iv)
-                    ),
-                );
+        let iv = if val.float {
+            val.iv.saturate_to(dst_range)
+        } else if fits(dst_range) {
+            let met = val.iv.meet(dst_range);
+            if met.is_bottom() {
+                dst_range
+            } else {
+                met
             }
-            out.iv = dst_range;
         } else {
-            out.iv = val.iv.meet(dst_range);
-            if out.iv.is_bottom() {
-                out.iv = dst_range;
-            }
-        }
-        out
+            dst_range
+        };
+        AbsVal { iv, ty: Some(ty), weak: false, float: false, unit: val.unit, elem: None }
     }
 }
 
@@ -2651,52 +2603,51 @@ impl<'a> Analyzer<'a> {
         r: &AbsVal,
         accumulator: bool,
     ) -> Interval {
-        // Unsuffixed literals default to i32 when nothing types them.
+        // Unsuffixed literals default to i32 (or a const's declared
+        // type) when nothing types them.
         let ty = match unify_ty(l, r) {
             Some(t) => t,
-            None if l.weak && r.weak => "i32".to_string(),
+            None if l.weak && r.weak => cx.lit_ty.clone().unwrap_or_else(|| "i32".to_string()),
             None => return raw,
         };
         let Some(range) = type_range(&ty) else { return raw };
         let bits = type_bits(&ty).unwrap_or(64);
-        if cx.scope.a2 {
-            let needs_proof = match op {
-                "+" => bits < PLUS_CHECK_BELOW_BITS,
-                "*" | "<<" => true,
-                _ => false,
-            };
-            if op == "<<" {
-                if let Some((_, amt_hi)) = r.iv.bounds() {
-                    if amt_hi > (bits - 1) as i128 {
-                        self.report(
-                            cx,
-                            &["a2"],
-                            line,
-                            format!(
-                                "shift amount interval {} can reach {amt_hi} on a \
-                                 {bits}-bit `{ty}`; bound it below {bits} with a \
-                                 `debug_assert!`",
-                                fmt_iv(r.iv)
-                            ),
-                        );
-                    }
+        let needs_proof = match op {
+            "+" => bits < PLUS_CHECK_BELOW_BITS,
+            "*" | "<<" => true,
+            _ => false,
+        };
+        if op == "<<" {
+            if let Some((_, amt_hi)) = r.iv.bounds() {
+                if amt_hi > (bits - 1) as i128 {
+                    self.report(
+                        cx,
+                        "A2",
+                        line,
+                        format!(
+                            "shift amount interval {} can reach {amt_hi} on a \
+                             {bits}-bit `{ty}`; bound it below {bits} with a \
+                             `debug_assert!`",
+                            fmt_iv(r.iv)
+                        ),
+                    );
                 }
             }
-            if needs_proof && !raw.subset_of(range) {
-                let what = if accumulator { "loop accumulation" } else { opname(op) };
-                self.report(
-                    cx,
-                    &["a2"],
-                    line,
-                    format!(
-                        "{what} on `{ty}` has unproven result interval {} ⊄ {}; \
-                         tighten the operands with `debug_assert!`/`clamp`, widen \
-                         the type, or use `checked_*`/`saturating_*`",
-                        fmt_iv(raw),
-                        fmt_iv(range)
-                    ),
-                );
-            }
+        }
+        if needs_proof && !raw.subset_of(range) {
+            let what = if accumulator { "loop accumulation" } else { opname(op) };
+            self.report(
+                cx,
+                "A2",
+                line,
+                format!(
+                    "{what} on `{ty}` has unproven result interval {} ⊄ {}; \
+                     tighten the operands with `debug_assert!`/`clamp`, widen \
+                     the type, or use `checked_*`/`saturating_*`",
+                    fmt_iv(raw),
+                    fmt_iv(range)
+                ),
+            );
         }
         if raw.subset_of(range) {
             raw
@@ -2707,14 +2658,11 @@ impl<'a> Analyzer<'a> {
 
     /// A3: flags a cross-unit additive operation or comparison.
     fn check_units(&mut self, cx: &mut Cx<'a>, what: &str, line: u32, l: &AbsVal, r: &AbsVal) {
-        if !cx.scope.a3 {
-            return;
-        }
         if let (Some(lu), Some(ru)) = (l.unit.as_deref(), r.unit.as_deref()) {
             if lu != ru {
                 self.report(
                     cx,
-                    &["a3"],
+                    "A3",
                     line,
                     format!(
                         "{what} mixes units: {lu} vs {ru}; convert explicitly or \
@@ -2768,18 +2716,15 @@ fn result_unit<'a>(
         "/" => match (l.unit.as_deref(), r.unit.as_deref()) {
             (Some(lu), Some(ru)) if lu == ru => None, // dimensionless ratio
             (Some(lu), Some(ru)) => {
-                if cx.scope.a3 {
-                    a.report(
-                        cx,
-                        &["a3"],
-                        line,
-                        format!(
-                            "unit-erasing division: {lu} / {ru} drops both unit tags; \
-                             name the resulting rate and carry \
-                             `// lint: allow(a3): why`"
-                        ),
-                    );
-                }
+                a.report(
+                    cx,
+                    "A3",
+                    line,
+                    format!(
+                        "unit-erasing division: {lu} / {ru} drops both unit tags; \
+                         name the resulting rate and carry `// lint: allow(a3): why`"
+                    ),
+                );
                 None
             }
             (Some(lu), None) => Some(lu.to_string()),

@@ -66,7 +66,6 @@ const H2_ENTRY_NAMES: &[&str] = &[
     "backward_batch",
     "interpolate_batch",
     "interpolate_batch_infer",
-    "train_step",
     "step",
 ];
 
@@ -169,13 +168,7 @@ fn report(
         usage[file_idx].insert((directive_line, rule.to_ascii_lowercase()));
         return;
     }
-    findings.push(Finding {
-        rule,
-        path: files[file_idx].path.clone(),
-        line,
-        message,
-        id: String::new(),
-    });
+    findings.push(Finding { rule, path: files[file_idx].path.clone(), line, message });
 }
 
 // ---------------------------------------------------------------- P2
@@ -608,7 +601,6 @@ pub fn check_unused(files: &[SourceFile], usage: &[AllowUsage]) -> Vec<Finding> 
                         directive.rules.join(", "),
                         directive.rules.join(", ")
                     ),
-                    id: String::new(),
                 });
                 continue;
             }
@@ -632,7 +624,6 @@ pub fn check_unused(files: &[SourceFile], usage: &[AllowUsage]) -> Vec<Finding> 
                          deliberately prophylactic",
                         unused.join(", ")
                     ),
-                    id: String::new(),
                 });
             }
         }

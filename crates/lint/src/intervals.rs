@@ -62,11 +62,6 @@ impl Interval {
         matches!(self, Interval::Bottom)
     }
 
-    /// Whether this is the full range (⊤).
-    pub fn is_top(self) -> bool {
-        self == Interval::TOP
-    }
-
     /// The bounds, or `None` for ⊥.
     pub fn bounds(self) -> Option<(i128, i128)> {
         match self {

@@ -563,13 +563,13 @@ mod tests {
 
     #[test]
     fn allow_directives_parse() {
-        let src = "x // lint: allow(p1, D2) — reason\ny\n// lint: allow(a1)\nz";
+        let src = "x // lint: allow(p1, D2) — reason\ny\n// lint: allow(a2)\nz";
         let file = lex(src);
         assert!(file.is_allowed("P1", 1));
         assert!(file.is_allowed("d2", 1));
         assert!(file.is_allowed("p1", 2), "directive covers the next line");
         assert!(!file.is_allowed("p1", 3));
-        assert!(file.is_allowed("a1", 4));
+        assert!(file.is_allowed("a2", 4));
     }
 
     #[test]

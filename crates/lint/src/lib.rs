@@ -10,10 +10,11 @@
 //! sources with a small hand-rolled tokenizer (no `syn`; the repo
 //! builds offline), recovers the item skeleton (fns, impls, modules)
 //! with a lightweight parser, builds a conservative workspace call
-//! graph, and enforces ten repo-specific rules — token-local
-//! (D1–D3, P1, A1, O1), interprocedural (P2, H2), parallel-closure
-//! (D5), and suppression hygiene (U1). The full catalogue with
-//! rationale and examples lives in `docs/LINTS.md`.
+//! graph, and enforces twelve repo-specific rules — token-local
+//! (D1–D3, P1, O1), interprocedural (P2, H2), parallel-closure (D5),
+//! interval analysis over the accounting files (A2 overflow and casts,
+//! A3 units, A4 widths), and suppression hygiene (U1). The full
+//! catalogue with rationale and examples lives in `docs/LINTS.md`.
 //!
 //! Legitimate exceptions carry a per-line escape hatch **with a
 //! mandatory reason** (U1 reports reasonless or unused suppressions):
@@ -62,7 +63,7 @@ pub struct SourceFile {
     pub path: String,
     /// Token stream and allow directives.
     pub lexed: lexer::LexedFile,
-    /// Item skeleton (fns, uses, statics).
+    /// Item skeleton (fns, consts, structs, statics).
     pub parsed: parse::ParsedFile,
 }
 
@@ -75,18 +76,11 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-impl Report {
-    /// True when the workspace is clean.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
 /// Lints a set of in-memory sources as one workspace: token-local
 /// rules per file, then the call-graph rules (P2/H2/D5) across all
 /// of them, then U1 over the accumulated suppression usage. Findings
 /// come back sorted by (path, line, rule) — the canonical order every
-/// consumer (CLI, baseline diff, tests) relies on.
+/// consumer (CLI, tests) relies on.
 pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let mut files: Vec<SourceFile> = sources
         .iter()
@@ -113,85 +107,14 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
 
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    assign_finding_ids(&files, &mut findings);
     Report { findings, files_scanned: files.len() }
-}
-
-/// Assigns every finding its stable identity
-/// `rule:crate:fn-path:snippet-hash[#n]`: the enclosing function
-/// (innermost, by line), the finding line's token text hashed with
-/// FNV-1a, and a `#n` counter for exact duplicates. Baselines diff on
-/// this id, so entries survive line shifts from unrelated edits;
-/// renaming the function or editing the flagged line retires the
-/// entry, which is the desired freshness forcing-function.
-pub fn assign_finding_ids(files: &[SourceFile], findings: &mut [Finding]) {
-    let by_path: std::collections::BTreeMap<&str, &SourceFile> =
-        files.iter().map(|f| (f.path.as_str(), f)).collect();
-    let mut seen: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
-    for finding in findings.iter_mut() {
-        let file = by_path.get(finding.path.as_str()).copied();
-        let krate = rules::crate_of(&finding.path).unwrap_or("workspace");
-        let fn_path = file.and_then(|f| enclosing_fn(f, finding.line)).unwrap_or_else(|| {
-            let stem = finding.path.rsplit('/').next().unwrap_or(&finding.path);
-            stem.trim_end_matches(".rs").to_string()
-        });
-        let snippet: String = match file {
-            Some(f) => f
-                .lexed
-                .tokens
-                .iter()
-                .filter(|t| t.line == finding.line)
-                .map(|t| t.text.as_str())
-                .collect::<Vec<_>>()
-                .join(" "),
-            None => String::new(),
-        };
-        let base = format!("{}:{}:{}:{:08x}", finding.rule, krate, fn_path, fnv1a(&snippet));
-        let n = seen.entry(base.clone()).or_insert(0);
-        finding.id = if *n == 0 { base } else { format!("{base}#{n}") };
-        *n += 1;
-    }
-}
-
-/// The innermost function whose body covers `line`, rendered as
-/// `Type::name` / `name`.
-fn enclosing_fn(file: &SourceFile, line: u32) -> Option<String> {
-    let toks = &file.lexed.tokens;
-    let mut best: Option<(u32, &parse::FnItem)> = None;
-    for item in &file.parsed.fns {
-        let Some((open, close)) = item.body else { continue };
-        let (Some(start), Some(end)) = (toks.get(open), toks.get(close)) else { continue };
-        if item.line.min(start.line) <= line && line <= end.line {
-            // Innermost = latest-starting span that still covers.
-            if best.is_none_or(|(l, _)| item.line >= l) {
-                best = Some((item.line, item));
-            }
-        }
-    }
-    best.map(|(_, item)| match &item.self_type {
-        Some(t) => format!("{t}::{}", item.name),
-        None => item.name.clone(),
-    })
-}
-
-/// 64-bit FNV-1a over the snippet text (stable across platforms; no
-/// dependency on `std::hash` internals).
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Fold to 32 bits for readable ids; collisions only matter within
-    // one (rule, crate, fn) bucket, where a handful of lines live.
-    (hash >> 32) ^ (hash & 0xffff_ffff)
 }
 
 /// Lints a single source string as if it lived at `rel_path`
 /// (workspace-relative, forward slashes). The path determines which
-/// rules apply — `crates/core/src/energy.rs` is in A1 scope,
-/// `crates/bench/src/lib.rs` is exempt from D2, and so on. The
-/// interprocedural rules run over the one-file "workspace".
+/// rules apply — `crates/core/src/energy.rs` is an accounting file
+/// under A2–A4, `crates/bench/src/lib.rs` is exempt from D2, and so
+/// on. The interprocedural rules run over the one-file "workspace".
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     lint_sources(&[(rel_path.to_string(), source.to_string())]).findings
 }

@@ -1,161 +1,40 @@
 //! CLI for `fusion3d-lint`.
 //!
 //! ```text
-//! fusion3d-lint [--root <dir>] [--json] [--baseline <file>] [--write-baseline <file>]
+//! fusion3d-lint [--root <dir>]
 //! ```
 //!
-//! Human mode prints one `path:line [RULE] message` row per finding
-//! plus a summary; `--json` prints one JSON object per finding (JSON
-//! Lines, stable field order) so CI can diff findings across commits.
-//!
-//! `--baseline <file>` reads a committed JSON-lines artifact of known
-//! findings and fails only on findings *not* in it, so the gate is
-//! adoptable incrementally; `--write-baseline <file>` writes the
-//! current findings in that format. A missing or empty baseline file
-//! means "no known findings".
-//!
-//! Exit status is 0 when the workspace is clean (or fully baselined),
-//! 1 when new findings exist, 2 on usage or I/O errors.
+//! Prints one `path:line [RULE] message` row per finding plus a
+//! summary. Exit status is 0 when the workspace is clean, 1 when any
+//! finding exists, 2 on usage or I/O errors.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fusion3d_lint::{find_workspace_root, lint_workspace, Finding};
+use fusion3d_lint::{find_workspace_root, lint_workspace};
 
-struct Options {
-    root: Option<PathBuf>,
-    json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
+const USAGE: &str = "usage: fusion3d-lint [--root <dir>]";
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options { root: None, json: false, baseline: None, write_baseline: None };
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => options.json = true,
             "--root" => {
                 let value = args.next().ok_or("--root requires a path argument")?;
-                options.root = Some(PathBuf::from(value));
+                root = Some(PathBuf::from(value));
             }
-            "--baseline" => {
-                let value = args.next().ok_or("--baseline requires a file argument")?;
-                options.baseline = Some(PathBuf::from(value));
-            }
-            "--write-baseline" => {
-                let value = args.next().ok_or("--write-baseline requires a file argument")?;
-                options.write_baseline = Some(PathBuf::from(value));
-            }
-            "--help" | "-h" => {
-                return Err("usage: fusion3d-lint [--root <dir>] [--json] \
-                            [--baseline <file>] [--write-baseline <file>]"
-                    .to_string());
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    Ok(options)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{\"schema\":2,\"id\":\"{}\",\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-        json_escape(&f.id),
-        f.rule,
-        json_escape(&f.path),
-        f.line,
-        json_escape(&f.message)
-    )
-}
-
-/// Extracts the `"id"` value from one serialized finding record.
-fn record_id(line: &str) -> Option<&str> {
-    let rest = line.split_once("\"id\":\"")?.1;
-    rest.split_once('"').map(|(id, _)| id)
-}
-
-/// Reads a JSON-lines baseline into the set of finding ids it names
-/// (schema 2: `rule:crate:fn-path:snippet-hash[#n]`). Matching on ids
-/// instead of serialized records means a baselined finding survives
-/// line renumbering and message-wording tweaks, but retires when the
-/// flagged line or its enclosing function changes. A missing file is
-/// an empty baseline; a file with lines that are not schema-2 finding
-/// records is a malformed artifact and a hard error (exit 2), not an
-/// empty one — silently matching nothing would report every finding
-/// as new.
-fn read_baseline(path: &PathBuf) -> Result<BTreeSet<String>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
-        Err(err) => return Err(format!("cannot read baseline {}: {err}", path.display())),
-    };
-    let mut baseline = BTreeSet::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let id = if line.starts_with('{') && line.ends_with('}') && line.contains("\"rule\":") {
-            record_id(line)
-        } else {
-            None
-        };
-        match id {
-            Some(id) => {
-                baseline.insert(id.to_string());
-            }
-            None => {
-                return Err(format!(
-                    "malformed baseline {}: line {} is not a schema-2 finding record \
-                     (regenerate with --write-baseline)",
-                    path.display(),
-                    idx + 1
-                ))
-            }
-        }
-    }
-    Ok(baseline)
-}
-
-/// `"3 A2, 1 U1"`-style per-rule tally for the summary line.
-fn rule_counts(findings: &[&Finding]) -> String {
-    let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for f in findings {
-        *counts.entry(f.rule).or_insert(0) += 1;
-    }
-    counts.iter().map(|(rule, n)| format!("{n} {rule}")).collect::<Vec<_>>().join(", ")
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let root = match options.root {
-        Some(root) => root,
-        None => {
+    let root = match parse_args() {
+        Ok(Some(root)) => root,
+        Ok(None) => {
             let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
             match find_workspace_root(&cwd) {
                 Some(root) => root,
@@ -164,6 +43,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             }
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::from(2);
         }
     };
 
@@ -175,46 +58,19 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &options.write_baseline {
-        let mut text = String::new();
-        for finding in &report.findings {
-            text.push_str(&finding_json(finding));
-            text.push('\n');
-        }
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("fusion3d-lint: cannot write baseline {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
+    let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    for finding in &report.findings {
+        println!("{}:{} [{}] {}", finding.path, finding.line, finding.rule, finding.message);
+        *counts.entry(finding.rule).or_insert(0) += 1;
     }
-
-    let baseline = match options.baseline.as_ref().map(read_baseline).transpose() {
-        Ok(baseline) => baseline.unwrap_or_default(),
-        Err(message) => {
-            eprintln!("fusion3d-lint: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let (new, known): (Vec<&Finding>, Vec<&Finding>) =
-        report.findings.iter().partition(|f| !baseline.contains(&f.id));
-
-    if options.json {
-        for finding in &new {
-            println!("{}", finding_json(finding));
-        }
-    } else {
-        for finding in &new {
-            println!("{}:{} [{}] {}", finding.path, finding.line, finding.rule, finding.message);
-        }
-    }
-    let by_rule = rule_counts(&new);
+    let by_rule: Vec<String> = counts.iter().map(|(rule, n)| format!("{n} {rule}")).collect();
     eprintln!(
-        "fusion3d-lint: {} new finding(s){}, {} baselined, across {} file(s)",
-        new.len(),
-        if by_rule.is_empty() { String::new() } else { format!(" ({by_rule})") },
-        known.len(),
+        "fusion3d-lint: {} finding(s){} across {} file(s)",
+        report.findings.len(),
+        if by_rule.is_empty() { String::new() } else { format!(" ({})", by_rule.join(", ")) },
         report.files_scanned
     );
-    if new.is_empty() {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -7,8 +7,8 @@
 //! that item skeleton from the [`lexer`](crate::lexer) output with a
 //! single forward pass plus brace matching: `fn` items (free, inherent,
 //! trait-default and nested), `impl` blocks (inherent and trait),
-//! inline `mod` trees, `use` declarations (with group expansion and
-//! `as` renames), and `static mut` items.
+//! inline `mod` trees, `const` items, struct fields, type aliases,
+//! and `static mut` items.
 //!
 //! Deliberate over-approximations, documented so rule behaviour stays
 //! predictable:
@@ -35,10 +35,6 @@ pub struct FnItem {
     /// The `Self` type when declared inside an `impl` or `trait`
     /// block (`Some("Trainer")` for `impl Trainer { fn step … }`).
     pub self_type: Option<String>,
-    /// The trait being implemented, for `impl Trait for Type` blocks.
-    pub trait_name: Option<String>,
-    /// Enclosing inline-module path (`["detail"]` for `mod detail`).
-    pub module_path: Vec<String>,
     /// Bare `pub` (not `pub(crate)`/`pub(super)`, which stay private
     /// to the crate and are not entry points).
     pub is_pub: bool,
@@ -94,24 +90,11 @@ pub struct StructField {
     pub ty_last: String,
 }
 
-/// One imported path from a `use` declaration, group-expanded. The
-/// last segment is the name in scope (the alias for `use a::b as c`,
-/// `"*"` for glob imports).
-#[derive(Debug, Clone)]
-pub struct UseItem {
-    /// Path segments, e.g. `["crate", "render", "composite_into"]`.
-    pub path: Vec<String>,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-}
-
 /// The item skeleton of one source file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Every `fn` item, in source order (outer before nested).
     pub fns: Vec<FnItem>,
-    /// Every imported path.
-    pub uses: Vec<UseItem>,
     /// Names declared `static mut` at any level (D5 shared state).
     pub static_muts: Vec<String>,
     /// `type X = [T; N];` alias names declared in this file; the
@@ -158,7 +141,7 @@ pub const NON_CALL_KEYWORDS: &[&str] = &[
 pub fn parse_file(file: &LexedFile) -> ParsedFile {
     let mask = test_mask(&file.tokens);
     let mut parser = Parser { toks: &file.tokens, test: &mask, out: ParsedFile::default() };
-    parser.items(0, file.tokens.len(), &mut Vec::new(), None);
+    parser.items(0, file.tokens.len(), None);
     parser.out
 }
 
@@ -166,13 +149,6 @@ struct Parser<'a> {
     toks: &'a [Token],
     test: &'a [bool],
     out: ParsedFile,
-}
-
-/// The `impl`/`trait` context a fn is declared in.
-#[derive(Clone, Copy)]
-struct ImplCtx<'a> {
-    self_type: &'a str,
-    trait_name: Option<&'a str>,
 }
 
 impl<'a> Parser<'a> {
@@ -185,14 +161,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the items in `[start, end)`, appending to `self.out`.
-    /// `mods` is the enclosing inline-module path.
-    fn items(
-        &mut self,
-        start: usize,
-        end: usize,
-        mods: &mut Vec<String>,
-        ctx: Option<ImplCtx<'_>>,
-    ) {
+    /// `self_type` is the enclosing `impl`/`trait` block's type.
+    fn items(&mut self, start: usize, end: usize, self_type: Option<&str>) {
         let mut i = start;
         let mut pending_pub = false;
         while i < end {
@@ -224,23 +194,19 @@ impl<'a> Parser<'a> {
                     pending_pub = false;
                 }
                 "fn" => {
-                    i = self.fn_item(i, pending_pub, mods, ctx);
+                    i = self.fn_item(i, pending_pub, self_type);
                     pending_pub = false;
                 }
                 "impl" => {
-                    i = self.impl_item(i, mods);
+                    i = self.impl_item(i);
                     pending_pub = false;
                 }
                 "trait" => {
-                    i = self.trait_item(i, mods);
+                    i = self.trait_item(i);
                     pending_pub = false;
                 }
                 "mod" => {
-                    i = self.mod_item(i, mods);
-                    pending_pub = false;
-                }
-                "use" => {
-                    i = self.use_item(i);
+                    i = self.mod_item(i);
                     pending_pub = false;
                 }
                 "static" => {
@@ -269,13 +235,7 @@ impl<'a> Parser<'a> {
 
     /// Parses `fn name<…>(params) -> … { body }` starting at the `fn`
     /// keyword; records the item and returns the index one past it.
-    fn fn_item(
-        &mut self,
-        at: usize,
-        is_pub: bool,
-        mods: &[String],
-        ctx: Option<ImplCtx<'_>>,
-    ) -> usize {
+    fn fn_item(&mut self, at: usize, is_pub: bool, self_type: Option<&str>) -> usize {
         let mut i = at + 1;
         if !self.is_ident(i) {
             return i; // `fn` in type position (`fn()` pointer type)
@@ -325,9 +285,7 @@ impl<'a> Parser<'a> {
         let is_test = self.test.get(at).copied().unwrap_or(false);
         self.out.fns.push(FnItem {
             name,
-            self_type: ctx.map(|c| c.self_type.to_string()),
-            trait_name: ctx.and_then(|c| c.trait_name.map(str::to_string)),
-            module_path: mods.to_vec(),
+            self_type: self_type.map(str::to_string),
             is_pub,
             is_test,
             line,
@@ -341,8 +299,7 @@ impl<'a> Parser<'a> {
             // Nested fn items (helpers declared inside a body) become
             // their own nodes; the call graph subtracts their spans
             // from the enclosing body.
-            let mut inner_mods = mods.to_vec();
-            self.items(open + 1, close, &mut inner_mods, ctx);
+            self.items(open + 1, close, self_type);
             close + 1
         } else {
             j + 1
@@ -567,7 +524,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `impl<…> [Trait for] Type { … }`; returns one past it.
-    fn impl_item(&mut self, at: usize, mods: &mut Vec<String>) -> usize {
+    fn impl_item(&mut self, at: usize) -> usize {
         let mut i = at + 1;
         if self.text(i) == "<" {
             i = self.match_angles(i) + 1;
@@ -607,18 +564,16 @@ impl<'a> Parser<'a> {
             return i;
         }
         let close = match_close(self.toks, i, "{", "}");
-        let (self_type, trait_name) =
-            if saw_for { (second_path_last, first_path_last) } else { (first_path_last, None) };
+        let self_type = if saw_for { second_path_last } else { first_path_last };
         if let Some(self_type) = self_type {
-            let ctx = ImplCtx { self_type: &self_type, trait_name: trait_name.as_deref() };
-            self.items(i + 1, close, mods, Some(ctx));
+            self.items(i + 1, close, Some(&self_type));
         }
         close + 1
     }
 
     /// Parses `trait Name { … }`; default methods get the trait as
     /// their `Self` type so conservative method resolution finds them.
-    fn trait_item(&mut self, at: usize, mods: &mut Vec<String>) -> usize {
+    fn trait_item(&mut self, at: usize) -> usize {
         let mut i = at + 1;
         if !self.is_ident(i) {
             return i;
@@ -636,8 +591,7 @@ impl<'a> Parser<'a> {
             return i + 1;
         }
         let close = match_close(self.toks, i, "{", "}");
-        let ctx = ImplCtx { self_type: &name, trait_name: Some(&name) };
-        self.items(i + 1, close, mods, Some(ctx));
+        self.items(i + 1, close, Some(&name));
         close + 1
     }
 
@@ -681,106 +635,18 @@ impl<'a> Parser<'a> {
 
     /// Parses `mod name { … }` (recursing) or `mod name;` (skipped —
     /// the file walker visits the out-of-line file itself).
-    fn mod_item(&mut self, at: usize, mods: &mut Vec<String>) -> usize {
+    fn mod_item(&mut self, at: usize) -> usize {
         if !self.is_ident(at + 1) {
             return at + 1;
         }
-        let name = self.text(at + 1).to_string();
         match self.text(at + 2) {
             "{" => {
                 let close = match_close(self.toks, at + 2, "{", "}");
-                mods.push(name);
-                self.items(at + 3, close, mods, None);
-                mods.pop();
+                self.items(at + 3, close, None);
                 close + 1
             }
             _ => at + 2,
         }
-    }
-
-    /// Parses `use path::{a, b as c};` into flattened [`UseItem`]s.
-    fn use_item(&mut self, at: usize) -> usize {
-        let line = self.toks[at].line;
-        let mut end = at + 1;
-        while end < self.toks.len() && self.text(end) != ";" {
-            end += 1;
-        }
-        let mut paths = Vec::new();
-        self.expand_use(at + 1, end, &mut Vec::new(), &mut paths);
-        for path in paths {
-            if !path.is_empty() {
-                self.out.uses.push(UseItem { path, line });
-            }
-        }
-        end + 1
-    }
-
-    /// Recursive group expansion for one use-tree span `[i, end)`.
-    fn expand_use(
-        &self,
-        mut i: usize,
-        end: usize,
-        prefix: &mut Vec<String>,
-        out: &mut Vec<Vec<String>>,
-    ) {
-        let base_len = prefix.len();
-        let mut last_alias: Option<String> = None;
-        while i < end {
-            match self.text(i) {
-                "{" => {
-                    // Split the group body on top-level commas and
-                    // expand each arm with the current prefix.
-                    let close = match_close(self.toks, i, "{", "}");
-                    let mut arm_start = i + 1;
-                    let mut depth = 0i32;
-                    let mut j = i + 1;
-                    while j <= close.min(end) {
-                        match self.text(j) {
-                            "{" => depth += 1,
-                            "}" if depth > 0 => depth -= 1,
-                            "," if depth == 0 => {
-                                self.expand_use(arm_start, j, prefix, out);
-                                arm_start = j + 1;
-                            }
-                            "}" => {
-                                self.expand_use(arm_start, j, prefix, out);
-                                arm_start = j + 1;
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    prefix.truncate(base_len);
-                    return;
-                }
-                "as" => {
-                    if self.is_ident(i + 1) {
-                        last_alias = Some(self.text(i + 1).to_string());
-                    }
-                    i += 2;
-                }
-                ":" => i += 1,
-                "*" => {
-                    prefix.push("*".to_string());
-                    break;
-                }
-                "," => break,
-                _ => {
-                    if self.is_ident(i) {
-                        prefix.push(self.text(i).to_string());
-                    }
-                    i += 1;
-                }
-            }
-        }
-        let mut path = prefix.clone();
-        if let (Some(alias), Some(last)) = (last_alias, path.last_mut()) {
-            *last = alias;
-        }
-        if path.len() > base_len {
-            out.push(path);
-        }
-        prefix.truncate(base_len);
     }
 
     /// Skips to the end of a non-fn item: the `;` or the matching
@@ -870,8 +736,6 @@ mod tests {
         );
         assert_eq!(parsed.fns[0].params, vec!["a", "b"]);
         assert_eq!(parsed.fns[2].params, vec!["n"]);
-        assert_eq!(parsed.fns[4].trait_name.as_deref(), Some("Clone"));
-        assert_eq!(parsed.fns[5].module_path, vec!["detail"]);
     }
 
     #[test]
@@ -897,22 +761,6 @@ mod tests {
         let parsed = parse(src);
         assert!(parsed.fns[0].is_test);
         assert!(!parsed.fns[1].is_test);
-    }
-
-    #[test]
-    fn use_groups_expand_with_aliases() {
-        let src = "use crate::render::{composite, composite_into as ci};\nuse std::fmt::Write;";
-        let parsed = parse(src);
-        let paths: Vec<Vec<&str>> =
-            parsed.uses.iter().map(|u| u.path.iter().map(String::as_str).collect()).collect();
-        assert_eq!(
-            paths,
-            vec![
-                vec!["crate", "render", "composite"],
-                vec!["crate", "render", "ci"],
-                vec!["std", "fmt", "Write"],
-            ]
-        );
     }
 
     #[test]

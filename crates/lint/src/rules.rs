@@ -16,9 +16,6 @@
 //! * **P1** — no `unwrap()`/`expect()`/`panic!`-family macros in
 //!   non-test library code. Fallible paths return `Result`; the few
 //!   legitimate invariant panics carry an allow comment naming why.
-//! * **A1** — no lossy `as` casts (narrowing integers, `f32`
-//!   truncation, float→int) inside the cycle/energy accounting
-//!   modules, where a silent wrap corrupts reported numbers.
 //! * **O1** — no `println!`/`print!`/`eprintln!`/`eprint!` in library
 //!   crates. Libraries report through return values and
 //!   `fusion3d-obs` reports; stray stdout writes corrupt the JSON
@@ -41,7 +38,7 @@ pub type AllowUsage = BTreeSet<(u32, String)>;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`"D1"`, …, `"A1"`).
+    /// Rule identifier (`"D1"`, …, `"U1"`).
     pub rule: &'static str,
     /// Workspace-relative path (forward slashes).
     pub path: String,
@@ -49,11 +46,6 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Stable identity: `rule:crate:fn-path:snippet-hash[#n]`,
-    /// assigned once per report by [`crate::assign_finding_ids`].
-    /// Baselines key on this, so entries survive unrelated line
-    /// shifts (schema 2 of the JSONL output).
-    pub id: String,
 }
 
 /// Crates whose outputs feed reported results: hash-container
@@ -61,28 +53,6 @@ pub struct Finding {
 /// and every public fn is a P2 panic-freedom entry point.
 pub(crate) const RESULT_BEARING_CRATES: &[&str] =
     &["nerf", "core", "mem", "multichip", "arith", "par", "obs", "serve"];
-
-/// Accounting modules where lossy casts silently corrupt cycle and
-/// energy totals (A1); the A3 unit-consistency dataflow shares this
-/// scope.
-pub(crate) const ACCOUNTING_FILES: &[&str] = &[
-    "crates/core/src/energy.rs",
-    "crates/core/src/bandwidth.rs",
-    "crates/core/src/pipeline_sim.rs",
-    "crates/mem/src/energy.rs",
-    "crates/multichip/src/comm.rs",
-];
-
-/// Cast targets that lose information when fed 64-bit cycle/energy
-/// quantities (A1). `u64`/`u128`/`f64` remain legal targets; anything
-/// narrower — or `usize`, whose width is platform-dependent — is not.
-const LOSSY_CAST_TARGETS: &[&str] =
-    &["u8", "u16", "u32", "i8", "i16", "i32", "i64", "f32", "usize", "isize"];
-
-/// Integer cast targets: a float literal cast to any of these is a
-/// truncation even when the target is 64-bit wide.
-const INT_CAST_TARGETS: &[&str] =
-    &["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
 
 /// Panicking macros covered by P1 (matched when followed by `!`).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -103,7 +73,6 @@ struct Scope {
     d2: bool,
     d3: bool,
     p1: bool,
-    a1: bool,
     o1: bool,
 }
 
@@ -126,7 +95,6 @@ fn scope_of(path: &str) -> Scope {
         d3: krate != "par",
         // Binaries may panic on bad CLI input; libraries must not.
         p1: !path.contains("/bin/"),
-        a1: ACCOUNTING_FILES.contains(&path),
         // Binaries print by design; so do the harness and lint crates.
         o1: !path.contains("/bin/") && !PRINTING_CRATES.contains(&krate),
     }
@@ -147,9 +115,7 @@ pub fn check_file(path: &str, file: &LexedFile, usage: &mut AllowUsage) -> Vec<F
         Some(directive_line) => {
             usage.borrow_mut().insert((directive_line, rule.to_ascii_lowercase()));
         }
-        None => {
-            out.push(Finding { rule, path: path.to_string(), line, message, id: String::new() })
-        }
+        None => out.push(Finding { rule, path: path.to_string(), line, message }),
     };
 
     for (i, tok) in tokens.iter().enumerate() {
@@ -273,30 +239,6 @@ pub fn check_file(path: &str, file: &LexedFile, usage: &mut AllowUsage) -> Vec<F
                 ),
                 &mut findings,
             );
-        }
-
-        // A1: lossy casts in accounting modules.
-        if scope.a1 && is_ident && text == "as" {
-            if let Some(target) = tokens.get(i + 1) {
-                let narrowing = target.kind == TokenKind::Ident
-                    && LOSSY_CAST_TARGETS.contains(&target.text.as_str());
-                let float_to_int = i > 0
-                    && tokens[i - 1].kind == TokenKind::Float
-                    && target.kind == TokenKind::Ident
-                    && INT_CAST_TARGETS.contains(&target.text.as_str());
-                if narrowing || float_to_int {
-                    report(
-                        "A1",
-                        tok.line,
-                        format!(
-                            "lossy `as {}` cast in an accounting module; widen to \
-                             u64/f64 or use a checked conversion",
-                            target.text
-                        ),
-                        &mut findings,
-                    );
-                }
-            }
         }
     }
 

@@ -1,8 +1,8 @@
-//! The real workspace must be lint-clean: every invariant D1–A1
-//! holds over `crates/*/src` and the façade crate, with the handful
-//! of documented exceptions carrying allow comments. A violation
-//! introduced anywhere in the workspace fails this test (and the
-//! `fusion3d-lint` step in `scripts/check.sh`).
+//! The real workspace must be lint-clean: every rule (D1–D3, D5, P1–P2,
+//! H2, O1, A2–A4, U1) holds over `crates/*/src` and the façade crate,
+//! with the handful of documented exceptions carrying allow comments.
+//! A violation introduced anywhere in the workspace fails this test
+//! (and the `fusion3d-lint` step in `scripts/check.sh`).
 
 use std::path::Path;
 

@@ -251,126 +251,3 @@ mod tests {
         assert!(ppm[b"P6\n3 2\n255\n".len()..].iter().all(|&b| b == 255));
     }
 }
-
-/// Computes the mean structural similarity (SSIM) between two images
-/// over their luma channels, using the standard 8×8 windows with
-/// stride 4 and the usual stabilization constants (`K1 = 0.01`,
-/// `K2 = 0.03`, peak 1.0).
-///
-/// SSIM complements PSNR in NeRF evaluations: it is sensitive to
-/// structural blur that a per-pixel metric underweights. Returns a
-/// value in `[-1, 1]`, 1.0 for identical images.
-///
-/// # Panics
-///
-/// Panics if the images differ in size or are smaller than one 8×8
-/// window.
-pub fn ssim(a: &Image, b: &Image) -> f64 {
-    assert_eq!((a.width(), a.height()), (b.width(), b.height()), "image dimensions differ");
-    const WIN: u32 = 8;
-    const STRIDE: u32 = 4;
-    assert!(a.width() >= WIN && a.height() >= WIN, "images must be at least {WIN}x{WIN}");
-    let luma = |img: &Image, x: u32, y: u32| -> f64 {
-        let p = img.get(x, y);
-        0.2126 * p.x as f64 + 0.7152 * p.y as f64 + 0.0722 * p.z as f64
-    };
-    const C1: f64 = 0.01 * 0.01;
-    const C2: f64 = 0.03 * 0.03;
-    let mut total = 0.0;
-    let mut windows = 0u64;
-    let mut wy = 0;
-    while wy + WIN <= a.height() {
-        let mut wx = 0;
-        while wx + WIN <= a.width() {
-            let (mut ma, mut mb) = (0.0, 0.0);
-            for y in wy..wy + WIN {
-                for x in wx..wx + WIN {
-                    ma += luma(a, x, y);
-                    mb += luma(b, x, y);
-                }
-            }
-            let n = (WIN * WIN) as f64;
-            ma /= n;
-            mb /= n;
-            let (mut va, mut vb, mut cov) = (0.0, 0.0, 0.0);
-            for y in wy..wy + WIN {
-                for x in wx..wx + WIN {
-                    let da = luma(a, x, y) - ma;
-                    let db = luma(b, x, y) - mb;
-                    va += da * da;
-                    vb += db * db;
-                    cov += da * db;
-                }
-            }
-            va /= n - 1.0;
-            vb /= n - 1.0;
-            cov /= n - 1.0;
-            total += ((2.0 * ma * mb + C1) * (2.0 * cov + C2))
-                / ((ma * ma + mb * mb + C1) * (va + vb + C2));
-            windows += 1;
-            wx += STRIDE;
-        }
-        wy += STRIDE;
-    }
-    total / windows as f64
-}
-
-#[cfg(test)]
-mod ssim_tests {
-    use super::*;
-
-    #[test]
-    fn identical_images_score_one() {
-        let img = Image::filled(16, 16, Vec3::new(0.3, 0.5, 0.7));
-        assert!((ssim(&img, &img) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn structured_noise_scores_below_brightness_shift() {
-        // A small uniform brightness shift preserves structure; a
-        // checkerboard corruption of the same energy destroys it.
-        let mut base = Image::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                let v = (x as f32 / 15.0) * 0.5 + (y as f32 / 15.0) * 0.3;
-                base.set(x, y, Vec3::splat(v));
-            }
-        }
-        let mut shifted = base.clone();
-        for p in shifted.pixels_mut() {
-            *p += Vec3::splat(0.05);
-        }
-        let mut checkered = base.clone();
-        for y in 0..16 {
-            for x in 0..16 {
-                let sign = if (x + y) % 2 == 0 { 0.05 } else { -0.05 };
-                let p = checkered.get(x, y) + Vec3::splat(sign);
-                checkered.set(x, y, p);
-            }
-        }
-        let s_shift = ssim(&base, &shifted);
-        let s_check = ssim(&base, &checkered);
-        assert!(s_shift > s_check, "shift {s_shift} vs checker {s_check}");
-        assert!(s_check < 0.9);
-    }
-
-    #[test]
-    fn ssim_is_symmetric() {
-        let mut a = Image::new(12, 12);
-        let mut b = Image::new(12, 12);
-        for y in 0..12 {
-            for x in 0..12 {
-                a.set(x, y, Vec3::splat(((x * y) % 7) as f32 / 7.0));
-                b.set(x, y, Vec3::splat(((x + y) % 5) as f32 / 5.0));
-            }
-        }
-        assert!((ssim(&a, &b) - ssim(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least")]
-    fn tiny_images_rejected() {
-        let a = Image::new(4, 4);
-        ssim(&a, &a);
-    }
-}

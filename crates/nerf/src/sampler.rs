@@ -105,17 +105,6 @@ impl RayWorkload {
     pub fn total_steps(&self) -> u32 {
         self.steps_per_pair.iter().map(|&s| s as u32).sum()
     }
-
-    /// Total fine-lattice steps across the ray's spans (the naive
-    /// module's marching cost).
-    pub fn total_lattice_steps(&self) -> u32 {
-        self.lattice_steps_per_pair.iter().map(|&s| s as u32).sum()
-    }
-
-    /// Empty-cell DDA skip steps (steps that produced no sample).
-    pub fn total_skip_steps(&self) -> u32 {
-        self.total_steps().saturating_sub(self.total_samples())
-    }
 }
 
 /// Returns the valid ray–octant-cube pairs for a ray in normalized

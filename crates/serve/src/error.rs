@@ -28,6 +28,16 @@ pub enum ServeError {
         /// The underlying container error.
         source: DecodeError,
     },
+    /// A [`ServeConfig`](crate::ServeConfig) field is outside the
+    /// range the simulation can serve.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its rejected value.
+        value: String,
+        /// The accepted range.
+        expected: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -40,6 +50,9 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Decode { scene, source } => {
                 write!(f, "scene {scene} container failed to decode: {source}")
+            }
+            ServeError::InvalidConfig { field, value, expected } => {
+                write!(f, "serve config `{field}` = {value} is outside {expected}")
             }
         }
     }

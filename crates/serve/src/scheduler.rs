@@ -18,6 +18,10 @@ use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::pipeline::{render_views_into, PipelineConfig};
 use fusion3d_obs::Report;
 
+/// Largest frame side [`ServeSim::new`] accepts, the CLI's render
+/// bound: it preallocates `max_batch × resolution²` pixels up front.
+const MAX_RESOLUTION: u32 = 4096;
+
 /// Operating parameters of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -29,9 +33,11 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Admission FIFO capacity per scene; arrivals beyond it shed.
     pub queue_capacity: usize,
-    /// Rendered frame side length in pixels (frames are square).
+    /// Rendered frame side length in pixels (frames are square),
+    /// in `1..=4096`.
     pub resolution: u32,
-    /// Vertical field of view of the replayed cameras, radians.
+    /// Vertical field of view of the replayed cameras, radians, in
+    /// (0, π).
     pub fov_y: f32,
     /// Length of the orbit camera path requests replay.
     pub path_len: usize,
@@ -44,9 +50,6 @@ pub struct ServeConfig {
     /// Container-load bandwidth in bytes per cycle (the paper's
     /// USB-link streaming model; values below 1 are clamped to 1).
     pub load_bytes_per_cycle: u64,
-    /// Record one `serve/request` span per completed request in
-    /// addition to the per-dispatch spans.
-    pub span_per_request: bool,
 }
 
 impl Default for ServeConfig {
@@ -63,7 +66,6 @@ impl Default for ServeConfig {
             batch_overhead_cycles: 2_000,
             request_overhead_cycles: 500,
             load_bytes_per_cycle: 1,
-            span_per_request: true,
         }
     }
 }
@@ -168,12 +170,30 @@ impl ServeSim {
     ///
     /// # Errors
     ///
-    /// Propagates [`SceneRegistry::new`] failures: oversized or
-    /// malformed containers.
+    /// [`ServeError::InvalidConfig`] for a `fov_y` outside (0, π) or a
+    /// `resolution` outside `1..=4096`; otherwise propagates
+    /// [`SceneRegistry::new`] failures: oversized or malformed
+    /// containers.
     pub fn new(store: SceneStore, config: &ServeConfig) -> Result<Self, ServeError> {
+        // `Camera::new` asserts the same field-of-view range; NaN fails
+        // both comparisons.
+        if !(config.fov_y > 0.0 && config.fov_y < std::f32::consts::PI) {
+            return Err(ServeError::InvalidConfig {
+                field: "fov_y",
+                value: config.fov_y.to_string(),
+                expected: "(0, pi)".to_string(),
+            });
+        }
+        if !(1..=MAX_RESOLUTION).contains(&config.resolution) {
+            return Err(ServeError::InvalidConfig {
+                field: "resolution",
+                value: config.resolution.to_string(),
+                expected: format!("1..={MAX_RESOLUTION}"),
+            });
+        }
         let registry = SceneRegistry::new(&store, config.budget_bytes)?;
         let queue = AdmissionQueue::new(store.len(), config.queue_capacity.max(1));
-        let resolution = config.resolution.max(1);
+        let resolution = config.resolution;
         let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len.max(1))
             .iter()
             .map(|&pose| Camera::new(pose, resolution, resolution, config.fov_y))
@@ -303,9 +323,7 @@ impl ServeSim {
                 latencies.push(latency);
                 report.metrics.observe("serve.latency_cycles", "cycles", latency);
                 report.metrics.observe("serve.samples_per_request", "samples", samples);
-                if self.config.span_per_request {
-                    report.trace.record("serve/request", ticket.arrival_cycle, done);
-                }
+                report.trace.record("serve/request", ticket.arrival_cycle, done);
                 if let Some(slot) = per_scene_completed.get_mut(scene.index()) {
                     *slot += 1;
                 }
@@ -459,6 +477,33 @@ mod tests {
 
     fn small_config() -> ServeConfig {
         ServeConfig { resolution: 12, path_len: 6, ..ServeConfig::default() }
+    }
+
+    #[test]
+    fn new_rejects_a_bad_field_of_view_or_frame_size() {
+        for fov_y in [0.0, -0.5, 3.2, f32::NAN] {
+            let config = ServeConfig { fov_y, ..small_config() };
+            let err = ServeSim::synthetic(1, &config).err();
+            assert!(
+                matches!(err, Some(ServeError::InvalidConfig { field: "fov_y", .. })),
+                "{fov_y}: {err:?}"
+            );
+        }
+        for resolution in [0, MAX_RESOLUTION + 1, u32::MAX] {
+            let config = ServeConfig { resolution, ..small_config() };
+            let err = ServeSim::synthetic(1, &config).err();
+            assert!(
+                matches!(err, Some(ServeError::InvalidConfig { field: "resolution", .. })),
+                "{resolution}: {err:?}"
+            );
+        }
+        // The defaults and every resolution the repo serves at: the
+        // benchmark's 32 and 6 and the serve harness's 16 and 40.
+        assert!(ServeSim::synthetic(1, &ServeConfig::default()).is_ok());
+        for resolution in [32, 6, 16, 40] {
+            let config = ServeConfig { resolution, ..ServeConfig::default() };
+            assert!(ServeSim::synthetic(1, &config).is_ok(), "{resolution}");
+        }
     }
 
     #[test]

@@ -11,11 +11,10 @@ cargo build --workspace --release --locked
 cargo build --release -p fusion3d-lint
 cargo test --workspace -q
 # Repo-specific invariants (determinism, panic-freedom, allocation-
-# freedom of the hot path): exit 0 = clean, 1 = findings not in the
-# committed baseline, 2 = harness error. The baseline is empty and
-# should stay that way — fix the code or add a reasoned
-# `// lint: allow(rule): why` instead of growing it.
-cargo run --release -q -p fusion3d-lint -- --baseline lint_baseline.jsonl
+# freedom of the hot path, accounting casts): exit 0 = clean,
+# 1 = any finding, 2 = harness error. Fix the code or add a reasoned
+# `// lint: allow(rule): why`.
+cargo run --release -q -p fusion3d-lint
 cargo clippy --workspace --all-targets -- -D warnings
 # The obs code (the probed render, the probe counters, breakdown's
 # kernel section) only compiles with the feature; lint it too.
