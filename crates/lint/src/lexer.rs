@@ -129,11 +129,6 @@ pub struct LexedFile {
 }
 
 impl LexedFile {
-    /// Whether findings for `rule` are suppressed at `line`.
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allow_line(rule, line).is_some()
-    }
-
     /// The directive line that suppresses `rule` at `line`, if any —
     /// the directive's own line, the line directly above, or the
     /// anchor of a continuation comment block ending directly above.
@@ -565,24 +560,24 @@ mod tests {
     fn allow_directives_parse() {
         let src = "x // lint: allow(p1, D2) — reason\ny\n// lint: allow(a2)\nz";
         let file = lex(src);
-        assert!(file.is_allowed("P1", 1));
-        assert!(file.is_allowed("d2", 1));
-        assert!(file.is_allowed("p1", 2), "directive covers the next line");
-        assert!(!file.is_allowed("p1", 3));
-        assert!(file.is_allowed("a2", 4));
+        assert!(file.allow_line("P1", 1).is_some());
+        assert!(file.allow_line("d2", 1).is_some());
+        assert!(file.allow_line("p1", 2).is_some(), "directive covers the next line");
+        assert!(file.allow_line("p1", 3).is_none());
+        assert!(file.allow_line("a2", 4).is_some());
     }
 
     #[test]
     fn continuation_comments_extend_directives() {
         let src = "// lint: allow(h2): first line of\n// a two-line reason\nf();\ng();";
         let file = lex(src);
-        assert!(file.is_allowed("h2", 3), "directive rides the comment block down");
+        assert!(file.allow_line("h2", 3).is_some(), "directive rides the comment block down");
         assert_eq!(file.allow_line("h2", 3), Some(1), "usage credits the anchor line");
-        assert!(!file.is_allowed("h2", 4), "coverage stops at the first code line");
+        assert!(file.allow_line("h2", 4).is_none(), "coverage stops at the first code line");
 
         // A trailing comment on a code line is not a continuation.
         let src = "// lint: allow(h2): reason\nf(); // unrelated note\ng();";
         let file = lex(src);
-        assert!(!file.is_allowed("h2", 3));
+        assert!(file.allow_line("h2", 3).is_none());
     }
 }

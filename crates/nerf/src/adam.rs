@@ -110,18 +110,26 @@ impl Adam {
         let c = self.config;
         let bias1 = 1.0 - c.beta1.powi(self.t as i32);
         let bias2 = 1.0 - c.beta2.powi(self.t as i32);
-        for run in runs {
-            for i in run {
-                let g = grads[i];
-                if g == 0.0 {
-                    continue;
-                }
-                let g = g + c.weight_decay * params[i];
-                self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
-                self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g;
-                let m_hat = self.m[i] / bias1;
-                let v_hat = self.v[i] / bias2;
-                params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+        for Range { start, end } in runs {
+            // Every entry computes its update, and a zero gradient
+            // (either sign) selects the old values back: the same skip
+            // as a branch, but the loop vectorizes.
+            for (((p, &g), m), v) in params[start..end]
+                .iter_mut()
+                .zip(&grads[start..end])
+                .zip(&mut self.m[start..end])
+                .zip(&mut self.v[start..end])
+            {
+                let keep = g == 0.0;
+                let g = g + c.weight_decay * *p;
+                let m_new = c.beta1 * *m + (1.0 - c.beta1) * g;
+                let v_new = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                let m_hat = m_new / bias1;
+                let v_hat = v_new / bias2;
+                let p_new = *p - c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+                *m = if keep { *m } else { m_new };
+                *v = if keep { *v } else { v_new };
+                *p = if keep { *p } else { p_new };
             }
         }
     }
@@ -204,6 +212,64 @@ mod tests {
         assert_eq!(bits(a.moments().0), bits(b.moments().0));
         assert_eq!(bits(a.moments().1), bits(b.moments().1));
         assert_eq!(a.step_count(), b.step_count());
+    }
+
+    /// The per-entry loop the step replaced, which branches past every
+    /// zero gradient: the oracle for the branch-free step.
+    fn branching_step(
+        c: AdamConfig,
+        t: u64,
+        params: &mut [f32],
+        grads: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        let bias1 = 1.0 - c.beta1.powi(t as i32);
+        let bias2 = 1.0 - c.beta2.powi(t as i32);
+        for i in 0..params.len() {
+            let g = grads[i];
+            if g == 0.0 {
+                continue;
+            }
+            let g = g + c.weight_decay * params[i];
+            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
+            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
+            let m_hat = m[i] / bias1;
+            let v_hat = v[i] / bias2;
+            params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+        }
+    }
+
+    #[test]
+    fn branch_free_step_matches_the_branching_loop() {
+        // Signed zeros must both skip, NaN must not, and a subnormal
+        // is a gradient like any other. Long enough to vectorize.
+        let specials = [0.0, -0.0, f32::NAN, f32::MIN_POSITIVE / 8.0];
+        let grads: Vec<f32> = (0..37)
+            .map(|i| specials.get(i % 6).copied().unwrap_or(0.3 * (i as f32).sin()))
+            .collect();
+        let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+        let init: Vec<f32> = (0..grads.len()).map(|i| 0.1 * i as f32 - 1.0).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Every entry (in two adjacent runs), then runs with gaps.
+        for runs in [vec![0..17, 17..grads.len()], vec![0..5, 9..30, 31..36]] {
+            let (mut params, mut opt) = (init.clone(), Adam::new(cfg, grads.len()));
+            let mut oracle = (init.clone(), vec![0.0f32; grads.len()], vec![0.0f32; grads.len()]);
+            // Outside the runs the oracle sees zero gradients.
+            let mut visible = vec![0.0f32; grads.len()];
+            for run in &runs {
+                visible[run.clone()].copy_from_slice(&grads[run.clone()]);
+            }
+            for t in 1..=3 {
+                opt.step_runs(&mut params, &grads, runs.iter().cloned());
+                let (p, m, v) = &mut oracle;
+                branching_step(cfg, t, p, &visible, m, v);
+                assert_eq!(bits(&params), bits(&oracle.0), "params, step {t}, runs {runs:?}");
+                assert_eq!(bits(opt.moments().0), bits(&oracle.1), "m, step {t}");
+                assert_eq!(bits(opt.moments().1), bits(&oracle.2), "v, step {t}");
+            }
+            assert!(params[2].is_nan() && params[0] == init[0] && params[1] == init[1]);
+        }
     }
 
     #[test]

@@ -130,7 +130,8 @@ pub struct KernelScratch {
     pub(crate) raw_clamped: Vec<bool>,
     /// Sample-major color gradient rows fed to the color MLP backward.
     pub(crate) d_rgb: Vec<f32>,
-    /// Gradient w.r.t. the color-MLP input.
+    /// Gradient w.r.t. the color-MLP input's geometric features (the
+    /// view-encoding columns get none: no parameter depends on them).
     pub(crate) d_color_in: Vec<f32>,
     /// Gradient w.r.t. the density-MLP output.
     pub(crate) d_density_out: Vec<f32>,
@@ -200,11 +201,11 @@ impl KernelScratch {
         &mut self,
         enc_dim: usize,
         density_out_dim: usize,
-        color_in_dim: usize,
+        geo_dim: usize,
     ) {
         let n = self.batch;
         fit(&mut self.d_rgb, n * 3);
-        fit(&mut self.d_color_in, n * color_in_dim);
+        fit(&mut self.d_color_in, n * geo_dim);
         fit(&mut self.d_density_out, n * density_out_dim);
         fit(&mut self.d_encoded, n * enc_dim);
     }

@@ -7,6 +7,7 @@
 //! optimizer and the INT8 quantization experiments operate on.
 
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +73,62 @@ pub struct Mlp {
     params: Vec<f32>,
     hidden_activation: Activation,
     output_activation: Activation,
+    /// Per layer, the forward GEMM's weight layout for the current
+    /// `params`: built by the first batched forward after a change and
+    /// dropped by every mutable access to the parameters, so it is
+    /// built once per optimizer step, never per call, and never stale.
+    forward_layouts: OnceLock<Vec<ForwardLayout>>,
+    /// Per layer, the input-gradient GEMM's row-major weights, each row
+    /// padded to `padded(in_dim)` inputs so the kernel loads one
+    /// contiguous vector of inputs per output feature. Built by the
+    /// first batched backward after a change and dropped with the
+    /// forward layouts, so a model that only renders never holds them.
+    backward_rows: OnceLock<Vec<Vec<f32>>>,
+}
+
+/// One layer's weights as the forward GEMM reads them, zero-padded to
+/// whole [`LANES`]-wide vectors so every tile runs at full width.
+#[derive(Debug, Clone)]
+struct ForwardLayout {
+    /// Column-major (`[k][o]`) weights, each column of inputs padded to
+    /// `padded(out_dim)` outputs: the forward GEMM loads one contiguous
+    /// vector of outputs per input feature.
+    columns: Vec<f32>,
+    /// The biases, padded to `padded(out_dim)`.
+    bias: Vec<f32>,
+}
+
+impl ForwardLayout {
+    /// Lays out one layer's row-major `weights` (`out_dim × in_dim`)
+    /// and `biases`.
+    fn new(weights: &[f32], biases: &[f32], in_dim: usize, out_dim: usize) -> Self {
+        debug_assert!(weights.len() == out_dim * in_dim && biases.len() == out_dim);
+        let out_pad = padded(out_dim);
+        // lint: allow(h2): built once per parameter update, not per call
+        let mut columns = vec![0.0; in_dim * out_pad];
+        // lint: allow(h2): built once per parameter update, not per call
+        let mut bias = vec![0.0; out_pad];
+        for (o, row) in weights.chunks_exact(in_dim).enumerate() {
+            for (k, &w) in row.iter().enumerate() {
+                columns[k * out_pad + o] = w;
+            }
+        }
+        bias[..out_dim].copy_from_slice(biases);
+        ForwardLayout { columns, bias }
+    }
+}
+
+/// One layer's row-major `weights` (`out_dim × in_dim`) with each row
+/// zero-padded to `padded(in_dim)` inputs.
+fn padded_rows(weights: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
+    debug_assert!(weights.len() == out_dim * in_dim);
+    let in_pad = padded(in_dim);
+    // lint: allow(h2): built once per parameter update, not per call
+    let mut rows = vec![0.0; out_dim * in_pad];
+    for (padded_row, row) in rows.chunks_exact_mut(in_pad).zip(weights.chunks_exact(in_dim)) {
+        padded_row[..in_dim].copy_from_slice(row);
+    }
+    rows
 }
 
 /// Per-sample forward-pass activations retained for the backward pass.
@@ -112,21 +169,21 @@ impl MlpCache {
 ///
 /// Activations are stored sample-major: entry `(s, d)` of layer `l`
 /// lives at `activations[l][s * dims[l] + d]`. One cache serves both
-/// [`Mlp::forward_batch`] and [`Mlp::backward_batch`]; keep one per
+/// [`Mlp::forward_batch`] and [`Mlp::backward_batch`], for any number
+/// of networks (the weight layouts live in each [`Mlp`]); keep one per
 /// worker and the kernels resize it only when the batch shape changes.
 #[derive(Debug, Clone, Default)]
 pub struct MlpBatchCache {
     /// `activations[0]` is the input batch; `activations[l]` the
-    /// post-activation output batch of layer `l - 1`.
+    /// post-activation output batch of layer `l - 1`. Every layer
+    /// input carries [`LANES`] values of slack past its `n` rows, so
+    /// the weight-gradient tiles read whole vectors at the last row.
     activations: Vec<Vec<f32>>,
-    /// dL/d(pre-activation) of the layer currently being walked.
+    /// dL/d(pre-activation) of the layer currently being walked, with
+    /// the same [`LANES`] of slack.
     delta: Vec<f32>,
     /// dL/d(post-activation) of the previous layer.
     d_prev: Vec<f32>,
-    /// Column-major (`[k][o]`) copy of the current layer's weights, so
-    /// the forward GEMM's inner loop loads one contiguous weight row
-    /// per input feature instead of [`OUTPUT_TILE`] strided values.
-    wt: Vec<f32>,
     batch: usize,
 }
 
@@ -149,7 +206,6 @@ impl MlpBatchCache {
         self.activations.iter().map(Vec::capacity).sum::<usize>()
             + self.delta.capacity()
             + self.d_prev.capacity()
-            + self.wt.capacity()
     }
 
     /// Sizes the forward buffers for a batch of `n` samples of an MLP
@@ -158,14 +214,12 @@ impl MlpBatchCache {
     /// kernels allocation-free afterwards.
     pub(crate) fn begin(&mut self, dims: &[usize], n: usize) {
         self.activations.resize_with(dims.len(), Vec::default);
-        for (a, &d) in self.activations.iter_mut().zip(dims.iter()) {
-            if a.len() != n * d {
-                a.resize(n * d, 0.0);
+        let last = dims.len() - 1;
+        for (l, (a, &d)) in self.activations.iter_mut().zip(dims.iter()).enumerate() {
+            let len = if l == last { n * d } else { n * d + LANES };
+            if a.len() != len {
+                a.resize(len, 0.0);
             }
-        }
-        let max_weights = dims.windows(2).map(|w| w[0] * w[1]).max().unwrap_or(0);
-        if self.wt.len() != max_weights {
-            self.wt.resize(max_weights, 0.0);
         }
         self.batch = n;
     }
@@ -175,8 +229,8 @@ impl MlpBatchCache {
     /// [`MlpBatchCache::begin`].
     pub(crate) fn begin_backward(&mut self, dims: &[usize]) {
         let len = self.batch * dims.iter().copied().max().unwrap_or(0);
-        if self.delta.len() != len {
-            self.delta.resize(len, 0.0);
+        if self.delta.len() != len + LANES {
+            self.delta.resize(len + LANES, 0.0);
         }
         if self.d_prev.len() != len {
             self.d_prev.resize(len, 0.0);
@@ -195,16 +249,23 @@ impl MlpBatchCache {
     }
 }
 
-/// Samples per register tile of the blocked GEMM kernels.
-const SAMPLE_TILE: usize = 4;
-/// Output features per register tile of the blocked GEMM kernels.
-/// Eight features give the forward kernel one 256-bit lane of
-/// independent accumulation chains per sample; widening tiles never
-/// changes results because each output element keeps its own
-/// k-ascending chain.
-const OUTPUT_TILE: usize = 8;
-/// Input features per register tile of the gradient GEMM kernels.
-const INPUT_TILE: usize = 4;
+/// Rows per register tile of the blocked GEMM kernels: samples in the
+/// forward and input-gradient kernels, output features in the
+/// weight-gradient kernel.
+const TILE_ROWS: usize = 4;
+// The forward and input-gradient reductions unpack a tile's rows by
+// name.
+const _: () = assert!(TILE_ROWS == 4, "the reductions zip four tile rows");
+/// Columns per register tile: one 256-bit vector of f32 lanes, so
+/// every tile row is one vector multiply and one vector add per step
+/// of the reduction. Tiling never changes results: each output element
+/// keeps its own accumulation chain, in the scalar path's order.
+const LANES: usize = 8;
+
+/// `d` rounded up to whole [`LANES`]-wide vectors.
+fn padded(d: usize) -> usize {
+    d.next_multiple_of(LANES)
+}
 
 impl Mlp {
     /// Creates an MLP with the given layer dimensions (input first,
@@ -232,7 +293,14 @@ impl Mlp {
             }
             params.extend(std::iter::repeat_n(0.0, fan_out));
         }
-        Mlp { dims: dims.to_vec(), params, hidden_activation, output_activation }
+        Mlp {
+            dims: dims.to_vec(),
+            params,
+            hidden_activation,
+            output_activation,
+            forward_layouts: OnceLock::new(),
+            backward_rows: OnceLock::new(),
+        }
     }
 
     /// Layer dimensions, input first.
@@ -270,6 +338,7 @@ impl Mlp {
     /// quantization experiments).
     #[inline]
     pub fn params_mut(&mut self) -> &mut [f32] {
+        self.drop_layouts();
         &mut self.params
     }
 
@@ -297,6 +366,7 @@ impl Mlp {
         let last = self.layer_count() - 1;
         let (in_dim, out_dim) = (self.dims[last], self.dims[last + 1]);
         let off = self.layer_offset(last) + in_dim * out_dim + index;
+        self.drop_layouts();
         &mut self.params[off]
     }
 
@@ -307,6 +377,48 @@ impl Mlp {
             off += w[0] * w[1] + w[1];
         }
         off
+    }
+
+    /// Layer `layer`'s row-major weights and its biases.
+    fn layer_params(&self, layer: usize) -> (&[f32], &[f32]) {
+        debug_assert!(layer < self.layer_count(), "layer {layer} of {}", self.layer_count());
+        let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
+        let (weights, rest) = self.params[self.layer_offset(layer)..].split_at(in_dim * out_dim);
+        (weights, &rest[..out_dim])
+    }
+
+    /// The forward GEMM's weight layouts for the current parameters,
+    /// built on the first call after a change.
+    fn forward_layouts(&self) -> &[ForwardLayout] {
+        self.forward_layouts.get_or_init(|| {
+            (0..self.layer_count())
+                .map(|layer| {
+                    let (weights, biases) = self.layer_params(layer);
+                    ForwardLayout::new(weights, biases, self.dims[layer], self.dims[layer + 1])
+                })
+                // lint: allow(h2): built once per parameter update, not per call
+                .collect()
+        })
+    }
+
+    /// The input-gradient GEMM's padded weight rows for the current
+    /// parameters, built on the first call after a change.
+    fn backward_rows(&self) -> &[Vec<f32>] {
+        self.backward_rows.get_or_init(|| {
+            (0..self.layer_count())
+                .map(|layer| {
+                    let (weights, _) = self.layer_params(layer);
+                    padded_rows(weights, self.dims[layer], self.dims[layer + 1])
+                })
+                // lint: allow(h2): built once per parameter update, not per call
+                .collect()
+        })
+    }
+
+    /// Drops the kernels' weight layouts ahead of a parameter change.
+    fn drop_layouts(&mut self) {
+        self.forward_layouts.take();
+        self.backward_rows.take();
     }
 
     fn activation_for_layer(&self, layer: usize) -> Activation {
@@ -444,11 +556,11 @@ impl Mlp {
     /// activations in `cache`, and returns the sample-major output
     /// slice (`n * output_dim()` values).
     ///
-    /// Layers are evaluated with a blocked GEMM
-    /// (`SAMPLE_TILE` × `OUTPUT_TILE` register tiles) whose inner
-    /// reduction walks input features in ascending order per output
-    /// element — **bitwise-identical** to calling [`Mlp::forward`] on
-    /// each sample, which is the determinism contract the `reference`
+    /// Layers are evaluated with a blocked GEMM (`TILE_ROWS` samples ×
+    /// `LANES` outputs per register tile) whose inner reduction walks
+    /// input features in ascending order per output element —
+    /// **bitwise-identical** to calling [`Mlp::forward`] on each
+    /// sample, which is the determinism contract the `reference`
     /// module's differential tests enforce.
     ///
     /// # Panics
@@ -462,27 +574,14 @@ impl Mlp {
     ) -> &'c [f32] {
         assert_eq!(inputs.len(), n * self.input_dim(), "input batch size mismatch");
         cache.begin(&self.dims, n);
-        cache.activations[0].copy_from_slice(inputs);
-        for layer in 0..self.layer_count() {
+        cache.activations[0][..inputs.len()].copy_from_slice(inputs);
+        for (layer, layout) in self.forward_layouts().iter().enumerate() {
             let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
-            let off = self.layer_offset(layer);
-            let weights = &self.params[off..off + in_dim * out_dim];
-            let biases = &self.params[off + in_dim * out_dim..off + in_dim * out_dim + out_dim];
             let act = self.activation_for_layer(layer);
-            // Re-lay the weights column-major so the GEMM's inner loop
-            // reads them contiguously; the copy is amortized over the
-            // whole batch. Transposition reorders loads, not sums, so
-            // results stay bit-identical.
-            let wt = &mut cache.wt[..in_dim * out_dim];
-            for (o, row) in weights.chunks_exact(in_dim).enumerate() {
-                for (k, &w) in row.iter().enumerate() {
-                    wt[k * out_dim + o] = w;
-                }
-            }
             // Split the borrow: read activations[layer], write
             // activations[layer + 1].
             let (head, tail) = cache.activations.split_at_mut(layer + 1);
-            gemm_bias_act(&head[layer], weights, wt, biases, act, n, in_dim, out_dim, &mut tail[0]);
+            gemm_bias_act(&head[layer], layout, act, n, in_dim, out_dim, &mut tail[0]);
         }
         cache.output()
     }
@@ -512,11 +611,34 @@ impl Mlp {
         d_input: &mut [f32],
         grads: &mut [f32],
     ) {
+        self.backward_batch_cols(cache, d_output, d_input, self.input_dim(), grads);
+    }
+
+    /// [`Mlp::backward_batch`] that computes only the first `cols`
+    /// input-gradient columns: `d_input` holds `batch` rows of `cols`
+    /// values. The parameter gradients are the same either way; the
+    /// model skips the input gradient of its view encoding, which no
+    /// parameter depends on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on size mismatches, if `cols` exceeds the input width, or
+    /// if `cache` does not hold a forward pass for this network.
+    pub(crate) fn backward_batch_cols(
+        &self,
+        cache: &mut MlpBatchCache,
+        d_output: &[f32],
+        d_input: &mut [f32],
+        cols: usize,
+        grads: &mut [f32],
+    ) {
         cache.begin_backward(&self.dims);
+        let rows = self.backward_rows();
         let MlpBatchCache { activations, delta, d_prev, batch, .. } = cache;
         let n = *batch;
         assert_eq!(d_output.len(), n * self.output_dim(), "output gradient size mismatch");
-        assert_eq!(d_input.len(), n * self.input_dim(), "input gradient size mismatch");
+        assert!(cols <= self.input_dim(), "{cols} input-gradient columns of {}", self.input_dim());
+        assert_eq!(d_input.len(), n * cols, "input gradient size mismatch");
         assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
         assert_eq!(activations.len(), self.dims.len(), "cache does not match network");
 
@@ -535,29 +657,21 @@ impl Mlp {
             let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
             let off = self.layer_offset(layer);
             let x = &activations[layer];
-            assert_eq!(x.len(), n * in_dim, "cached activation size mismatch");
+            assert_eq!(x.len(), n * in_dim + LANES, "cached activation size mismatch");
 
             // Weight and bias gradients.
             {
                 let (gw, gb) =
                     grads[off..off + in_dim * out_dim + out_dim].split_at_mut(in_dim * out_dim);
-                grad_gemm(&delta[..n * out_dim], x, n, in_dim, out_dim, gw, gb);
+                grad_gemm(delta, x, n, in_dim, out_dim, gw, gb);
             }
 
-            // Propagate to the previous layer (or the input).
-            let weights = &self.params[off..off + in_dim * out_dim];
-            dinput_gemm(
-                &delta[..n * out_dim],
-                weights,
-                n,
-                in_dim,
-                out_dim,
-                &mut d_prev[..n * in_dim],
-            );
-
+            // Propagate to the input, or to the previous layer.
+            let weights = &rows[layer];
             if layer == 0 {
-                d_input.copy_from_slice(&d_prev[..n * in_dim]);
+                dinput_gemm(delta, weights, n, in_dim, out_dim, cols, d_input);
             } else {
+                dinput_gemm(delta, weights, n, in_dim, out_dim, in_dim, d_prev);
                 let act = self.activation_for_layer(layer - 1);
                 for ((d, &dp), &y) in
                     delta[..n * in_dim].iter_mut().zip(d_prev[..n * in_dim].iter()).zip(x.iter())
@@ -569,83 +683,87 @@ impl Mlp {
     }
 }
 
+// The three GEMMs below stay out of line, so each tile loop is
+// register-allocated on its own. Each keeps its accumulator tile a
+// fixed-size array indexed only by constants (tail rows and lanes go
+// through `load_lanes` and `store_lanes`), so the tile lives in vector
+// registers; one dynamic index sends it to the stack and the loop back
+// to scalar code. The forward and input-gradient reductions zip the
+// weight rows with the tile rows' values rather than index them, so
+// no reduction step carries a bounds check.
+
+/// The first `lanes` values of `src` as a full vector, zero beyond.
+#[inline(always)]
+fn load_lanes(src: &[f32], lanes: usize) -> [f32; LANES] {
+    debug_assert!(lanes <= LANES && src.len() >= lanes, "{lanes} lanes of {}", src.len());
+    let mut v = [0.0; LANES];
+    if lanes == LANES {
+        v.copy_from_slice(&src[..LANES]);
+    } else {
+        v[..lanes].copy_from_slice(&src[..lanes]);
+    }
+    v
+}
+
+/// Stores the first `lanes` values of `v` into `dst`.
+#[inline(always)]
+fn store_lanes(dst: &mut [f32], v: [f32; LANES], lanes: usize) {
+    debug_assert!(lanes <= v.len() && dst.len() >= lanes, "{lanes} lanes of {}", dst.len());
+    if lanes == LANES {
+        dst[..LANES].copy_from_slice(&v);
+    } else {
+        dst[..lanes].copy_from_slice(&v[..lanes]);
+    }
+}
+
 /// Blocked GEMM + bias + activation: `y[s][o] = act(b[o] + Σ_k
 /// w[o][k] · x[s][k])` over a sample-major batch.
 ///
-/// [`SAMPLE_TILE`] × [`OUTPUT_TILE`] register tiles give the CPU
-/// thirty-two independent accumulation chains instead of the scalar
-/// path's one, and `wt` (the column-major copy of `weights` the
-/// caller maintains) makes the inner loop's weight loads contiguous.
-/// The `k` reduction stays in ascending order for every `(s, o)`
-/// element — the per-element addition sequence, and so the bits,
-/// match [`Mlp::forward`] exactly.
-#[allow(clippy::too_many_arguments)] // flat GEMM signature: dims + both weight layouts
+/// Each [`TILE_ROWS`] × [`LANES`] register tile holds thirty-two
+/// independent accumulation chains, and the layout's padded
+/// column-major weights make the inner loop one contiguous vector
+/// load per input feature. The output-feature tail runs the same tile
+/// over zero-padded weights, and the sample tail repeats the last
+/// sample's row; only valid lanes and rows are stored. Every `(s, o)`
+/// element starts from its bias and adds `k` in ascending order — the
+/// addition sequence, and so the bits, of [`Mlp::forward`].
+#[inline(never)]
 fn gemm_bias_act(
     x: &[f32],
-    weights: &[f32],
-    wt: &[f32],
-    biases: &[f32],
+    layout: &ForwardLayout,
     act: Activation,
     n: usize,
     in_dim: usize,
     out_dim: usize,
     y: &mut [f32],
 ) {
+    let out_pad = padded(out_dim);
     debug_assert!(x.len() >= n * in_dim, "x holds n × in_dim inputs");
     debug_assert!(y.len() >= n * out_dim, "y holds n × out_dim outputs");
-    debug_assert!(weights.len() >= out_dim * in_dim && wt.len() >= in_dim * out_dim);
-    debug_assert!(biases.len() >= out_dim);
-    let s_full = n - n % SAMPLE_TILE;
-    let o_full = out_dim - out_dim % OUTPUT_TILE;
-    for s in (0..s_full).step_by(SAMPLE_TILE) {
-        let xr: [&[f32]; SAMPLE_TILE] =
-            std::array::from_fn(|si| &x[(s + si) * in_dim..(s + si + 1) * in_dim]);
-        for o in (0..o_full).step_by(OUTPUT_TILE) {
-            let mut acc = [[0.0f32; OUTPUT_TILE]; SAMPLE_TILE];
-            for row in &mut acc {
-                row.copy_from_slice(&biases[o..o + OUTPUT_TILE]);
-            }
-            for k in 0..in_dim {
-                let w = &wt[k * out_dim + o..k * out_dim + o + OUTPUT_TILE];
-                for (si, row) in acc.iter_mut().enumerate() {
-                    let xv = xr[si][k];
+    debug_assert!(layout.columns.len() == in_dim * out_pad && layout.bias.len() == out_pad);
+    for s in (0..n).step_by(TILE_ROWS) {
+        let valid = TILE_ROWS.min(n - s);
+        let xr: [&[f32]; TILE_ROWS] =
+            std::array::from_fn(|si| &x[(s + si.min(valid - 1)) * in_dim..][..in_dim]);
+        for o in (0..out_dim).step_by(LANES) {
+            let bias = load_lanes(&layout.bias[o..], LANES);
+            let mut acc = [bias; TILE_ROWS];
+            let xk = xr[0].iter().zip(xr[1]).zip(xr[2]).zip(xr[3]);
+            for (column, (((&x0, &x1), &x2), &x3)) in layout.columns.chunks_exact(out_pad).zip(xk) {
+                let w = &column[o..o + LANES];
+                for (row, xv) in acc.iter_mut().zip([x0, x1, x2, x3]) {
                     for (a, &wk) in row.iter_mut().zip(w.iter()) {
                         *a += wk * xv;
                     }
                 }
             }
+            let lanes = LANES.min(out_dim - o);
             for (si, row) in acc.iter().enumerate() {
-                let ys = &mut y[(s + si) * out_dim + o..(s + si) * out_dim + o + OUTPUT_TILE];
-                for (out, &a) in ys.iter_mut().zip(row.iter()) {
-                    *out = act.apply(a);
+                if si < valid {
+                    let out = row.map(|a| act.apply(a));
+                    store_lanes(&mut y[(s + si) * out_dim + o..], out, lanes);
                 }
             }
-        }
-        // Output-feature tail: four samples share each weight row.
-        for o in o_full..out_dim {
-            let row = &weights[o * in_dim..(o + 1) * in_dim];
-            let mut acc = [biases[o]; SAMPLE_TILE];
-            for (k, &wk) in row.iter().enumerate() {
-                for (a, xs) in acc.iter_mut().zip(xr.iter()) {
-                    *a += wk * xs[k];
-                }
-            }
-            for (si, &a) in acc.iter().enumerate() {
-                y[(s + si) * out_dim + o] = act.apply(a);
-            }
-        }
-    }
-    // Sample tail: plain per-sample evaluation, same math as above.
-    for s in s_full..n {
-        let xs = &x[s * in_dim..(s + 1) * in_dim];
-        let ys = &mut y[s * out_dim..(s + 1) * out_dim];
-        for (o, out) in ys.iter_mut().enumerate() {
-            let row = &weights[o * in_dim..(o + 1) * in_dim];
-            let mut acc = biases[o];
-            for (w, v) in row.iter().zip(xs.iter()) {
-                acc += w * v;
-            }
-            *out = act.apply(acc);
         }
     }
 }
@@ -656,9 +774,12 @@ fn gemm_bias_act(
 /// Each gradient element is read, accumulated over samples in
 /// ascending order, and written back — exactly the addition sequence
 /// the scalar path produces when it walks one sample at a time, so
-/// the bits match [`Mlp::backward`] looped over the batch. The
-/// [`OUTPUT_TILE`] × [`INPUT_TILE`] tiling only widens the number of
-/// concurrent accumulation chains.
+/// the bits match [`Mlp::backward`] looped over the batch. Tiles are
+/// [`TILE_ROWS`] outputs × [`LANES`] inputs, and the biases
+/// [`LANES`] outputs at a time. Tail tiles run at full width: their
+/// extra lanes read the next row, or the [`LANES`] of slack that
+/// `delta` and `x` carry past their last row, and are never stored.
+#[inline(never)]
 fn grad_gemm(
     delta: &[f32],
     x: &[f32],
@@ -668,125 +789,92 @@ fn grad_gemm(
     gw: &mut [f32],
     gb: &mut [f32],
 ) {
-    debug_assert!(delta.len() >= n * out_dim, "delta holds n × out_dim deltas");
-    debug_assert!(x.len() >= n * in_dim, "x holds n × in_dim inputs");
+    debug_assert!(delta.len() >= n * out_dim + LANES, "delta holds n × out_dim deltas + slack");
+    debug_assert!(x.len() >= n * in_dim + LANES, "x holds n × in_dim inputs + slack");
     debug_assert!(gw.len() >= out_dim * in_dim && gb.len() >= out_dim);
     // Bias gradients: per output, sample-ascending accumulation.
-    for (o, g) in gb.iter_mut().enumerate() {
-        let mut acc = *g;
+    for o in (0..out_dim).step_by(LANES) {
+        let lanes = LANES.min(out_dim - o);
+        let mut acc = load_lanes(&gb[o..], lanes);
         for s in 0..n {
-            acc += delta[s * out_dim + o];
+            let ds = &delta[s * out_dim + o..][..LANES];
+            for (a, &d) in acc.iter_mut().zip(ds.iter()) {
+                *a += d;
+            }
         }
-        *g = acc;
+        store_lanes(&mut gb[o..], acc, lanes);
     }
-    let o_full = out_dim - out_dim % OUTPUT_TILE;
-    let i_full = in_dim - in_dim % INPUT_TILE;
-    for o in (0..o_full).step_by(OUTPUT_TILE) {
-        for i in (0..i_full).step_by(INPUT_TILE) {
-            let mut acc = [[0.0f32; INPUT_TILE]; OUTPUT_TILE];
+    for o in (0..out_dim).step_by(TILE_ROWS) {
+        let valid = TILE_ROWS.min(out_dim - o);
+        for i in (0..in_dim).step_by(LANES) {
+            let lanes = LANES.min(in_dim - i);
+            let mut acc = [[0.0f32; LANES]; TILE_ROWS];
             for (oi, row) in acc.iter_mut().enumerate() {
-                let g = &gw[(o + oi) * in_dim + i..(o + oi) * in_dim + i + INPUT_TILE];
-                row.copy_from_slice(g);
+                if oi < valid {
+                    *row = load_lanes(&gw[(o + oi) * in_dim + i..], lanes);
+                }
             }
             for s in 0..n {
-                let ds = &delta[s * out_dim + o..s * out_dim + o + OUTPUT_TILE];
-                let xs = &x[s * in_dim + i..s * in_dim + i + INPUT_TILE];
+                let ds = &delta[s * out_dim + o..][..TILE_ROWS];
+                let xs = &x[s * in_dim + i..][..LANES];
                 for (row, &d) in acc.iter_mut().zip(ds.iter()) {
                     for (a, &v) in row.iter_mut().zip(xs.iter()) {
                         *a += d * v;
                     }
                 }
             }
-            for (oi, row) in acc.iter().enumerate() {
-                let g = &mut gw[(o + oi) * in_dim + i..(o + oi) * in_dim + i + INPUT_TILE];
-                g.copy_from_slice(row);
-            }
-        }
-        // Input-feature tail.
-        for i in i_full..in_dim {
-            let mut acc = [0.0f32; OUTPUT_TILE];
-            for (oi, a) in acc.iter_mut().enumerate() {
-                *a = gw[(o + oi) * in_dim + i];
-            }
-            for s in 0..n {
-                let xv = x[s * in_dim + i];
-                let ds = &delta[s * out_dim + o..s * out_dim + o + OUTPUT_TILE];
-                for (a, &d) in acc.iter_mut().zip(ds.iter()) {
-                    *a += d * xv;
+            for (oi, &row) in acc.iter().enumerate() {
+                if oi < valid {
+                    store_lanes(&mut gw[(o + oi) * in_dim + i..], row, lanes);
                 }
             }
-            for (oi, &a) in acc.iter().enumerate() {
-                gw[(o + oi) * in_dim + i] = a;
-            }
-        }
-    }
-    // Output-feature tail: per element, sample-ascending.
-    for o in o_full..out_dim {
-        for i in 0..in_dim {
-            let mut acc = gw[o * in_dim + i];
-            for s in 0..n {
-                acc += delta[s * out_dim + o] * x[s * in_dim + i];
-            }
-            gw[o * in_dim + i] = acc;
         }
     }
 }
 
-/// Input-gradient GEMM: `d_prev[s][i] = Σ_o delta[s][o] · w[o][i]`,
-/// accumulating outputs in ascending order from zero per element —
-/// the same sequence the scalar backward's `d_prev` loop produces.
+/// Input-gradient GEMM over the first `cols` inputs: `d_in[s][i] =
+/// Σ_o delta[s][o] · w[o][i]`, with `d_in` holding `n` rows of `cols`.
+/// Each element accumulates outputs in ascending order from `+0.0` —
+/// the sequence the scalar backward's `d_prev` loop produces.
+///
+/// Tiles are [`TILE_ROWS`] samples × [`LANES`] inputs over the
+/// layout's input-padded row-major `weights` (`out_dim ×
+/// padded(in_dim)`);
+/// the sample tail repeats the last sample's deltas, and only valid
+/// rows and lanes are stored.
+#[inline(never)]
 fn dinput_gemm(
     delta: &[f32],
     weights: &[f32],
     n: usize,
     in_dim: usize,
     out_dim: usize,
-    d_prev: &mut [f32],
+    cols: usize,
+    d_in: &mut [f32],
 ) {
+    let in_pad = padded(in_dim);
     debug_assert!(delta.len() >= n * out_dim, "delta holds n × out_dim deltas");
-    debug_assert!(weights.len() >= out_dim * in_dim && d_prev.len() >= n * in_dim);
-    let s_full = n - n % SAMPLE_TILE;
-    let i_full = in_dim - in_dim % INPUT_TILE;
-    for s in (0..s_full).step_by(SAMPLE_TILE) {
-        for i in (0..i_full).step_by(INPUT_TILE) {
-            let mut acc = [[0.0f32; INPUT_TILE]; SAMPLE_TILE];
-            for o in 0..out_dim {
-                let wr = &weights[o * in_dim + i..o * in_dim + i + INPUT_TILE];
-                for (si, row) in acc.iter_mut().enumerate() {
-                    let d = delta[(s + si) * out_dim + o];
+    debug_assert!(weights.len() == out_dim * in_pad && cols <= in_dim && d_in.len() >= n * cols);
+    for s in (0..n).step_by(TILE_ROWS) {
+        let valid = TILE_ROWS.min(n - s);
+        let dr: [&[f32]; TILE_ROWS] =
+            std::array::from_fn(|si| &delta[(s + si.min(valid - 1)) * out_dim..][..out_dim]);
+        for i in (0..cols).step_by(LANES) {
+            let mut acc = [[0.0f32; LANES]; TILE_ROWS];
+            let d_o = dr[0].iter().zip(dr[1]).zip(dr[2]).zip(dr[3]);
+            for (w_row, (((&d0, &d1), &d2), &d3)) in weights.chunks_exact(in_pad).zip(d_o) {
+                let wr = &w_row[i..i + LANES];
+                for (row, d) in acc.iter_mut().zip([d0, d1, d2, d3]) {
                     for (a, &w) in row.iter_mut().zip(wr.iter()) {
                         *a += d * w;
                     }
                 }
             }
-            for (si, row) in acc.iter().enumerate() {
-                let dp = &mut d_prev[(s + si) * in_dim + i..(s + si) * in_dim + i + INPUT_TILE];
-                dp.copy_from_slice(row);
-            }
-        }
-        // Input-feature tail.
-        for i in i_full..in_dim {
-            let mut acc = [0.0f32; SAMPLE_TILE];
-            for o in 0..out_dim {
-                let w = weights[o * in_dim + i];
-                for (si, a) in acc.iter_mut().enumerate() {
-                    *a += delta[(s + si) * out_dim + o] * w;
+            let lanes = LANES.min(cols - i);
+            for (si, &row) in acc.iter().enumerate() {
+                if si < valid {
+                    store_lanes(&mut d_in[(s + si) * cols + i..], row, lanes);
                 }
-            }
-            for (si, &a) in acc.iter().enumerate() {
-                d_prev[(s + si) * in_dim + i] = a;
-            }
-        }
-    }
-    // Sample tail: plain per-sample propagation.
-    for s in s_full..n {
-        let dp = &mut d_prev[s * in_dim..(s + 1) * in_dim];
-        dp.fill(0.0);
-        let ds = &delta[s * out_dim..(s + 1) * out_dim];
-        for (o, &d) in ds.iter().enumerate() {
-            let row = &weights[o * in_dim..(o + 1) * in_dim];
-            for (a, &w) in dp.iter_mut().zip(row.iter()) {
-                *a += d * w;
             }
         }
     }

@@ -607,11 +607,8 @@ impl<E: Encoding> NerfModel<E> {
         assert_eq!(positions.len(), n, "position batch does not match the forward pass");
         assert_eq!(d_sigma.len(), n, "density gradient batch size mismatch");
         assert_eq!(d_color.len(), n, "color gradient batch size mismatch");
-        scratch.resize_backward(
-            self.encoding.output_dim(),
-            self.density_mlp.output_dim(),
-            self.color_mlp.input_dim(),
-        );
+        let geo = self.geo_feature_dim;
+        scratch.resize_backward(self.encoding.output_dim(), self.density_mlp.output_dim(), geo);
         scratch.density_cache.begin_backward(self.density_mlp.dims());
         scratch.color_cache.begin_backward(self.color_mlp.dims());
         self.encoding.reserve_batch_scratch(&mut scratch.enc, n);
@@ -623,17 +620,19 @@ impl<E: Encoding> NerfModel<E> {
             scratch.probes.mlp_backward_samples += n as u64;
         });
 
-        // Color MLP backward over the whole batch.
+        // Color MLP backward over the whole batch. Only the geometric
+        // features' input gradient flows on; the view encoding's
+        // columns would reach no parameter, so they are not computed.
         for (row, d) in scratch.d_rgb[..n * 3].chunks_exact_mut(3).zip(d_color.iter()) {
             row[0] = d.x;
             row[1] = d.y;
             row[2] = d.z;
         }
-        let c_in = self.color_mlp.input_dim();
-        self.color_mlp.backward_batch(
+        self.color_mlp.backward_batch_cols(
             &mut scratch.color_cache,
             &scratch.d_rgb[..n * 3],
-            &mut scratch.d_color_in[..n * c_in],
+            &mut scratch.d_color_in[..n * geo],
+            geo,
             &mut grads.color,
         );
 
@@ -644,8 +643,7 @@ impl<E: Encoding> NerfModel<E> {
         for (s, &ds) in d_sigma.iter().take(n).enumerate() {
             let row = &mut scratch.d_density_out[s * d_out_dim..(s + 1) * d_out_dim];
             row[0] = if scratch.raw_clamped[s] { 0.0 } else { ds * scratch.sigma[s] };
-            row[1..]
-                .copy_from_slice(&scratch.d_color_in[s * c_in..s * c_in + self.geo_feature_dim]);
+            row[1..].copy_from_slice(&scratch.d_color_in[s * geo..(s + 1) * geo]);
         }
         let enc_dim = self.density_mlp.input_dim();
         self.density_mlp.backward_batch(

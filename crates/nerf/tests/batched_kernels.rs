@@ -8,14 +8,17 @@
 //! the scalar kernels one sample at a time. These tests enforce the
 //! contract at batch sizes 0, 1, 7, 64, and 1000 — deliberately
 //! including sizes that are not multiples of the GEMM tile widths —
+//! at every residue of the MLP kernels' 4 × 8 register tiles, across
+//! the weight layouts each `Mlp` rebuilds after a parameter update,
 //! and re-check thread-count independence on the batched pipeline.
 
+use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::{orbit_poses, Camera};
 use fusion3d_nerf::encoding::{EncodingScratch, HashGrid, HashGridConfig};
 use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
-use fusion3d_nerf::model::{ModelConfig, NerfModel};
+use fusion3d_nerf::model::{ModelConfig, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, trace_frame, trace_rays, FrameTrace, PipelineConfig};
 use fusion3d_nerf::reference;
@@ -170,6 +173,50 @@ fn mlp_backward_batch_is_bitwise_scalar() {
     }
 }
 
+/// Batch sizes of the tile sweep: every residue of the 4-sample tile
+/// (and of two of them), one either side of 64, and a large batch.
+const TILE_SWEEP_SIZES: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 1000];
+
+/// Every input width 1..=17 and output width 1..=9 reaches every
+/// residue of the 8-lane tiles (the forward's outputs, the gradient
+/// kernels' inputs) and of the 4-row tiles (samples, weight-gradient
+/// outputs). The `[i, o, i]` network puts each width on both sides of
+/// a layer. One cache serves every shape, so stale slack from a larger
+/// shape is in place when a smaller one runs.
+#[test]
+fn mlp_kernels_are_bitwise_scalar_at_every_tile_residue() {
+    let mut rng = SmallRng::seed_from_u64(53);
+    let mut cache = MlpBatchCache::new();
+    for i in 1..=17 {
+        for o in 1..=9 {
+            let mlp = Mlp::new(&[i, o, i], Activation::Relu, Activation::Sigmoid, &mut rng);
+            for n in TILE_SWEEP_SIZES {
+                let what = format!("dims [{i}, {o}, {i}] n={n}");
+                let inputs = randoms(n * i, (i * 100 + o * 10 + n) as u64);
+                let scalar = reference::mlp_forward(&mlp, &inputs, n);
+                let batched = mlp.forward_batch(&inputs, n, &mut cache).to_vec();
+                assert_bits_eq(&batched, &scalar, &format!("forward {what}"));
+
+                // Two backward calls accumulate onto the gradient
+                // buffer: the second must add onto what the first left,
+                // as the scalar walk over the batch twice does.
+                let d_out = randoms(n * i, (i * 100 + o * 10 + n + 7) as u64);
+                let twice_inputs = [inputs.as_slice(), &inputs].concat();
+                let twice_d_out = [d_out.as_slice(), &d_out].concat();
+                let (scalar_d_in, scalar_grads) =
+                    reference::mlp_backward(&mlp, &twice_inputs, 2 * n, &twice_d_out);
+                let mut d_in = vec![0.0f32; n * i];
+                let mut grads = vec![0.0f32; mlp.param_count()];
+                for _ in 0..2 {
+                    mlp.backward_batch(&mut cache, &d_out, &mut d_in, &mut grads);
+                }
+                assert_bits_eq(&d_in, &scalar_d_in[n * i..], &format!("d_input {what}"));
+                assert_bits_eq(&grads, &scalar_grads, &format!("grads {what}"));
+            }
+        }
+    }
+}
+
 fn test_model(seed: u64) -> NerfModel {
     let mut rng = SmallRng::seed_from_u64(seed);
     NerfModel::new(
@@ -222,27 +269,97 @@ fn model_forward_batch_infer_is_bitwise_scalar() {
     }
 }
 
+/// The model's backward skips the color network's view-encoding input
+/// gradient; the parameter gradients must not notice. Checked on a
+/// small model and at the default configuration, whose layers are the
+/// ones training runs, at every residue of the 4-sample tile.
 #[test]
 fn model_backward_batch_is_bitwise_scalar() {
-    let model = test_model(31);
+    let default = NerfModel::new(ModelConfig::default(), &mut SmallRng::seed_from_u64(59));
     let dir = Vec3::new(-0.2, 0.5, 0.7).normalize();
     let mut scratch = KernelScratch::new();
-    for n in BATCH_SIZES {
-        let pts = positions(n, 900 + n as u64);
-        let d_sigma = randoms(n, 1000 + n as u64);
-        let d_color: Vec<Vec3> = randoms(n * 3, 1100 + n as u64)
-            .chunks_exact(3)
-            .map(|c| Vec3::new(c[0], c[1], c[2]))
-            .collect();
-        let mut scalar = model.alloc_grads();
-        reference::model_backward(&model, &pts, dir, &d_sigma, &d_color, &mut scalar);
-        model.forward_batch(&pts, dir, &mut scratch);
-        let mut batched = model.alloc_grads();
-        model.backward_batch(&pts, &d_sigma, &d_color, &mut scratch, &mut batched);
-        assert_bits_eq(&batched.grid, &scalar.grid, &format!("grid grads n={n}"));
-        assert_bits_eq(&batched.density, &scalar.density, &format!("density grads n={n}"));
-        assert_bits_eq(&batched.color, &scalar.color, &format!("color grads n={n}"));
+    for (model, name) in [(test_model(31), "small"), (default, "default")] {
+        for n in TILE_SWEEP_SIZES {
+            let pts = positions(n, 900 + n as u64);
+            let d_sigma = randoms(n, 1000 + n as u64);
+            let d_color: Vec<Vec3> = randoms(n * 3, 1100 + n as u64)
+                .chunks_exact(3)
+                .map(|c| Vec3::new(c[0], c[1], c[2]))
+                .collect();
+            let mut scalar = model.alloc_grads();
+            reference::model_backward(&model, &pts, dir, &d_sigma, &d_color, &mut scalar);
+            model.forward_batch(&pts, dir, &mut scratch);
+            let mut batched = model.alloc_grads();
+            model.backward_batch(&pts, &d_sigma, &d_color, &mut scratch, &mut batched);
+            let what = format!("{name} n={n}");
+            assert_bits_eq(&batched.grid, &scalar.grid, &format!("grid grads {what}"));
+            assert_bits_eq(&batched.density, &scalar.density, &format!("density grads {what}"));
+            assert_bits_eq(&batched.color, &scalar.color, &format!("color grads {what}"));
+        }
     }
+}
+
+/// Asserts `model`'s batched forward and backward through `scratch`
+/// equal the per-sample reference of its current parameters.
+fn assert_kernels_are_current(model: &NerfModel, scratch: &mut KernelScratch, what: &str) {
+    let pts = positions(13, 1500);
+    let dir = Vec3::new(0.1, 0.9, 0.3).normalize();
+    let (scalar_sigma, scalar_color) = reference::model_forward(model, &pts, dir);
+    let mut sigma = vec![0.0f32; pts.len()];
+    model.density_batch(&pts, &mut sigma, scratch);
+    assert_bits_eq(&sigma, &scalar_sigma, &format!("{what}: density_batch"));
+    model.forward_batch(&pts, dir, scratch);
+    assert_bits_eq(scratch.sigma(), &scalar_sigma, &format!("{what}: sigma"));
+    let batched_rgb: Vec<f32> = scratch.color().iter().flat_map(|c| c.to_array()).collect();
+    let scalar_rgb: Vec<f32> = scalar_color.iter().flat_map(|c| c.to_array()).collect();
+    assert_bits_eq(&batched_rgb, &scalar_rgb, &format!("{what}: color"));
+    let d_sigma = randoms(pts.len(), 1501);
+    let d_color = vec![Vec3::new(-0.3, 0.6, 0.2); pts.len()];
+    let mut scalar = model.alloc_grads();
+    reference::model_backward(model, &pts, dir, &d_sigma, &d_color, &mut scalar);
+    let mut batched = model.alloc_grads();
+    model.backward_batch(&pts, &d_sigma, &d_color, scratch, &mut batched);
+    assert_bits_eq(&batched.grid, &scalar.grid, &format!("{what}: grid grads"));
+    assert_bits_eq(&batched.density, &scalar.density, &format!("{what}: density grads"));
+    assert_bits_eq(&batched.color, &scalar.color, &format!("{what}: color grads"));
+}
+
+/// Each `Mlp` keeps the weight layouts its kernels read and rebuilds
+/// them after a parameter change. One scratch alternated between two
+/// models, across an optimizer step, an `output_bias_mut` and a clone,
+/// must always see the weights of the model it is called with, in the
+/// forward and in the backward.
+#[test]
+fn one_scratch_follows_each_model_across_parameter_updates() {
+    let mut a = test_model(61);
+    let mut b = test_model(67);
+    let mut scratch = KernelScratch::new();
+    assert_kernels_are_current(&a, &mut scratch, "a");
+    assert_kernels_are_current(&b, &mut scratch, "b");
+    assert_kernels_are_current(&a, &mut scratch, "a again");
+
+    // An optimizer step on `a`, from the gradients of one batch.
+    let pts = positions(9, 1600);
+    let dir = Vec3::new(-0.4, 0.3, 0.8).normalize();
+    a.forward_batch(&pts, dir, &mut scratch);
+    let mut grads = a.alloc_grads();
+    let d_color = vec![Vec3::new(0.5, -0.25, 1.0); pts.len()];
+    a.backward_batch(&pts, &randoms(pts.len(), 1601), &d_color, &mut scratch, &mut grads);
+    let mut optimizer = ModelOptimizer::new(AdamConfig::default(), &a);
+    let before = a.color_mlp().params().to_vec();
+    optimizer.step(&mut a, &grads);
+    assert_ne!(a.color_mlp().params(), before.as_slice(), "the step moved no color weight");
+    assert_kernels_are_current(&a, &mut scratch, "a after a step");
+    assert_kernels_are_current(&b, &mut scratch, "b after a's step");
+
+    *b.density_mlp_mut().output_bias_mut(0) += 0.75;
+    assert_kernels_are_current(&b, &mut scratch, "b after output_bias_mut");
+    assert_kernels_are_current(&a, &mut scratch, "a after b's bias");
+
+    let mut c = a.clone();
+    c.color_mlp_mut().params_mut()[0] += 0.5;
+    assert_kernels_are_current(&c, &mut scratch, "a changed clone");
+    assert_kernels_are_current(&a, &mut scratch, "a after its clone changed");
 }
 
 /// A grid of resolution `r` with exactly the given cells occupied.

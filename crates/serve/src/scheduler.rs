@@ -17,21 +17,35 @@ use fusion3d_nerf::camera::{orbit_poses, Camera};
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::pipeline::{render_views_into, PipelineConfig};
 use fusion3d_obs::Report;
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 
 /// Largest frame side [`ServeSim::new`] accepts, the CLI's render
-/// bound: it preallocates `max_batch × resolution²` pixels up front.
+/// bound.
 const MAX_RESOLUTION: u32 = 4096;
+/// Most response-frame pixels [`ServeSim::new`] preallocates, as
+/// `max_batch` frames of `resolution²`: one frame at the largest side.
+const MAX_FRAME_PIXELS: u64 = MAX_RESOLUTION as u64 * MAX_RESOLUTION as u64;
+/// Largest `executors`, `max_batch` and `path_len`, each of which
+/// [`ServeSim::new`] preallocates per unit.
+const MAX_UNITS: usize = 4096;
+/// Largest per-scene `queue_capacity`; every scene's FIFO is reserved
+/// at that capacity up front.
+const MAX_QUEUE_CAPACITY: usize = 1 << 16;
 
 /// Operating parameters of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Registry residency budget in container bytes.
     pub budget_bytes: u64,
-    /// Simulated batch engines draining the queue concurrently.
+    /// Simulated batch engines draining the queue concurrently, in
+    /// `1..=4096`.
     pub executors: usize,
-    /// Maximum requests coalesced into one kernel dispatch.
+    /// Maximum requests coalesced into one kernel dispatch, in
+    /// `1..=4096`; `max_batch × resolution²` is at most `4096²`.
     pub max_batch: usize,
-    /// Admission FIFO capacity per scene; arrivals beyond it shed.
+    /// Admission FIFO capacity per scene, in `1..=65536`; arrivals
+    /// beyond it shed.
     pub queue_capacity: usize,
     /// Rendered frame side length in pixels (frames are square),
     /// in `1..=4096`.
@@ -39,7 +53,8 @@ pub struct ServeConfig {
     /// Vertical field of view of the replayed cameras, radians, in
     /// (0, π).
     pub fov_y: f32,
-    /// Length of the orbit camera path requests replay.
+    /// Length of the orbit camera path requests replay, in
+    /// `1..=4096`.
     pub path_len: usize,
     /// Service cost: cycles per retained Stage-II/III sample.
     pub cycles_per_sample: u64,
@@ -163,6 +178,23 @@ pub struct ServeSim {
     executors: Vec<u64>,
 }
 
+/// [`ServeError::InvalidConfig`] for `field` unless `value` lies in
+/// `range`.
+fn check_range<T: PartialOrd + Display>(
+    field: &'static str,
+    value: T,
+    range: RangeInclusive<T>,
+) -> Result<(), ServeError> {
+    if range.contains(&value) {
+        return Ok(());
+    }
+    Err(ServeError::InvalidConfig {
+        field,
+        value: value.to_string(),
+        expected: format!("{}..={}", range.start(), range.end()),
+    })
+}
+
 impl ServeSim {
     /// Builds a simulation over `store` — validating every container
     /// against the budget up front — with all serving buffers
@@ -170,10 +202,13 @@ impl ServeSim {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for a `fov_y` outside (0, π) or a
-    /// `resolution` outside `1..=4096`; otherwise propagates
-    /// [`SceneRegistry::new`] failures: oversized or malformed
-    /// containers.
+    /// [`ServeError::InvalidConfig`], before anything is allocated,
+    /// for a `fov_y` outside (0, π), a `resolution` outside
+    /// `1..=4096`, an `executors`, `max_batch` or `path_len` outside
+    /// `1..=4096`, a `queue_capacity` outside `1..=65536`, or more than
+    /// `4096²` response pixels (`max_batch × resolution²`); otherwise
+    /// propagates [`SceneRegistry::new`] failures: oversized or
+    /// malformed containers.
     pub fn new(store: SceneStore, config: &ServeConfig) -> Result<Self, ServeError> {
         // `Camera::new` asserts the same field-of-view range; NaN fails
         // both comparisons.
@@ -184,17 +219,18 @@ impl ServeSim {
                 expected: "(0, pi)".to_string(),
             });
         }
-        if !(1..=MAX_RESOLUTION).contains(&config.resolution) {
-            return Err(ServeError::InvalidConfig {
-                field: "resolution",
-                value: config.resolution.to_string(),
-                expected: format!("1..={MAX_RESOLUTION}"),
-            });
-        }
-        let registry = SceneRegistry::new(&store, config.budget_bytes)?;
-        let queue = AdmissionQueue::new(store.len(), config.queue_capacity.max(1));
+        check_range("resolution", config.resolution, 1..=MAX_RESOLUTION)?;
+        check_range("executors", config.executors, 1..=MAX_UNITS)?;
+        check_range("max_batch", config.max_batch, 1..=MAX_UNITS)?;
+        check_range("queue_capacity", config.queue_capacity, 1..=MAX_QUEUE_CAPACITY)?;
+        check_range("path_len", config.path_len, 1..=MAX_UNITS)?;
         let resolution = config.resolution;
-        let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len.max(1))
+        // Both factors are bounded above, so the product cannot wrap.
+        let frame_pixels = config.max_batch as u64 * u64::from(resolution) * u64::from(resolution);
+        check_range("max_batch × resolution²", frame_pixels, 1..=MAX_FRAME_PIXELS)?;
+        let registry = SceneRegistry::new(&store, config.budget_bytes)?;
+        let queue = AdmissionQueue::new(store.len(), config.queue_capacity);
+        let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len)
             .iter()
             .map(|&pose| Camera::new(pose, resolution, resolution, config.fov_y))
             .collect();
@@ -204,7 +240,7 @@ impl ServeSim {
                 ..PipelineConfig::default()
             })
             .collect();
-        let max_batch = config.max_batch.max(1);
+        let max_batch = config.max_batch;
         let pixels = resolution as usize * resolution as usize;
         Ok(Self {
             store,
@@ -217,7 +253,7 @@ impl ServeSim {
             samples: vec![0; max_batch],
             batch: Vec::with_capacity(max_batch),
             batch_cameras: Vec::with_capacity(max_batch),
-            executors: vec![0; config.executors.max(1)],
+            executors: vec![0; config.executors],
         })
     }
 
@@ -497,13 +533,68 @@ mod tests {
                 "{resolution}: {err:?}"
             );
         }
-        // The defaults and every resolution the repo serves at: the
-        // benchmark's 32 and 6 and the serve harness's 16 and 40.
+        // The defaults and every configuration the repo serves with:
+        // the benchmark's resolutions 32 and 6, the serve harness's 16
+        // and 40 with 32-deep queues, and the determinism test's.
         assert!(ServeSim::synthetic(1, &ServeConfig::default()).is_ok());
-        for resolution in [32, 6, 16, 40] {
+        for resolution in [32, 6] {
             let config = ServeConfig { resolution, ..ServeConfig::default() };
             assert!(ServeSim::synthetic(1, &config).is_ok(), "{resolution}");
         }
+        for resolution in [16, 40] {
+            let config = ServeConfig { resolution, queue_capacity: 32, ..ServeConfig::default() };
+            assert!(ServeSim::synthetic(8, &config).is_ok(), "{resolution}");
+        }
+        let config = ServeConfig { resolution: 20, path_len: 8, ..ServeConfig::default() };
+        assert!(ServeSim::synthetic(3, &config).is_ok());
+    }
+
+    /// `ServeSim::new` returns `InvalidConfig` naming `field` for each
+    /// config, without allocating what the config asks for.
+    fn assert_rejected(field: &str, configs: &[ServeConfig]) {
+        for config in configs {
+            let err = ServeSim::synthetic(1, config).err();
+            assert!(
+                matches!(&err, Some(ServeError::InvalidConfig { field: f, .. }) if *f == field),
+                "{field}: {config:?} gave {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_rejects_executors_out_of_range() {
+        let configs = [0, MAX_UNITS + 1, usize::MAX]
+            .map(|executors| ServeConfig { executors, ..small_config() });
+        assert_rejected("executors", &configs);
+    }
+
+    #[test]
+    fn new_rejects_max_batch_out_of_range() {
+        let configs = [0, MAX_UNITS + 1, usize::MAX]
+            .map(|max_batch| ServeConfig { max_batch, ..small_config() });
+        assert_rejected("max_batch", &configs);
+    }
+
+    #[test]
+    fn new_rejects_queue_capacity_out_of_range() {
+        let configs = [0, MAX_QUEUE_CAPACITY + 1, usize::MAX]
+            .map(|queue_capacity| ServeConfig { queue_capacity, ..small_config() });
+        assert_rejected("queue_capacity", &configs);
+    }
+
+    #[test]
+    fn new_rejects_path_len_out_of_range() {
+        let configs = [0, MAX_UNITS + 1, usize::MAX]
+            .map(|path_len| ServeConfig { path_len, ..small_config() });
+        assert_rejected("path_len", &configs);
+    }
+
+    #[test]
+    fn new_rejects_more_frame_pixels_than_one_largest_frame() {
+        // Each field in range, their product of pixels not.
+        let configs = [(2, MAX_RESOLUTION), (MAX_UNITS, 65), (5, 2048)]
+            .map(|(max_batch, resolution)| ServeConfig { max_batch, resolution, ..small_config() });
+        assert_rejected("max_batch × resolution²", &configs);
     }
 
     #[test]

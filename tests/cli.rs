@@ -61,3 +61,26 @@ fn train_rejects_zero_iterations() {
     assert_rejected(&["train", "--scene", "lego", "--iters", "0", "--out", out], "--iters");
     assert!(!std::path::Path::new(out).exists(), "an untrained container was written");
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Training is bit-stable: 50 Lego iterations, across the occupancy
+/// refresh at step 48, write the container whose digest is pinned
+/// here. Any change to a training kernel's arithmetic or order moves
+/// it; a change that only makes training faster must not.
+#[test]
+fn training_writes_the_pinned_container() {
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/pinned_lego_50.f3dm");
+    let output = Command::new(env!("CARGO_BIN_EXE_fusion3d"))
+        .args(["train", "--scene", "lego", "--iters", "50", "--out", out])
+        .output()
+        .expect("the fusion3d binary runs");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let bytes = std::fs::read(out).expect("the trained container was written");
+    assert_eq!(fnv1a_64(&bytes), 0x4fdb_ec6d_dffb_4470, "{} bytes", bytes.len());
+}
