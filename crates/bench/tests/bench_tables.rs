@@ -112,3 +112,110 @@ fn table2_psnr_matches_bench_tables() {
     let header = "| Quantization frequency | Measured PSNR | vs Never |";
     assert_eq!(doc_table(header), expected, "Table II");
 }
+
+/// A printed ratio such as `44x` as the docs write it, `44×`.
+fn times(field: &str) -> String {
+    format!("{}×", field.trim_end_matches('x'))
+}
+
+/// The line of `BENCH_tables.txt` that starts with `prefix`, after the
+/// line starting with `title`.
+fn bench_line(title: &str, prefix: &str) -> &'static str {
+    BENCH_TABLES
+        .lines()
+        .skip_while(|line| !line.starts_with(title))
+        .find(|line| line.starts_with(prefix))
+        .unwrap_or_else(|| panic!("BENCH_tables.txt has no {prefix} line under {title}"))
+}
+
+#[test]
+fn table3_best_baseline_ratios_match_bench_tables() {
+    // "Inference: 1.91x throughput and 10.1x energy efficiency vs best
+    // baseline" -> ["Inference", "1.91×", "10.1×"]
+    let expected: Vec<Vec<String>> = ["Inference:", "Training:"]
+        .iter()
+        .map(|mode| {
+            let line = bench_line("=== Table III", mode);
+            let [_, throughput, "throughput", "and", energy, ..] = fields(line)[..] else {
+                panic!("Table III ratio line {line}")
+            };
+            vec![mode.trim_end_matches(':').to_string(), times(throughput), times(energy)]
+        })
+        .collect();
+    let header = "| Mode | Throughput vs best baseline | Energy efficiency vs best baseline |";
+    assert_eq!(doc_table(header), expected, "Table III ratios");
+}
+
+#[test]
+fn fig11_ranges_match_bench_tables() {
+    // "Nvidia Jetson XNX       ship     588.8    47.1x       194.0x": per
+    // baseline, in print order, the range of speedups and energy
+    // efficiencies over its scenes.
+    let mut ranges: Vec<(String, [f64; 2], [f64; 2])> = Vec::new();
+    for line in bench_rows("=== Fig. 11", 2) {
+        let f = fields(line);
+        let [.., _scene, _throughput, speedup, energy] = f[..] else {
+            panic!("Fig. 11 row {line}")
+        };
+        let baseline = f[..f.len() - 4].join(" ");
+        let (speedup, energy) =
+            (number(speedup.trim_end_matches('x')), number(energy.trim_end_matches('x')));
+        match ranges.iter_mut().find(|(name, ..)| *name == baseline) {
+            Some((_, s, e)) => {
+                *s = [s[0].min(speedup), s[1].max(speedup)];
+                *e = [e[0].min(energy), e[1].max(energy)];
+            }
+            None => ranges.push((baseline, [speedup; 2], [energy; 2])),
+        }
+    }
+    let expected: Vec<Vec<String>> = ranges
+        .iter()
+        .map(|(baseline, s, e)| {
+            vec![
+                baseline.clone(),
+                format!("{:.1}–{:.1}×", s[0], s[1]),
+                format!("{:.1}–{:.1}×", e[0], e[1]),
+            ]
+        })
+        .collect();
+    assert_eq!(doc_table("| Baseline | Speedup | Energy efficiency |"), expected, "Fig. 11");
+}
+
+#[test]
+fn fig13b_inset_psnr_matches_bench_tables() {
+    // "       2^9      24.33" -> ["2^9", "24.33 dB"]
+    let rows: Vec<(&str, &str)> = bench_rows("=== Fig. 13(b) inset", 2)
+        .iter()
+        .map(|line| {
+            let [size, psnr] = fields(line)[..] else { panic!("Fig. 13(b) inset row {line}") };
+            (size, psnr)
+        })
+        .collect();
+    let expected: Vec<Vec<String>> =
+        rows.iter().map(|&(size, psnr)| vec![size.into(), format!("{psnr} dB")]).collect();
+    assert_eq!(doc_table("| Table size | PSNR |"), expected, "Fig. 13(b) inset");
+    // EXPERIMENTS.md says the inset rises with table size.
+    assert!(rows.windows(2).all(|w| number(w[0].1) < number(w[1].1)), "{rows:?}");
+}
+
+#[test]
+fn speedup_breakdown_matches_bench_tables() {
+    // "inference 44x, training 73x (paper: 47x and 76x)."
+    let line = bench_line("=== Ablation: speedup breakdown", "inference ");
+    let words: Vec<&str> = line
+        .trim_end_matches('.')
+        .split(|c: char| c.is_whitespace() || ",():".contains(c))
+        .filter(|w| !w.is_empty())
+        .collect();
+    let ["inference", inference, "training", training, "paper", paper_inference, "and", paper_training] =
+        words[..]
+    else {
+        panic!("speedup breakdown line {line}")
+    };
+    let expected = vec![
+        vec!["Inference".to_string(), times(paper_inference), times(inference)],
+        vec!["Training".to_string(), times(paper_training), times(training)],
+    ];
+    let header = "| Per-stage speedup vs XNX | Paper | Measured |";
+    assert_eq!(doc_table(header), expected, "speedup breakdown");
+}

@@ -19,7 +19,7 @@
 //! sneaking into a per-sample loop fails loudly in debug builds.
 
 use crate::encoding::EncodingScratch;
-use crate::math::{TSpan, Vec3};
+use crate::math::Vec3;
 use crate::mlp::MlpBatchCache;
 use crate::render::ShadedSample;
 
@@ -29,15 +29,12 @@ use crate::render::ShadedSample;
 /// `positions()[i]` describe sample `i`, in marching order. Reuse one
 /// batch per worker; [`crate::sampler::sample_ray_into`] clears and
 /// refills it without allocating once the buffers have grown to the
-/// ray cap.
+/// ray cap, and the render kernel fills one per pixel row.
 #[derive(Debug, Clone, Default)]
 pub struct SampleBatch {
     ts: Vec<f32>,
     dts: Vec<f32>,
     positions: Vec<Vec3>,
-    /// Ray–octant-cube pair scratch for Stage I, reused across rays by
-    /// `sample_ray_into` (at most eight entries).
-    pub(crate) pairs: Vec<(u8, TSpan)>,
 }
 
 impl SampleBatch {

@@ -15,12 +15,20 @@
 //! magic  "F3DM"            4 bytes
 //! version u16              (currently 1)
 //! precision u8             0 = f32, 1 = f16
-//! reserved u8
+//! reserved u8              0
 //! geo_feature_dim u32
 //! counts: encoding, density, color parameter counts   3 × u64
 //! occupancy: resolution u32, threshold f32, bitmap    ceil(res³/8) bytes
 //! parameters                encoding ‖ density ‖ color
 //! ```
+//!
+//! Decoding is exact: a container either decodes to a model and grid
+//! that encode back to the same bytes, or returns a [`DecodeError`].
+//! So the container is exactly as long as its header says, the reserved
+//! byte and the bitmap's padding bits are zero, the threshold is a
+//! finite non-negative number with a clear sign bit, the geometry-
+//! feature width matches the model, and an f16 NaN carries the one
+//! payload the encoder writes.
 
 use crate::encoding::Encoding;
 use crate::model::NerfModel;
@@ -76,6 +84,12 @@ pub enum DecodeError {
         /// Counts found in the container.
         found: (u64, u64, u64),
     },
+    /// A field holds a value the encoder never writes, naming the
+    /// field: bytes past the container's end, a nonzero reserved byte,
+    /// a geometry-feature width other than the model's, a negative or
+    /// non-finite threshold, set bitmap padding bits, or an f16 NaN
+    /// payload that would not encode back.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -89,6 +103,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::ShapeMismatch { expected, found } => {
                 write!(f, "parameter shape mismatch: expected {expected:?}, found {found:?}")
             }
+            DecodeError::Malformed(field) => write!(f, "malformed container: {field}"),
         }
     }
 }
@@ -233,7 +248,14 @@ impl<'a> Reader<'a> {
             }
             Precision::F16 => {
                 for v in out.iter_mut() {
-                    *v = f16_bits_to_f32(self.u16()?);
+                    let bits = self.u16()?;
+                    // The encoder writes every NaN as the quiet NaN of
+                    // its sign, so no other payload encodes back.
+                    let nan = bits & 0x7C00 == 0x7C00 && bits & 0x03FF != 0;
+                    if nan && bits & 0x7FFF != 0x7E00 {
+                        return Err(DecodeError::Malformed("f16 NaN payload"));
+                    }
+                    *v = f16_bits_to_f32(bits);
                 }
             }
         }
@@ -282,7 +304,8 @@ pub fn encode_model<E: Encoding>(
 /// # Errors
 ///
 /// Returns a [`DecodeError`] when the container is malformed or its
-/// shapes do not match `model`.
+/// shapes do not match `model`: whenever its bytes are not exactly what
+/// [`encode_model`] writes for the model and grid it would decode to.
 pub fn decode_model_into<E: Encoding>(
     data: &[u8],
     model: &mut NerfModel<E>,
@@ -299,11 +322,22 @@ pub fn decode_model_into<E: Encoding>(
     if header.param_counts != expected {
         return Err(DecodeError::ShapeMismatch { expected, found: header.param_counts });
     }
+    if header.geo_feature_dim as usize != model.geo_feature_dim() {
+        return Err(DecodeError::Malformed("geometry-feature width"));
+    }
     let threshold = r.f32()?;
+    if !threshold.is_finite() || threshold.is_sign_negative() {
+        return Err(DecodeError::Malformed("occupancy threshold"));
+    }
     let resolution = header.occupancy_resolution;
     let cells = (resolution as usize).pow(3);
     let bitmap = r.take(cells.div_ceil(8))?;
-    let mut occupancy = OccupancyGrid::new(resolution, threshold.max(0.0));
+    // The last byte's bits past the last cell.
+    let padding = bitmap.last().map_or(0, |&byte| byte >> (cells % 8));
+    if !cells.is_multiple_of(8) && padding != 0 {
+        return Err(DecodeError::Malformed("occupancy bitmap padding"));
+    }
+    let mut occupancy = OccupancyGrid::new(resolution, threshold);
     for cell in 0..cells {
         if bitmap[cell / 8] >> (cell % 8) & 1 == 1 {
             occupancy.set_cell(cell, true);
@@ -368,14 +402,15 @@ impl ContainerHeader {
 }
 
 /// Decodes only the fixed-size container header, and checks that
-/// `data` is as long as the header says the container is.
+/// `data` is exactly as long as the header says the container is.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] when the prefix is truncated, the magic
-/// or version is wrong, the precision tag is unknown, the occupancy
-/// resolution is zero, or `data` is shorter than
-/// [`ContainerHeader::container_bytes`].
+/// or version is wrong, the precision tag is unknown, the reserved byte
+/// is not zero, the occupancy resolution is zero, or `data` is shorter
+/// ([`DecodeError::Truncated`]) or longer ([`DecodeError::Malformed`])
+/// than [`ContainerHeader::container_bytes`].
 pub fn peek_header(data: &[u8]) -> Result<ContainerHeader, DecodeError> {
     read_header(&mut Reader { data, pos: 0 })
 }
@@ -389,11 +424,15 @@ fn read_header(r: &mut Reader<'_>) -> Result<ContainerHeader, DecodeError> {
     if version != VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    let precision = match r.take(2)?[0] {
+    let [tag, reserved] = r.array()?;
+    let precision = match tag {
         0 => Precision::F32,
         1 => Precision::F16,
         t => return Err(DecodeError::BadPrecision(t)),
     };
+    if reserved != 0 {
+        return Err(DecodeError::Malformed("reserved byte"));
+    }
     let geo_feature_dim = r.u32()?;
     let param_counts = (r.u64()?, r.u64()?, r.u64()?);
     let occupancy_resolution = r.u32()?;
@@ -402,10 +441,13 @@ fn read_header(r: &mut Reader<'_>) -> Result<ContainerHeader, DecodeError> {
     }
     let header =
         ContainerHeader { version, precision, geo_feature_dim, param_counts, occupancy_resolution };
-    if (r.data.len() as u64) < header.container_bytes() {
-        return Err(DecodeError::Truncated);
+    match (r.data.len() as u64).cmp(&header.container_bytes()) {
+        std::cmp::Ordering::Less => Err(DecodeError::Truncated),
+        std::cmp::Ordering::Greater => {
+            Err(DecodeError::Malformed("bytes past the container's end"))
+        }
+        std::cmp::Ordering::Equal => Ok(header),
     }
-    Ok(header)
 }
 
 #[cfg(test)]
@@ -415,7 +457,7 @@ mod tests {
     use crate::math::Vec3;
     use crate::model::{ModelConfig, PointContext};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn test_model(seed: u64) -> NerfModel {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -578,6 +620,113 @@ mod tests {
             decode_model_into(&bytes, &mut other),
             Err(DecodeError::ShapeMismatch { .. })
         ));
+    }
+
+    /// Whether `bytes` fails to decode into a model shaped like `shell`,
+    /// or decodes to a model and grid that encode back to `bytes`.
+    fn rejected_or_exact(bytes: &[u8], shell: &NerfModel) -> bool {
+        let mut model = shell.clone();
+        match (decode_model_into(bytes, &mut model), peek_header(bytes)) {
+            (Ok(grid), Ok(header)) => encode_model(&model, &grid, header.precision) == bytes,
+            (Ok(_), Err(_)) => false,
+            (Err(_), _) => true,
+        }
+    }
+
+    /// Every truncation, every substitution of every header byte and
+    /// seeded payload bit flips of real containers: each must fail to
+    /// decode or decode to exactly what it encodes. The containers hold
+    /// f32 and f16 parameters, and grids with and without bitmap
+    /// padding bits (res 8: 512 cells; res 5: 125 cells, 3 padding bits).
+    #[test]
+    fn every_mutated_container_is_rejected_or_exact() {
+        let model = test_model(12);
+        let shell = test_model(13);
+        let padded = OccupancyGrid::from_oracle(5, 0.125, |p| p.y < 0.6);
+        let whole = OccupancyGrid::from_oracle(8, 0.5, |p| p.x * p.z < 0.3);
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut rejected = std::collections::BTreeSet::new();
+        for (grid, precision) in
+            [(&whole, Precision::F32), (&whole, Precision::F16), (&padded, Precision::F16)]
+        {
+            let bytes = encode_model(&model, grid, precision);
+            assert!(rejected_or_exact(&bytes, &shell), "the intact container");
+            for len in 0..bytes.len() {
+                assert!(
+                    rejected_or_exact(&bytes[..len], &shell),
+                    "{precision:?}: first {len} bytes"
+                );
+            }
+            let mut cases = 0;
+            for at in 0..44 {
+                for value in (0..=u8::MAX).filter(|&v| v != bytes[at]) {
+                    let mut bad = bytes.clone();
+                    bad[at] = value;
+                    assert!(rejected_or_exact(&bad, &shell), "{precision:?}: byte {at} = {value}");
+                    if let Err(e) = decode_model_into(&bad, &mut shell.clone()) {
+                        rejected.insert(format!("{e}"));
+                    }
+                    cases += 1;
+                }
+            }
+            assert_eq!(cases, 44 * 255);
+            for _ in 0..2000 {
+                let mut bad = bytes.clone();
+                let bit = rng.gen_range(44 * 8..bytes.len() * 8);
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(rejected_or_exact(&bad, &shell), "{precision:?}: bit {bit} flipped");
+            }
+            // Trailing bytes, and each padding bit of the padded bitmap.
+            let mut long = bytes.clone();
+            long.extend_from_slice(&[0; 3]);
+            assert_eq!(
+                peek_header(&long).err(),
+                Some(DecodeError::Malformed("bytes past the container's end"))
+            );
+            if grid.cell_count() % 8 != 0 {
+                let last = 44 + grid.cell_count() / 8;
+                for bit in grid.cell_count() % 8..8 {
+                    let mut bad = bytes.clone();
+                    bad[last] |= 1 << bit;
+                    assert_eq!(
+                        decode_model_into(&bad, &mut shell.clone()).err(),
+                        Some(DecodeError::Malformed("occupancy bitmap padding"))
+                    );
+                }
+            }
+        }
+        // Every field check fires somewhere in the sweep.
+        for field in [
+            "reserved byte",
+            "geometry-feature width",
+            "occupancy threshold",
+            "bytes past the container's end",
+        ] {
+            assert!(rejected.contains(&format!("malformed container: {field}")), "{rejected:?}");
+        }
+    }
+
+    /// An f16 NaN decodes only with the payload the encoder writes for
+    /// its sign; any other NaN would not encode back.
+    #[test]
+    fn f16_nan_payloads_other_than_the_encoders_are_rejected() {
+        let mut model = test_model(15);
+        model.grid_mut().params_mut()[0] = f32::NAN;
+        let occ = test_occupancy();
+        let bytes = encode_model(&model, &occ, Precision::F16);
+        let shell = test_model(16);
+        assert!(rejected_or_exact(&bytes, &shell));
+        let first = 44 + occ.cell_count().div_ceil(8);
+        assert_eq!(u16::from_le_bytes([bytes[first], bytes[first + 1]]) & 0x7FFF, 0x7E00);
+        for payload in [0x7C01u16, 0x7D00, 0xFE01, 0x7FFF] {
+            let mut bad = bytes.clone();
+            bad[first..first + 2].copy_from_slice(&payload.to_le_bytes());
+            assert_eq!(
+                decode_model_into(&bad, &mut shell.clone()).err(),
+                Some(DecodeError::Malformed("f16 NaN payload")),
+                "{payload:#06x}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::mlp::SH_DIM;
 use crate::model::{sh_row, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{CompositeState, ShadedSample};
-use crate::sampler::{count_ray, sample_ray_append, PairJob, SamplerConfig};
+use crate::sampler::{count_rays, sample_rays, HeldRay, LaneSamples, PairJob, SamplerConfig};
 use crate::trainer::worker_scratches;
 use fusion3d_par::Pool;
 
@@ -87,7 +87,11 @@ impl RayState {
 /// One worker's row-wavefront working set, reused across rows.
 #[derive(Debug, Default)]
 struct RowScratch {
-    /// Stage-I output of the whole row, ray after ray.
+    /// The row's rays, in row order.
+    row: Vec<Ray>,
+    /// Stage I's per-lane samples of the rays in flight.
+    staged: LaneSamples,
+    /// Stage-I output of the whole row, one contiguous range per ray.
     samples: SampleBatch,
     /// Per-ray state in row order; retired rays keep their slot.
     rays: Vec<RayState>,
@@ -109,8 +113,9 @@ struct RowScratch {
 /// The render kernel behind every render entry point: shades one row
 /// of rays as a wavefront.
 ///
-/// * **Sample** — Stage I marches every ray into one row batch and
-///   evaluates each ray's view encoding once.
+/// * **Sample** — Stage I marches the row's rays sixteen at a time
+///   into one row batch, each ray's samples in one contiguous range,
+///   and each ray's view encoding is evaluated once.
 /// * **Gather** — each round takes the next `WAVEFRONT_K` samples of
 ///   every live ray.
 /// * **Evaluate** — one model forward runs over the whole gather; each
@@ -137,6 +142,8 @@ fn shade_row<E: Encoding>(
     scratch: &mut RowScratch,
 ) -> usize {
     let RowScratch {
+        row,
+        staged,
         samples,
         rays: states,
         live,
@@ -146,21 +153,20 @@ fn shade_row<E: Encoding>(
         #[cfg(feature = "obs")]
         rows_shaded,
     } = scratch;
-    samples.clear();
+    row.clear();
+    row.extend(rays);
     states.clear();
-    for ray in rays {
-        let next = samples.len();
-        sample_ray_append(&ray, occupancy, sampler, samples);
-        // lint: allow(h2): amortized — the per-ray state vector is
-        // cleared per row within its retained capacity
-        states.push(RayState {
-            sh: sh_row(ray.direction),
-            composite: CompositeState::START,
-            depth_sum: 0.0,
-            next,
-            end: samples.len(),
-        });
-    }
+    states.extend(row.iter().map(|ray| RayState {
+        sh: sh_row(ray.direction),
+        composite: CompositeState::START,
+        depth_sum: 0.0,
+        next: 0,
+        end: 0,
+    }));
+    samples.clear();
+    sample_rays(row, occupancy, sampler, staged, samples, |ray, range| {
+        (states[ray].next, states[ray].end) = (range.start, range.end);
+    });
     live.clear();
     live.extend(
         states.iter().enumerate().filter(|(_, ray)| ray.next < ray.end).map(|(r, _)| r as u32),
@@ -550,24 +556,37 @@ impl FrameTrace {
     }
 }
 
+/// One worker's frame-trace working set, reused across rows.
+#[derive(Debug, Default)]
+struct TraceScratch {
+    /// The row's rays, in row order.
+    row: Vec<Ray>,
+    /// The marched pairs of the row's rays, until the row ends.
+    held: Vec<HeldRay>,
+}
+
 /// Captures the Stage-I workload of a frame without shading it. Each
-/// pixel row is one [`trace_rays`] task across the pool; rows are
-/// concatenated in row order with their offsets rebased, so the result
-/// matches a serial sweep exactly.
+/// pixel row is one pool task, traced as [`trace_rays`] traces it with
+/// the worker's scratch; rows are concatenated in row order with their
+/// offsets rebased, so the result matches a serial sweep exactly.
 pub fn trace_frame(
     occupancy: &OccupancyGrid,
     camera: &Camera,
     sampler: &SamplerConfig,
 ) -> FrameTrace {
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let rows = Pool::new().parallel_chunks(count, width.max(1), |_, range| {
-        let rays = range.map(|i| camera.ray_for_pixel((i % width) as u32, (i / width) as u32));
-        trace_rays(rays, occupancy, sampler)
+    let width = camera.width();
+    let height = camera.height() as usize;
+    let pool = Pool::new();
+    let mut workers = Vec::new();
+    let scratches = worker_scratches(&mut workers, &pool, height);
+    let rows = pool.run_tasks(0..camera.height(), scratches, |_, y, scratch: &mut TraceScratch| {
+        scratch.row.clear();
+        scratch.row.extend((0..width).map(|x| camera.ray_for_pixel(x, y)));
+        trace_row(&scratch.row, occupancy, sampler, &mut scratch.held)
     });
     let mut trace = FrameTrace {
         jobs: Vec::with_capacity(rows.iter().map(|r| r.jobs.len()).sum()),
-        rays: Vec::with_capacity(count),
+        rays: Vec::with_capacity(width as usize * height),
         ..FrameTrace::default()
     };
     for row in rows {
@@ -580,27 +599,35 @@ pub fn trace_frame(
     trace
 }
 
-/// The Stage-I trace of `rays`, in order, on the calling thread: a
-/// counting walk (the march of [`crate::sampler::sample_ray`], keeping
-/// no sample) fills the flat job vector with no per-ray allocation.
+/// The Stage-I trace of `rays`, in order, on the calling thread: the
+/// march of [`crate::sampler::sample_ray`], sixteen rays at a time and
+/// keeping no sample, fills the flat job vector with no per-ray
+/// allocation.
 pub fn trace_rays(
     rays: impl IntoIterator<Item = Ray>,
     occupancy: &OccupancyGrid,
     sampler: &SamplerConfig,
 ) -> FrameTrace {
-    let rays = rays.into_iter();
-    let expected = rays.size_hint().0;
+    let rays: Vec<Ray> = rays.into_iter().collect();
+    trace_row(&rays, occupancy, sampler, &mut Vec::new())
+}
+
+/// The trace of one row of rays, with caller-owned scratch.
+fn trace_row(
+    rays: &[Ray],
+    occupancy: &OccupancyGrid,
+    sampler: &SamplerConfig,
+    held: &mut Vec<HeldRay>,
+) -> FrameTrace {
     let mut trace = FrameTrace {
         // Scene rays march about two pairs each.
-        jobs: Vec::with_capacity(2 * expected),
-        rays: Vec::with_capacity(expected),
+        jobs: Vec::with_capacity(2 * rays.len()),
+        rays: Vec::with_capacity(rays.len()),
         ..FrameTrace::default()
     };
-    let mut cube_pairs = Vec::with_capacity(8);
-    for ray in rays {
-        let valid_pairs = count_ray(&ray, occupancy, sampler, &mut cube_pairs, &mut trace.jobs);
-        trace.close_ray(valid_pairs);
-    }
+    count_rays(rays, occupancy, sampler, held, |valid_pairs, jobs| {
+        trace.push_ray(valid_pairs, jobs);
+    });
     trace
 }
 

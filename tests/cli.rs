@@ -84,3 +84,37 @@ fn training_writes_the_pinned_container() {
     let bytes = std::fs::read(out).expect("the trained container was written");
     assert_eq!(fnv1a_64(&bytes), 0x4fdb_ec6d_dffb_4470, "{} bytes", bytes.len());
 }
+
+/// Runs the binary with `args` and returns its stdout, failing the test
+/// on a nonzero exit.
+fn run_ok(args: &[&str]) -> Vec<u8> {
+    let output = Command::new(env!("CARGO_BIN_EXE_fusion3d"))
+        .args(args)
+        .output()
+        .expect("the fusion3d binary runs");
+    assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+    output.stdout
+}
+
+/// Rendering is bit-stable: the 64 × 64 frame of the pinned 50-iteration
+/// Lego container has the digest pinned here. Stage I, the model and the
+/// compositing all feed it, so a change to any of them that moves a
+/// pixel fails this test.
+#[test]
+fn rendering_the_pinned_container_writes_the_pinned_frame() {
+    let model = concat!(env!("CARGO_TARGET_TMPDIR"), "/pinned_lego_50_for_render.f3dm");
+    let frame = concat!(env!("CARGO_TARGET_TMPDIR"), "/pinned_lego_50_64.ppm");
+    run_ok(&["train", "--scene", "lego", "--iters", "50", "--out", model]);
+    run_ok(&["render", "--model", model, "--scene", "lego", "--size", "64", "--out", frame]);
+    let bytes = std::fs::read(frame).expect("the rendered frame was written");
+    assert_eq!(fnv1a_64(&bytes), 0x1778_b235_76cf_b030, "{} bytes", bytes.len());
+}
+
+/// The chip model is bit-stable: the multi-chip Lego report, built from
+/// Stage-I frame traces of the scene and its four expert gates, prints
+/// the text whose digest is pinned here.
+#[test]
+fn multichip_simulation_prints_the_pinned_report() {
+    let stdout = run_ok(&["simulate", "--scene", "lego", "--multichip"]);
+    assert_eq!(fnv1a_64(&stdout), 0x0e77_ff39_30bf_911e, "{}", String::from_utf8_lossy(&stdout));
+}
