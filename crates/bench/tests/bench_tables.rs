@@ -219,3 +219,57 @@ fn speedup_breakdown_matches_bench_tables() {
     let header = "| Per-stage speedup vs XNX | Paper | Measured |";
     assert_eq!(doc_table(header), expected, "speedup breakdown");
 }
+
+/// The prose of the `EXPERIMENTS.md` section under `header`, up to the
+/// next section, with every run of whitespace one space.
+fn doc_prose(header: &str) -> String {
+    let section: Vec<&str> = EXPERIMENTS
+        .lines()
+        .skip_while(|line| line.trim() != header)
+        .skip(1)
+        .take_while(|line| !line.starts_with("## "))
+        .collect();
+    assert!(!section.is_empty(), "EXPERIMENTS.md has no section {header}");
+    section.join(" ").split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// The scenes with the smallest and largest value, with the values.
+fn extremes(values: &[(String, f64)]) -> [(&str, f64); 2] {
+    let by_value = |a: &&(String, f64), b: &&(String, f64)| a.1.total_cmp(&b.1);
+    let [lo, hi] = [values.iter().min_by(by_value), values.iter().max_by(by_value)]
+        .map(|v| v.expect("a table with rows"));
+    [(lo.0.as_str(), lo.1), (hi.0.as_str(), hi.1)]
+}
+
+#[test]
+fn table6_speedups_and_shape_match_bench_tables() {
+    // "     ship     4.6x" -> ["ship", "4.6×"]
+    let rows: Vec<(&str, &str)> = bench_rows("=== Table VI", 2)
+        .iter()
+        .map(|line| {
+            let [scene, speedup] = fields(line)[..] else { panic!("Table VI row {line}") };
+            (scene, speedup)
+        })
+        .collect();
+    let expected: Vec<Vec<String>> =
+        rows.iter().map(|&(scene, speedup)| vec![scene.into(), times(speedup)]).collect();
+    let doc = doc_table("| Scene | Paper | Measured |");
+    let quoted: Vec<Vec<String>> =
+        doc.iter().map(|row| vec![row[0].clone(), row[2].clone()]).collect();
+    assert_eq!(quoted, expected, "Table VI measured column");
+    // The shape sentence: the measured range, the paper's, and the
+    // scenes at the extremes, which must be the paper's.
+    let value =
+        |(scene, x): (&str, &str)| (scene.to_string(), number(x.trim_end_matches(['x', '×'])));
+    let measured: Vec<(String, f64)> = rows.iter().copied().map(value).collect();
+    let paper: Vec<(String, f64)> = doc.iter().map(|row| value((&row[0], &row[1]))).collect();
+    let [(lo, lo_x), (hi, hi_x)] = extremes(&measured);
+    let [(paper_lo, paper_lo_x), (paper_hi, paper_hi_x)] = extremes(&paper);
+    assert_eq!([lo, hi], [paper_lo, paper_hi], "the measured extremes are not the paper's");
+    let shape = format!(
+        "Shape: all scenes gain substantially ({lo_x:.1}–{hi_x:.1}× vs the paper's \
+         {paper_lo_x:.1}–{paper_hi_x:.1}×); the extremes match ({hi} largest, {lo} smallest)"
+    );
+    let prose = doc_prose("## Table VI — Technique T1 ablation (`--bin table6`)");
+    assert!(prose.contains(&shape), "Table VI prose does not say: {shape}");
+}

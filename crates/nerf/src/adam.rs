@@ -106,32 +106,27 @@ impl Adam {
     ) {
         assert_eq!(params.len(), self.m.len(), "parameter count mismatch");
         assert_eq!(grads.len(), self.m.len(), "gradient count mismatch");
+        let (step, m, v) = self.begin_step();
+        for Range { start, end } in runs {
+            step.apply(
+                &mut params[start..end],
+                &grads[start..end],
+                &mut m[start..end],
+                &mut v[start..end],
+            );
+        }
+    }
+
+    /// Advances the step counter and returns the step's coefficients
+    /// with the first and second moments, for a caller that updates
+    /// disjoint ranges of the group separately (and, through
+    /// [`AdamStep::apply`], exactly as [`Adam::step_runs`] would).
+    pub(crate) fn begin_step(&mut self) -> (AdamStep, &mut [f32], &mut [f32]) {
         self.t += 1;
         let c = self.config;
         let bias1 = 1.0 - c.beta1.powi(self.t as i32);
         let bias2 = 1.0 - c.beta2.powi(self.t as i32);
-        for Range { start, end } in runs {
-            // Every entry computes its update, and a zero gradient
-            // (either sign) selects the old values back: the same skip
-            // as a branch, but the loop vectorizes.
-            for (((p, &g), m), v) in params[start..end]
-                .iter_mut()
-                .zip(&grads[start..end])
-                .zip(&mut self.m[start..end])
-                .zip(&mut self.v[start..end])
-            {
-                let keep = g == 0.0;
-                let g = g + c.weight_decay * *p;
-                let m_new = c.beta1 * *m + (1.0 - c.beta1) * g;
-                let v_new = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-                let m_hat = m_new / bias1;
-                let v_hat = v_new / bias2;
-                let p_new = *p - c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-                *m = if keep { *m } else { m_new };
-                *v = if keep { *v } else { v_new };
-                *p = if keep { *p } else { p_new };
-            }
-        }
+        (AdamStep { config: c, bias1, bias2 }, &mut self.m, &mut self.v)
     }
 
     /// The first and second moment estimates.
@@ -145,6 +140,42 @@ impl Adam {
         self.m.iter_mut().for_each(|x| *x = 0.0);
         self.v.iter_mut().for_each(|x| *x = 0.0);
         self.t = 0;
+    }
+}
+
+/// The coefficients one Adam step shares across its parameter group:
+/// the settings and the step's two bias corrections. Every entry
+/// updates through [`AdamStep::apply`] with the same ones, so how the
+/// group is split into ranges cannot change a bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    config: AdamConfig,
+    bias1: f32,
+    bias2: f32,
+}
+
+impl AdamStep {
+    /// Updates one range of entries: `params`, their `grads` and their
+    /// moments `m` and `v`, all of one length. An entry whose gradient
+    /// is zero (either sign) keeps its parameter and moments.
+    #[inline]
+    pub(crate) fn apply(&self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let AdamStep { config: c, bias1, bias2 } = *self;
+        // Every entry computes its update, and a zero gradient selects
+        // the old values back: the same skip as a branch, but the loop
+        // vectorizes.
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            let keep = g == 0.0;
+            let g = g + c.weight_decay * *p;
+            let m_new = c.beta1 * *m + (1.0 - c.beta1) * g;
+            let v_new = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = m_new / bias1;
+            let v_hat = v_new / bias2;
+            let p_new = *p - c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            *m = if keep { *m } else { m_new };
+            *v = if keep { *v } else { v_new };
+            *p = if keep { *p } else { p_new };
+        }
     }
 }
 

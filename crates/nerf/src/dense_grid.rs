@@ -11,7 +11,8 @@
 //!
 //! [`Encoding`]: crate::encoding::Encoding
 
-use crate::encoding::Encoding;
+use crate::dirty::DirtyBlocks;
+use crate::encoding::{Encoding, EncodingScratch};
 use crate::hash::{cell_corners, dense_index};
 use crate::math::{Aabb, Vec3};
 use rand::Rng;
@@ -204,6 +205,47 @@ impl Encoding for DenseGrid {
                 *g += w * d;
             }
         }
+    }
+
+    /// The scalar [`Encoding::backward`] per point, in point order,
+    /// recording each point's corner vertices and weights in `scratch`
+    /// as the hash grid's forward does; [`Encoding::mark_written`]
+    /// reads the vertices back.
+    fn backward_batch(
+        &self,
+        positions: &[Vec3],
+        d_out: &[f32],
+        grads: &mut [f32],
+        scratch: &mut EncodingScratch,
+    ) {
+        let f = self.config.features_per_vertex;
+        assert_eq!(d_out.len(), positions.len() * f, "gradient buffer size mismatch");
+        assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
+        let (addrs, weights) = scratch.record_one_level(positions);
+        let records = addrs.chunks_exact_mut(8).zip(weights.chunks_exact_mut(8));
+        for ((&p, d), (addrs, weights)) in positions.iter().zip(d_out.chunks_exact(f)).zip(records)
+        {
+            let (base, frac) = self.locate(p);
+            for (i, &corner) in cell_corners(base).iter().enumerate() {
+                let w = Self::corner_weight(frac, i);
+                let vertex = dense_index(corner, self.config.resolution);
+                (addrs[i], weights[i]) = (vertex, w);
+                let slot = vertex as usize * f;
+                for (g, &d) in grads[slot..slot + f].iter_mut().zip(d) {
+                    *g += w * d;
+                }
+            }
+        }
+    }
+
+    fn reserve_batch_scratch(&self, scratch: &mut EncodingScratch, n: usize) {
+        scratch.reserve_for(n, 1);
+    }
+
+    /// Marks the feature slots of the corner vertices the last
+    /// [`Encoding::backward_batch`] recorded: the vertices it wrote.
+    fn mark_written(&self, scratch: &EncodingScratch, dirty: &mut DirtyBlocks) {
+        dirty.mark_slots(0, self.config.features_per_vertex, scratch.prepared_addrs());
     }
 
     fn param_count(&self) -> usize {

@@ -7,11 +7,18 @@
 //! blocks, so zeroing, merging and the optimizer step touch only what
 //! a step wrote. Walking runs instead of single blocks
 //! keeps a mostly-dirty bitmap as cheap as the dense loop.
+//!
+//! A bitmap also splits into chunks of whole words, so tasks that each
+//! own a range of words can update the bitmap, and the floats it
+//! covers, side by side.
 
 use std::ops::Range;
 
 /// Floats per block: 16 `f32` are 64 bytes, one cache line.
 const BLOCK: usize = 16;
+
+/// Floats covered by one bitmap word: 64 blocks.
+pub(crate) const WORD_FLOATS: usize = 64 * BLOCK;
 
 /// One bit per 16-float block of a flat buffer of `len` floats.
 /// Bits past the last block are never set.
@@ -90,23 +97,97 @@ impl DirtyBlocks {
         self.words.fill(0);
     }
 
-    /// Marks dirty every block `other` marks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bitmaps cover buffers of different lengths.
-    pub(crate) fn union_with(&mut self, other: &DirtyBlocks) {
-        assert_eq!(self.len, other.len, "dirty bitmaps over different buffers");
-        for (word, &theirs) in self.words.iter_mut().zip(&other.words) {
-            *word |= theirs;
-        }
-    }
-
     /// The maximal runs of dirty blocks in ascending order, as float
     /// ranges of the buffer; the last run ends at the buffer's end,
     /// not at a block boundary past it.
     pub(crate) fn runs(&self) -> Runs<'_> {
-        Runs { words: &self.words, blocks: self.blocks, len: self.len, next: 0 }
+        self.runs_in(0..self.words.len())
+    }
+
+    /// [`DirtyBlocks::runs`] within bitmap words `words`, as float
+    /// ranges relative to the first float of word `words.start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` reaches past the bitmap.
+    pub(crate) fn runs_in(&self, words: Range<usize>) -> Runs<'_> {
+        assert!(words.end <= self.words.len(), "word range past the bitmap");
+        let (blocks, len) = extent(self.blocks, self.len, &words);
+        Runs { words: &self.words[words], blocks, len, next: 0 }
+    }
+
+    /// Splits the bitmap into consecutive chunks of `words` whole
+    /// bitmap words (the last may hold fewer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is zero.
+    pub(crate) fn chunks_mut(&mut self, words: usize) -> impl Iterator<Item = DirtyChunk<'_>> {
+        let (blocks, total) = (self.blocks, self.len);
+        self.words.chunks_mut(words).enumerate().map(move |(i, chunk)| {
+            let first = i * words;
+            let (blocks, len) = extent(blocks, total, &(first..first + chunk.len()));
+            DirtyChunk { words: chunk, first, blocks, len, total }
+        })
+    }
+}
+
+/// The blocks and floats that bitmap words `words` cover, of a bitmap
+/// over `blocks` blocks and `len` floats.
+fn extent(blocks: usize, len: usize, words: &Range<usize>) -> (usize, usize) {
+    let first = words.start * 64;
+    let covered = blocks.min(words.end * 64).saturating_sub(first);
+    (covered, len.min(words.end * WORD_FLOATS).saturating_sub(first * BLOCK))
+}
+
+/// A run of whole words of a [`DirtyBlocks`], borrowed mutably; see
+/// [`DirtyBlocks::chunks_mut`]. Float ranges are relative to the
+/// chunk's first float.
+#[derive(Debug)]
+pub(crate) struct DirtyChunk<'a> {
+    words: &'a mut [u64],
+    /// The index of the chunk's first word in its bitmap.
+    first: usize,
+    /// Blocks and floats the chunk covers.
+    blocks: usize,
+    len: usize,
+    /// Floats the whole bitmap covers.
+    total: usize,
+}
+
+impl DirtyChunk<'_> {
+    /// The floats of the buffer the chunk covers.
+    pub(crate) fn floats(&self) -> Range<usize> {
+        let start = self.first * WORD_FLOATS;
+        start..start + self.len
+    }
+
+    /// The bitmap words the chunk covers.
+    pub(crate) fn words(&self) -> Range<usize> {
+        self.first..self.first + self.words.len()
+    }
+
+    /// The maximal runs of dirty blocks in the chunk, ascending.
+    pub(crate) fn runs(&self) -> Runs<'_> {
+        Runs { words: self.words, blocks: self.blocks, len: self.len, next: 0 }
+    }
+
+    /// Marks every block of the chunk clean.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Marks dirty every block of the chunk that `other` marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` covers a buffer of another length.
+    pub(crate) fn union_with(&mut self, other: &DirtyBlocks) {
+        assert_eq!(self.total, other.len, "dirty bitmaps over different buffers");
+        let theirs = &other.words[self.words()];
+        for (word, &theirs) in self.words.iter_mut().zip(theirs) {
+            *word |= theirs;
+        }
     }
 }
 
@@ -222,6 +303,64 @@ mod tests {
         }
     }
 
+    /// The whole bitmap's runs cut at the boundaries of `words`-word
+    /// chunks: what the chunk and word-range walks must produce.
+    fn cut_runs(d: &DirtyBlocks, words: usize) -> Vec<Vec<Range<usize>>> {
+        let span = words * WORD_FLOATS;
+        (0..d.words.len().div_ceil(words))
+            .map(|c| {
+                let (lo, hi) = (c * span, (c + 1) * span);
+                let clipped = runs(d).into_iter().map(|r| r.start.max(lo)..r.end.min(hi));
+                clipped.filter(|r| r.start < r.end).map(|r| r.start - lo..r.end - lo).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunks_and_word_ranges_walk_the_runs_they_cover() {
+        // Runs within, across and at the edges of words, and a final
+        // word (and block) only partly covered by the buffer.
+        let len = 5 * WORD_FLOATS - 3 * BLOCK - 5;
+        let mut d = DirtyBlocks::new(len);
+        for (start, end) in
+            [(0, 1), (60 * BLOCK, 70 * BLOCK), (2 * WORD_FLOATS - 1, 3 * WORD_FLOATS)]
+        {
+            d.mark(start, end);
+        }
+        d.mark(len - 1, len);
+        let words = d.words.len();
+        for chunk_words in [1, 2, 3, 5, 8] {
+            let expected = cut_runs(&d, chunk_words);
+            let ranges: Vec<_> = (0..words)
+                .step_by(chunk_words)
+                .map(|w| d.runs_in(w..(w + chunk_words).min(words)).collect::<Vec<_>>())
+                .collect();
+            assert_eq!(ranges, expected, "word ranges of {chunk_words}");
+            let mut copy = d.clone();
+            let chunks: Vec<_> = copy.chunks_mut(chunk_words).collect();
+            assert_eq!(chunks.len(), expected.len(), "chunks of {chunk_words}");
+            for (c, chunk) in chunks.iter().enumerate() {
+                assert_eq!(
+                    chunk.runs().collect::<Vec<_>>(),
+                    expected[c],
+                    "chunk {c} of {chunk_words}"
+                );
+                let start = c * chunk_words;
+                assert_eq!(chunk.words(), start..(start + chunk_words).min(words));
+                let floats = start * WORD_FLOATS..((start + chunk_words) * WORD_FLOATS).min(len);
+                assert_eq!(chunk.floats(), floats, "chunk {c} of {chunk_words}");
+            }
+        }
+        // Clearing and re-uniting chunk by chunk rebuilds the bitmap.
+        let mut rebuilt = d.clone();
+        for mut chunk in rebuilt.chunks_mut(2) {
+            chunk.clear();
+            assert_eq!(chunk.runs().count(), 0);
+            chunk.union_with(&d);
+        }
+        assert_eq!(rebuilt, d);
+    }
+
     #[test]
     fn marks_cover_straddling_ranges_and_unions_merge() {
         let mut a = DirtyBlocks::new(100 * BLOCK);
@@ -231,7 +370,7 @@ mod tests {
         let mut b = DirtyBlocks::new(100 * BLOCK);
         b.mark(2 * BLOCK, 3 * BLOCK);
         b.mark(99 * BLOCK, 100 * BLOCK);
-        a.union_with(&b);
+        a.chunks_mut(1).for_each(|mut chunk| chunk.union_with(&b));
         assert_eq!(runs(&a), vec![0..3 * BLOCK, 99 * BLOCK..100 * BLOCK]);
         // Every float of a marked range lies in some run.
         let covered: usize = runs(&a).iter().map(|r| r.len()).sum();

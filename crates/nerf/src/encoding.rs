@@ -55,7 +55,7 @@ impl EncodingScratch {
     /// Reserves capacity for `points * levels * 8` corner entries
     /// without touching the buffers' contents, so corners a forward
     /// pass prepared stay valid for the backward pass.
-    fn reserve_for(&mut self, points: usize, levels: usize) {
+    pub(crate) fn reserve_for(&mut self, points: usize, levels: usize) {
         let need = points * levels * 8;
         self.addrs.reserve(need.saturating_sub(self.addrs.len()));
         self.weights.reserve(need.saturating_sub(self.weights.len()));
@@ -74,6 +74,24 @@ impl EncodingScratch {
         self.prepared_points = 0;
         self.prepared_levels = 0;
         self.prepared_fingerprint = 0;
+    }
+
+    /// Sizes the buffers for a one-level encoding's corners of
+    /// `positions` and returns them, to be filled with each point's
+    /// eight corner addresses and weights (entry `point * 8 + corner`):
+    /// the record a [`Encoding::mark_written`] reads back through
+    /// [`EncodingScratch::prepared_addrs`].
+    pub(crate) fn record_one_level(&mut self, positions: &[Vec3]) -> (&mut [u32], &mut [f32]) {
+        self.resize_for(positions.len(), 1);
+        self.prepared_points = positions.len();
+        self.prepared_levels = 1;
+        self.prepared_fingerprint = position_fingerprint(positions);
+        (&mut self.addrs, &mut self.weights)
+    }
+
+    /// The corner addresses of the prepared batch, level-major.
+    pub(crate) fn prepared_addrs(&self) -> &[u32] {
+        &self.addrs[..self.prepared_points * self.prepared_levels * 8]
     }
 }
 

@@ -8,14 +8,13 @@
 //! features; those features concatenated with a spherical-harmonics
 //! view-direction encoding feed the color MLP.
 
-use crate::adam::{Adam, AdamConfig};
+use crate::adam::{Adam, AdamConfig, AdamStep};
 use crate::batch::KernelScratch;
 use crate::dirty::DirtyBlocks;
 use crate::encoding::{Encoding, HashGrid, HashGridConfig};
 use crate::math::Vec3;
 use crate::mlp::{sh_encode, Activation, Mlp, MlpCache, SH_DIM};
 use rand::Rng;
-use std::ops::Range;
 
 /// Clamp on the raw density logit before the exponential.
 const RAW_DENSITY_CLAMP: f32 = 12.0;
@@ -155,25 +154,35 @@ impl ModelGrads {
         self.color.fill(0.0);
     }
 
-    /// [`ModelGrads::accumulate`] of an `other` whose grid gradient is
-    /// zero outside the blocks `dirty` marks: adds only those blocks
-    /// of the grid, and the MLP gradients densely.
+    /// The MLP half of zeroing and then accumulating `shards` in order:
+    /// sets the density and color gradients to the shards' sum, added
+    /// from `+0.0` in iteration order. The grid half is the caller's.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer shapes differ.
-    pub(crate) fn accumulate_dirty(&mut self, other: &ModelGrads, dirty: &DirtyBlocks) {
-        assert_eq!(self.grid.len(), other.grid.len(), "grid gradient shape mismatch");
-        for Range { start, end } in dirty.runs() {
-            for (a, b) in self.grid[start..end].iter_mut().zip(&other.grid[start..end]) {
-                *a += b;
-            }
+    /// Panics if the MLP buffer shapes differ.
+    pub(crate) fn merge_mlps<'a>(&mut self, shards: impl Iterator<Item = &'a ModelGrads>) {
+        self.density.fill(0.0);
+        self.color.fill(0.0);
+        for other in shards {
+            assert_eq!(self.density.len(), other.density.len(), "density gradient shape mismatch");
+            assert_eq!(self.color.len(), other.color.len(), "color gradient shape mismatch");
+            self.density.iter_mut().zip(&other.density).for_each(|(a, b)| *a += b);
+            self.color.iter_mut().zip(&other.color).for_each(|(a, b)| *a += b);
         }
-        assert_eq!(self.density.len(), other.density.len(), "density gradient shape mismatch");
-        assert_eq!(self.color.len(), other.color.len(), "color gradient shape mismatch");
-        self.density.iter_mut().zip(&other.density).for_each(|(a, b)| *a += b);
-        self.color.iter_mut().zip(&other.color).for_each(|(a, b)| *a += b);
     }
+}
+
+/// The grid group's share of a [`ModelOptimizer::step_mlps`]: the
+/// step's coefficients with the grid parameters and their moments,
+/// for the caller to update in disjoint ranges through
+/// [`AdamStep::apply`].
+#[derive(Debug)]
+pub(crate) struct GridStep<'a> {
+    pub(crate) step: AdamStep,
+    pub(crate) params: &'a mut [f32],
+    pub(crate) m: &'a mut [f32],
+    pub(crate) v: &'a mut [f32],
 }
 
 /// Adam optimizer states for a model's three parameter groups.
@@ -201,18 +210,27 @@ impl ModelOptimizer {
         self.color.step(model.color_mlp.params_mut(), &grads.color);
     }
 
-    /// [`ModelOptimizer::step`] for gradients whose grid part is zero
-    /// outside the blocks `dirty` marks: the grid's Adam step visits
-    /// only those blocks, with bit-identical results.
-    pub(crate) fn step_dirty<E: Encoding>(
-        &mut self,
-        model: &mut NerfModel<E>,
+    /// [`ModelOptimizer::step`] split for a grid gradient the caller
+    /// merges and steps in chunks: steps the MLP groups from `grads`
+    /// and starts the grid group's step, whose ranges the caller then
+    /// updates from the returned [`GridStep`]. Updating every range
+    /// whose gradient may be nonzero performs the same updates as
+    /// [`ModelOptimizer::step`], bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gradient shapes differ from the model's.
+    pub(crate) fn step_mlps<'a, E: Encoding>(
+        &'a mut self,
+        model: &'a mut NerfModel<E>,
         grads: &ModelGrads,
-        dirty: &DirtyBlocks,
-    ) {
-        self.grid.step_runs(model.encoding.params_mut(), &grads.grid, dirty.runs());
+    ) -> GridStep<'a> {
         self.density.step(model.density_mlp.params_mut(), &grads.density);
         self.color.step(model.color_mlp.params_mut(), &grads.color);
+        let params = model.encoding.params_mut();
+        assert_eq!(params.len(), grads.grid.len(), "grid gradient shape mismatch");
+        let (step, m, v) = self.grid.begin_step();
+        GridStep { step, params, m, v }
     }
 
     /// The Adam states of the grid, density and color groups.

@@ -19,8 +19,9 @@
 //! simulator, whose dynamic workload scheduler dispatches whole rays
 //! onto sampling cores. [`crate::pipeline::trace_frame`] counts them
 //! with the lane kernel; [`sample_ray`]'s [`RayWorkload`] is its oracle.
-//! Calls that march one ray ([`sample_ray_into`], training's Stage I)
-//! keep the scalar march: a lone ray would leave fifteen lanes idle.
+//! Calls that march one ray ([`sample_ray_into`], and training's Stage
+//! I, which appends a shard's rays one by one) keep the scalar march:
+//! a lone ray would leave fifteen lanes idle.
 
 use std::ops::Range;
 
@@ -254,13 +255,13 @@ pub fn sample_ray(
 
 /// [`sample_ray`] marching into a caller-owned [`SampleBatch`]
 /// (cleared first) and skipping the workload bookkeeping — the
-/// allocation-free Stage-I entry point for one ray, which training
-/// calls per ray. Produces exactly the `t`/`δt`/position sequence of
-/// [`sample_ray`]; per-cube statistics stay with the tracing path.
-/// It takes fewer steps: the occupancy grid's empty-space summary
-/// lets it skip spans and span tails that hold no sample, which
-/// [`sample_ray`] and the trace walk still march because their step
-/// counts are the sampling cores' job lengths.
+/// allocation-free Stage-I entry point for one ray. Produces exactly
+/// the `t`/`δt`/position sequence of [`sample_ray`]; per-cube
+/// statistics stay with the tracing path. It takes fewer steps: the
+/// occupancy grid's empty-space summary lets it skip spans and span
+/// tails that hold no sample, which [`sample_ray`] and the trace walk
+/// still march because their step counts are the sampling cores' job
+/// lengths.
 pub fn sample_ray_into(
     ray: &Ray,
     occupancy: &OccupancyGrid,
@@ -268,6 +269,20 @@ pub fn sample_ray_into(
     out: &mut SampleBatch,
 ) {
     out.clear();
+    append_ray_samples(ray, occupancy, config, out);
+}
+
+/// [`sample_ray_into`] without the clear: appends the ray's samples
+/// behind those `out` already holds, capped at
+/// `config.max_samples_per_ray` for this ray alone. Training's Stage I
+/// gathers a group of rays into one batch this way.
+pub(crate) fn append_ray_samples(
+    ray: &Ray,
+    occupancy: &OccupancyGrid,
+    config: &SamplerConfig,
+    out: &mut SampleBatch,
+) {
+    let first = out.len();
     let (pairs, count) = octant_pairs(ray);
     let dt = config.step();
     'pairs: for &(cube, span) in &pairs[..count] {
@@ -282,7 +297,7 @@ pub fn sample_ray_into(
                 // lint: allow(h2): amortized — caller-owned
                 // SampleBatch cleared per ray within capacity
                 out.push(t, dt, p);
-                if out.len() >= config.max_samples_per_ray {
+                if out.len() - first >= config.max_samples_per_ray {
                     break 'pairs;
                 }
                 t += dt;

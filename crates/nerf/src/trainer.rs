@@ -11,20 +11,22 @@
 //! pixels add: [`Trainer`] runs it over one, the multi-chip MoE over
 //! several.
 
-use crate::adam::AdamConfig;
+use crate::adam::{AdamConfig, AdamStep};
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::dataset::Dataset;
-use crate::dirty::DirtyBlocks;
+use crate::dirty::{DirtyBlocks, DirtyChunk, WORD_FLOATS};
 use crate::encoding::{Encoding, HashGrid};
 use crate::image::Image;
-use crate::math::Vec3;
-use crate::model::{ModelGrads, ModelOptimizer, NerfModel};
+use crate::math::{Ray, Vec3};
+use crate::mlp::SH_DIM;
+use crate::model::{sh_row, GridStep, ModelGrads, ModelOptimizer, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::pipeline::{render_image, PipelineConfig};
 use crate::render::{composite_backward_into, composite_into, SampleGrad};
-use crate::sampler::{sample_ray_into, SamplerConfig};
+use crate::sampler::{append_ray_samples, SamplerConfig};
 use fusion3d_par::Pool;
 use rand::Rng;
+use std::ops::Range;
 
 /// Number of gradient shards per training step. Fixed (never derived
 /// from the thread count) so the shard boundaries — and therefore the
@@ -37,6 +39,14 @@ pub const GRAD_SHARDS: usize = 16;
 /// each. Fixed, like [`GRAD_SHARDS`], so the chunk boundaries never
 /// depend on the thread count.
 const REFRESH_CHUNK: usize = 512;
+
+/// Dirty-bitmap words per task of the split shard merge and grid Adam
+/// step: whole words, so no two tasks share one. A word covers 64
+/// blocks, 1024 floats, so a task spans 32 KiB of each buffer (one-word
+/// tasks measured slower at two threads). Fixed, like [`GRAD_SHARDS`];
+/// and since every float goes through the same operations whichever
+/// task owns it, neither this nor the thread count can move a bit.
+const MERGE_CHUNK_WORDS: usize = 8;
 
 /// Byte ledger of the data volumes moved by training, split along the
 /// paper's Fig. 3 stage boundaries.
@@ -223,26 +233,115 @@ impl SparseGrads {
     }
 }
 
-/// One expert's layer of the ray a worker is training on: its Stage-I
-/// samples and the forward state its backward pass reuses, kept until
-/// the fused pixel's loss is known.
+/// One expert's layer of the ray group a worker is training on: the
+/// group's Stage-I samples, ray after ray, and the forward state its
+/// backward pass reuses, kept until every fused pixel's loss is known.
 #[derive(Debug, Default)]
 struct LayerScratch {
     samples: SampleBatch,
+    /// Where each ray of the group ends in `samples`.
+    ends: Vec<usize>,
+    /// The group ray of each sample.
+    ray_of: Vec<u32>,
     kernel: KernelScratch,
-    /// The transmittance left behind the layer's last sample.
+    /// The transmittance left behind the layer's last sample of the
+    /// ray being composited.
     transmittance: f32,
+    /// Per sample, the loss gradient of its density and color.
+    d_sigma: Vec<f32>,
+    d_color: Vec<Vec3>,
 }
 
-/// The working memory of one pool worker: one layer per expert and the
-/// per-sample gradient rows, reused by every task the worker runs, so
-/// the hot loop allocates nothing per ray.
+impl LayerScratch {
+    /// The samples of group ray `r`.
+    fn range(&self, r: usize) -> Range<usize> {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        start..self.ends[r]
+    }
+}
+
+/// The working memory of one pool worker: one layer per expert, the
+/// group's view encodings and the per-sample gradient rows, reused by
+/// every task the worker runs, so the hot loop allocates nothing per
+/// ray.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     layers: Vec<LayerScratch>,
+    /// The view encoding of each ray of the group.
+    sh: Vec<[f32; SH_DIM]>,
     sample_grads: Vec<SampleGrad>,
-    d_sigma: Vec<f32>,
-    d_color: Vec<Vec3>,
+}
+
+/// One task of the split shard merge and grid Adam step: the floats of
+/// one expert's grid that [`MERGE_CHUNK_WORDS`] bitmap words cover, with
+/// the union's words, the merged gradient, the parameters and their
+/// moments there.
+#[derive(Debug)]
+struct GridChunk<'a> {
+    expert: usize,
+    union: DirtyChunk<'a>,
+    merged: &'a mut [f32],
+    step: AdamStep,
+    params: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+}
+
+impl<'a> GridChunk<'a> {
+    /// The chunks of `expert`'s grid, whose merged gradient and union
+    /// are `merged` and whose step is `grid`.
+    fn split(
+        expert: usize,
+        grid: GridStep<'a>,
+        merged: &'a mut SparseGrads,
+    ) -> impl Iterator<Item = GridChunk<'a>> {
+        let GridStep { step, params, m, v } = grid;
+        let floats = MERGE_CHUNK_WORDS * WORD_FLOATS;
+        let vectors = params.chunks_mut(floats).zip(m.chunks_mut(floats)).zip(v.chunks_mut(floats));
+        let grads = merged.grads.grid.chunks_mut(floats);
+        merged.dirty.chunks_mut(MERGE_CHUNK_WORDS).zip(grads).zip(vectors).map(
+            move |((union, merged), ((params, m), v))| GridChunk {
+                expert,
+                union,
+                merged,
+                step,
+                params,
+                m,
+                v,
+            },
+        )
+    }
+
+    /// Zeroes the chunk where the last step's union was dirty, adds
+    /// each of `shards`' dirty runs in shard order, ORs their bitmaps
+    /// into the union and Adam-steps the union's runs: the chunk's
+    /// share of a dense merge and [`ModelOptimizer::step`], bit for
+    /// bit (see [`TrainState::fused_step`]).
+    fn merge_and_step<'s>(self, shards: impl Iterator<Item = &'s SparseGrads>) {
+        let GridChunk { mut union, merged, step, params, m, v, .. } = self;
+        for Range { start, end } in union.runs() {
+            merged[start..end].fill(0.0);
+        }
+        union.clear();
+        let (floats, words) = (union.floats(), union.words());
+        for SparseGrads { grads, dirty } in shards {
+            let grid = &grads.grid[floats.start..floats.end];
+            for Range { start, end } in dirty.runs_in(words.start..words.end) {
+                for (a, b) in merged[start..end].iter_mut().zip(&grid[start..end]) {
+                    *a += b;
+                }
+            }
+            union.union_with(dirty);
+        }
+        for Range { start, end } in union.runs() {
+            step.apply(
+                &mut params[start..end],
+                &merged[start..end],
+                &mut m[start..end],
+                &mut v[start..end],
+            );
+        }
+    }
 }
 
 /// The worker scratches for `pool` running `tasks` tasks, grown to
@@ -258,6 +357,98 @@ pub(crate) fn worker_scratches<'a, W: Default>(
         workers.resize_with(n, W::default);
     }
     workers
+}
+
+impl WorkerScratch {
+    /// Empties the group: its view encodings and every layer's samples.
+    fn begin_group(&mut self) {
+        self.sh.clear();
+        for layer in &mut self.layers {
+            layer.samples.clear();
+            layer.ends.clear();
+        }
+    }
+}
+
+/// Trains one group of a shard's rays, `rays` with their targets, whose
+/// Stage-I samples and view encodings `w` holds, adding each ray's loss
+/// to `loss_sum` in ray order and the gradients to `shard`.
+///
+/// Each expert runs one forward over the group, each sample reading its
+/// ray's view encoding; each ray composites and runs its composite
+/// backward on its own range; then each expert runs one backward and
+/// one `mark_written`. A sample's forward does not depend on its batch;
+/// the backward adds each gradient element's samples in ascending
+/// order onto the stored value, and the grid scatter is point-ascending
+/// per slot, so the group performs the additions of one call per ray,
+/// in the same order.
+fn train_group<E: Encoding>(
+    experts: &[Expert<E>],
+    rays: &[(Ray, Vec3)],
+    config: &TrainerConfig,
+    inv_norm: f32,
+    w: &mut WorkerScratch,
+    shard: &mut [SparseGrads],
+    loss_sum: &mut f64,
+) {
+    let WorkerScratch { layers, sh, sample_grads } = w;
+    for (expert, layer) in experts.iter().zip(layers.iter_mut()) {
+        let LayerScratch { samples, ends, ray_of, kernel, d_sigma, d_color, .. } = layer;
+        ray_of.clear();
+        for (r, &end) in ends.iter().enumerate() {
+            ray_of.resize(end, r as u32);
+        }
+        expert.model.forward_batch_impl(
+            samples.positions(),
+            |s| &sh[ray_of[s] as usize],
+            kernel,
+            true,
+        );
+        kernel.build_shaded(samples.dts());
+        d_sigma.resize(samples.len(), 0.0);
+        d_color.resize(samples.len(), Vec3::ZERO);
+    }
+    for (r, (_, target)) in rays.iter().enumerate() {
+        // Colors add and transmittances multiply in expert order.
+        let mut color = Vec3::ZERO;
+        for layer in layers.iter_mut() {
+            let range = layer.range(r);
+            let kernel = &mut layer.kernel;
+            let (c, t) =
+                composite_into(&kernel.shaded[range], Vec3::ZERO, false, &mut kernel.weights);
+            color += c;
+            layer.transmittance = t;
+        }
+        let behind: f32 = layers.iter().map(|l| l.transmittance).product();
+        let err = color + config.background * behind - *target;
+        *loss_sum += (err.length_squared() / 3.0) as f64;
+        // d(mean squared error)/d(pixel color).
+        let d_pixel = err * (2.0 * inv_norm);
+        for e in 0..layers.len() {
+            // `background · Π_{j≠e} T_j`: the product in expert order,
+            // skipping `e`.
+            let others: f32 = layers
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != e)
+                .map(|(_, l)| l.transmittance)
+                .product();
+            let layer = &mut layers[e];
+            let Range { start, end } = layer.range(r);
+            let background = config.background * others;
+            let shaded = &layer.kernel.shaded[start..end];
+            composite_backward_into(shaded, background, d_pixel, sample_grads);
+            let rows = layer.d_sigma[start..end].iter_mut().zip(&mut layer.d_color[start..end]);
+            for ((ds, dc), g) in rows.zip(sample_grads.iter()) {
+                (*ds, *dc) = (g.d_sigma, g.d_color);
+            }
+        }
+    }
+    for ((expert, layer), g) in experts.iter().zip(layers.iter_mut()).zip(shard.iter_mut()) {
+        let LayerScratch { samples, kernel, d_sigma, d_color, .. } = layer;
+        expert.model.backward_batch(samples.positions(), d_sigma, d_color, kernel, &mut g.grads);
+        expert.model.grid().mark_written(&kernel.enc, &mut g.dirty);
+    }
 }
 
 /// Everything the training step keeps across steps except the experts
@@ -344,14 +535,15 @@ impl TrainState {
     /// `dataset`, with their pixels fused by addition.
     ///
     /// The learning-rate schedule applies first, then the occupancy
-    /// refreshes in expert order. Per ray, every expert runs Stage I,
-    /// one batched forward and compositing over black; the pixel is
+    /// refreshes in expert order. Per ray, every expert runs Stage I, a
+    /// batched forward and compositing over black; the pixel is
     /// `Σ_e C_e + background · Π_e T_e`, and expert `e`'s backward sees
     /// the background attenuated by the other experts,
     /// `background · Π_{j≠e} T_j`. The batch splits into fixed ray-range
-    /// shards, each with one sparse gradient per expert; every expert's
+    /// shards, each with one sparse gradient per expert, whose rays
+    /// share model calls in groups (see `train_group`); every expert's
     /// shards merge in shard order and its Adam step visits only the
-    /// blocks they wrote.
+    /// blocks they wrote, both split across the pool in fixed chunks.
     ///
     /// With one expert this is exactly the single-model step: its color
     /// over black plus `+0.0` is its color, `1.0 · T` is `T`, and the
@@ -417,53 +609,32 @@ impl TrainState {
             // Only the blocks this shard wrote last step are nonzero.
             shard.iter_mut().for_each(|g| g.grads.zero_dirty(&mut g.dirty));
             w.layers.resize_with(experts_ref.len(), LayerScratch::default);
-            let WorkerScratch { layers, sample_grads, d_sigma, d_color } = w;
             let start = (index * rays_per_shard).min(batch.len());
             let end = (start + rays_per_shard).min(batch.len());
             let mut loss_sum = 0.0f64;
             let mut sample_count = 0usize;
-            for (ray, target) in &batch[start..end] {
-                // Forward, per expert: Stage I into the reusable SoA
-                // batch, one batched model call, compositing over black.
-                // Colors add and transmittances multiply in expert order.
-                let mut color = Vec3::ZERO;
-                for (expert, layer) in experts_ref.iter().zip(layers.iter_mut()) {
-                    let LayerScratch { samples, kernel, transmittance } = layer;
-                    sample_ray_into(ray, &expert.occupancy, &config.sampler, samples);
-                    sample_count += samples.len();
-                    expert.model.forward_batch(samples.positions(), ray.direction, kernel);
-                    kernel.build_shaded(samples.dts());
-                    let (c, t) =
-                        composite_into(&kernel.shaded, Vec3::ZERO, false, &mut kernel.weights);
-                    color += c;
-                    *transmittance = t;
+            // Consecutive rays form a group, closed once its samples,
+            // summed over experts, reach one ray's cap: each expert runs
+            // one forward and one backward call per group. Stage I
+            // appends each ray's samples to the group's batches.
+            let mut group = start;
+            for r in start..end {
+                if r == group {
+                    w.begin_group();
                 }
-                let behind: f32 = layers.iter().map(|l| l.transmittance).product();
-                let err = color + config.background * behind - *target;
-                loss_sum += (err.length_squared() / 3.0) as f64;
-                // d(mean squared error)/d(pixel color).
-                let d_pixel = err * (2.0 * inv_norm);
-                for (e, (expert, g)) in experts_ref.iter().zip(shard.iter_mut()).enumerate() {
-                    // `background · Π_{j≠e} T_j`: the product in expert
-                    // order, skipping `e`.
-                    let others: f32 = layers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != e)
-                        .map(|(_, l)| l.transmittance)
-                        .product();
-                    let LayerScratch { samples, kernel, .. } = &mut layers[e];
-                    let background = config.background * others;
-                    composite_backward_into(&kernel.shaded, background, d_pixel, sample_grads);
-                    d_sigma.clear();
-                    d_color.clear();
-                    for s in sample_grads.iter() {
-                        d_sigma.push(s.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
-                        d_color.push(s.d_color); // lint: allow(h2): amortized into retained scratch capacity
-                    }
-                    let positions = samples.positions();
-                    expert.model.backward_batch(positions, d_sigma, d_color, kernel, &mut g.grads);
-                    expert.model.grid().mark_written(&kernel.enc, &mut g.dirty);
+                let ray = &batch[r].0;
+                w.sh.push(sh_row(ray.direction)); // lint: allow(h2): amortized into retained scratch capacity
+                let mut group_samples = 0;
+                for (expert, layer) in experts_ref.iter().zip(w.layers.iter_mut()) {
+                    append_ray_samples(ray, &expert.occupancy, &config.sampler, &mut layer.samples);
+                    layer.ends.push(layer.samples.len()); // lint: allow(h2): amortized into retained scratch capacity
+                    group_samples += layer.samples.len();
+                }
+                if group_samples >= config.sampler.max_samples_per_ray || r + 1 == end {
+                    let rays = &batch[group..r + 1];
+                    train_group(experts_ref, rays, &config, inv_norm, w, shard, &mut loss_sum);
+                    sample_count += group_samples;
+                    group = r + 1;
                 }
             }
             (loss_sum, sample_count)
@@ -477,26 +648,36 @@ impl TrainState {
             loss_sum += loss;
             sample_count += samples;
         }
-        // The grid gradients merge over dirty blocks only, bit-identical
-        // to zeroing the merged buffer and adding every shard densely in
-        // shard order. A shard's grid gradient is +0.0 outside its
-        // bitmap (it was zeroed there and its backward wrote nothing
-        // else), and the merged buffer is +0.0 outside the last step's
-        // union, zeroed here. An f32 sum that starts at +0.0 never
-        // becomes -0.0 under round-to-nearest (a sum is -0.0 only when
-        // both addends are), so adding an untouched shard's +0.0 never
-        // changes a bit and skipping it is exact. And `Adam::step` skips
-        // entries whose gradient is exactly zero, so stepping only this
-        // step's union performs the same updates.
-        let updates = self.optimizers.iter_mut().zip(&mut self.merged);
+        // The dense MLP gradients merge and step here; the grid
+        // gradients merge over dirty blocks only, in chunks of whole
+        // bitmap words across the pool, every expert's chunks in one
+        // dispatch. That is bit-identical to zeroing the merged buffer
+        // and adding every shard densely in shard order. A shard's grid
+        // gradient is +0.0 outside its bitmap (it was zeroed there and
+        // its backward wrote nothing else), and the merged buffer is
+        // +0.0 outside the last step's union, zeroed by each chunk. An
+        // f32 sum that starts at +0.0 never becomes -0.0 under
+        // round-to-nearest (a sum is -0.0 only when both addends are),
+        // so adding an untouched shard's +0.0 never changes a bit and
+        // skipping it is exact. And Adam skips entries whose gradient is
+        // exactly zero, so stepping only this step's union performs the
+        // same updates. Each float sees the same operations whichever
+        // chunk holds it, and every chunk shares its expert's step
+        // coefficients.
+        let TrainState { optimizers, merged, shards, workers, .. } = self;
+        let shards = &shards[..shard_count];
+        let mut chunks = Vec::new();
+        let updates = optimizers.iter_mut().zip(merged.iter_mut());
         for (e, (expert, (optimizer, merged))) in experts.iter_mut().zip(updates).enumerate() {
-            merged.grads.zero_dirty(&mut merged.dirty);
-            for SparseGrads { grads, dirty } in self.shards[..shard_count].iter().map(|s| &s[e]) {
-                merged.grads.accumulate_dirty(grads, dirty);
-                merged.dirty.union_with(dirty);
-            }
-            optimizer.step_dirty(&mut expert.model, &merged.grads, &merged.dirty);
+            merged.grads.merge_mlps(shards.iter().map(|s| &s[e].grads));
+            let grid = optimizer.step_mlps(&mut expert.model, &merged.grads);
+            chunks.extend(GridChunk::split(e, grid, merged));
         }
+        let workers = worker_scratches(workers, &pool, chunks.len());
+        pool.run_tasks(chunks, workers, |_, chunk, _| {
+            let e = chunk.expert;
+            chunk.merge_and_step(shards.iter().map(|s| &s[e]));
+        });
         self.iteration += 1;
         StepStats { loss: loss_sum / batch.len() as f64, rays: batch.len(), samples: sample_count }
     }
@@ -768,21 +949,23 @@ mod tests {
     /// oracle side by side, asserting the loss and merged-gradient bits
     /// of every step and the final parameter, occupancy and Adam-moment
     /// bits. Returns the share of grid-gradient floats the last step's
-    /// merge visited.
+    /// merge visited, and every step's sample count.
     fn assert_matches_the_oracle<E: Encoding + Clone>(
         model: NerfModel<E>,
         config: TrainerConfig,
         dataset: &Dataset,
         steps: u32,
-    ) -> f64 {
+    ) -> (f64, Vec<usize>) {
         let mut trainer = Trainer::new(model.clone(), config);
         let mut oracle = crate::reference::TrainOracle::new(model, config);
         let (mut rng, mut oracle_rng) = (SmallRng::seed_from_u64(21), SmallRng::seed_from_u64(21));
+        let mut samples = Vec::new();
         for step in 0..steps {
             let got = trainer.step(dataset, &mut rng);
             let expected = oracle.oracle_step(dataset, &mut oracle_rng);
             assert_eq!(got.loss.to_bits(), expected.loss.to_bits(), "loss of step {step}");
             assert_eq!(got.samples, expected.samples, "samples of step {step}");
+            samples.push(got.samples);
             // The sparse merge leaves the same buffer as the dense one,
             // untouched blocks included.
             let grads = &trainer.state.merged[0].grads;
@@ -813,7 +996,22 @@ mod tests {
         }
         let merged = &trainer.state.merged[0];
         let visited: usize = merged.dirty.runs().map(|run| run.len()).sum();
-        visited as f64 / merged.grads.grid.len() as f64
+        (visited as f64 / merged.grads.grid.len() as f64, samples)
+    }
+
+    /// Asserts that the steps' sample counts reach both ends of the
+    /// grouped model calls: a warm-up step whose shards average more
+    /// than two capped rays, so some shard spans several calls, and a
+    /// step after the first refresh whose shards average less than one,
+    /// so some shard is one call.
+    fn assert_covers_both_group_shapes(samples: &[usize], config: &TrainerConfig) {
+        let per_shard = |s: usize| s as f64 / GRAD_SHARDS as f64;
+        let cap = config.sampler.max_samples_per_ray as f64;
+        let (warm_up, after) = samples.split_at(config.occupancy_warmup as usize);
+        let most = warm_up.iter().map(|&s| per_shard(s)).fold(0.0, f64::max);
+        assert!(most > 2.0 * cap, "no warm-up shard spans several calls: {most} samples");
+        let least = after.iter().map(|&s| per_shard(s)).fold(f64::INFINITY, f64::min);
+        assert!(least < cap, "no refreshed shard is one call: {least} samples");
     }
 
     #[test]
@@ -824,20 +1022,32 @@ mod tests {
         // 110 steps cross the refreshes at steps 40, 60, 80 and 100,
         // and the learning-rate decay at step 100.
         let config = TrainerConfig { lr_decay_interval: 100, ..test_config() };
+        assert_eq!(config.rays_per_batch, 4 * GRAD_SHARDS, "four rays per shard");
         let steps = 110;
-        for threads in [1, 4] {
+        // Two threads are the first count that splits the merge.
+        for threads in [1, 2, 4] {
             fusion3d_par::set_thread_override(Some(threads));
-            let visited = assert_matches_the_oracle(test_model(11), config, &dataset, steps);
+            let model = test_model(11);
+            let chunks = model.grid().param_count().div_ceil(MERGE_CHUNK_WORDS * WORD_FLOATS);
+            assert!(chunks > 1, "the hash-grid merge is one task");
+            let (visited, samples) = assert_matches_the_oracle(model, config, &dataset, steps);
             assert!(visited < 0.9, "{threads} threads: the hash-grid merge visited {visited}");
-            // A dense grid keeps the trait's default: every block dirty.
+            assert_covers_both_group_shapes(&samples, &config);
+            // The dense grid marks the vertices its backward wrote, and
+            // its gradient ends inside a bitmap word: the last merge
+            // chunk is ragged.
             let mut rng = SmallRng::seed_from_u64(12);
             let grid = DenseGrid::with_random_init(
                 DenseGridConfig { resolution: 10, features_per_vertex: 4 },
                 &mut rng,
             );
             let dense = NerfModel::with_encoding(grid, 16, 7, &mut rng);
-            let visited = assert_matches_the_oracle(dense, config, &dataset, steps);
-            assert_eq!(visited, 1.0, "{threads} threads: the dense-grid merge visited {visited}");
+            let floats = dense.grid().param_count();
+            assert_eq!(floats, 11 * 11 * 11 * 4);
+            assert!(!floats.is_multiple_of(WORD_FLOATS), "{floats} floats fill whole words");
+            let (visited, samples) = assert_matches_the_oracle(dense, config, &dataset, steps);
+            assert!(visited < 1.0, "{threads} threads: the dense-grid merge visited {visited}");
+            assert_covers_both_group_shapes(&samples, &config);
         }
         fusion3d_par::set_thread_override(None);
     }

@@ -70,19 +70,19 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// Training is bit-stable: 50 Lego iterations, across the occupancy
-/// refresh at step 48, write the container whose digest is pinned
-/// here. Any change to a training kernel's arithmetic or order moves
-/// it; a change that only makes training faster must not.
+/// refresh at step 48, and 100, across the refreshes at 48, 72 and 96
+/// (after which a gradient shard trains in one grouped model call),
+/// write the containers whose digests are pinned here. Any change to a
+/// training kernel's arithmetic or order moves them; a change that
+/// only makes training faster must not.
 #[test]
 fn training_writes_the_pinned_container() {
-    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/pinned_lego_50.f3dm");
-    let output = Command::new(env!("CARGO_BIN_EXE_fusion3d"))
-        .args(["train", "--scene", "lego", "--iters", "50", "--out", out])
-        .output()
-        .expect("the fusion3d binary runs");
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
-    let bytes = std::fs::read(out).expect("the trained container was written");
-    assert_eq!(fnv1a_64(&bytes), 0x4fdb_ec6d_dffb_4470, "{} bytes", bytes.len());
+    for (iters, digest) in [("50", 0x4fdb_ec6d_dffb_4470), ("100", 0x53d5_63c7_e6c9_a747)] {
+        let out = format!("{}/pinned_lego_{iters}.f3dm", env!("CARGO_TARGET_TMPDIR"));
+        run_ok(&["train", "--scene", "lego", "--iters", iters, "--out", &out]);
+        let bytes = std::fs::read(&out).expect("the trained container was written");
+        assert_eq!(fnv1a_64(&bytes), digest, "{iters} iterations, {} bytes", bytes.len());
+    }
 }
 
 /// Runs the binary with `args` and returns its stdout, failing the test
