@@ -2,68 +2,28 @@
 //! from the observability trace stream for all eight synthetic scenes.
 //!
 //! Prints three tables (per-stage cycle attribution, per-module
-//! energy, per-scene workload shape), one scene's rendered span tree
-//! as a worked example, and — with `--jsonl` — the deterministic
-//! JSON-lines export for every scene. Built with `--features obs`, a
-//! final section renders a small frame through the probed pipeline and
-//! reports the hot-path kernel counters plus the (diagnostic)
-//! per-worker dispatch stats.
+//! energy, per-scene workload shape) and one scene's rendered span
+//! tree as a worked example. With `--jsonl` it then prints the
+//! deterministic JSON-lines export for every scene; without it, a
+//! final section renders a small frame through the probed pipeline
+//! and reports the host kernel counters plus the (diagnostic)
+//! per-worker dispatch stats. The `--jsonl` output holds no
+//! diagnostics, so it is identical at any `FUSION3D_THREADS`.
 //!
 //! ```text
 //! cargo run -p fusion3d-bench --release --bin breakdown [-- --jsonl]
 //! ```
 
-use fusion3d_bench::experiments::breakdown;
+use fusion3d_bench::experiments::breakdown::{self, kernel_probe_report};
 
-/// Renders one small frame through the probed pipeline and prints the
-/// kernel-counter section of the report.
-#[cfg(feature = "obs")]
-fn kernel_probe_section() {
-    use fusion3d_bench::support::{scene_occupancy, trace_camera};
-    use fusion3d_nerf::encoding::HashGridConfig;
-    use fusion3d_nerf::math::Vec3;
-    use fusion3d_nerf::model::{ModelConfig, NerfModel};
-    use fusion3d_nerf::pipeline::{render_image_probed, PipelineConfig};
-    use fusion3d_nerf::sampler::SamplerConfig;
-    use fusion3d_nerf::scenes::SyntheticScene;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    let mut rng = SmallRng::seed_from_u64(19);
-    let model = NerfModel::new(
-        ModelConfig {
-            grid: HashGridConfig {
-                levels: 8,
-                features_per_level: 2,
-                log2_table_size: 14,
-                base_resolution: 16,
-                max_resolution: 256,
-            },
-            hidden_dim: 32,
-            geo_feature_dim: 7,
-        },
-        &mut rng,
-    );
-    let occupancy = scene_occupancy(SyntheticScene::Lego);
-    let camera = trace_camera(64);
-    let config = PipelineConfig {
-        sampler: SamplerConfig { steps_per_diagonal: 128, max_samples_per_ray: 128 },
-        background: Vec3::ONE,
-        early_stop: true,
-    };
-    let mut report = fusion3d_obs::Report::new("lego-kernel-probes");
-    let image = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
-    println!(
-        "\n=== Kernel probes: lego @ {}x{} (--features obs) ===",
-        image.width(),
-        image.height()
-    );
-    print!("{}", report.render_table());
-}
+/// Frame side of the kernel-counter section's render.
+const KERNEL_RES: u32 = 64;
 
 fn main() {
     let jsonl = std::env::args().skip(1).any(|arg| arg == "--jsonl");
     breakdown::run(jsonl);
-    #[cfg(feature = "obs")]
-    kernel_probe_section();
+    if !jsonl {
+        println!("\n=== Kernel probes: lego @ {KERNEL_RES}x{KERNEL_RES} ===");
+        print!("{}", kernel_probe_report(KERNEL_RES).render_table());
+    }
 }

@@ -300,10 +300,12 @@ fn scalar_train_step<R: Rng>(
 
 /// Full single-thread training step (forward + backward + Adam): the
 /// batched sharded trainer vs the scalar per-sample reference loop,
-/// in processed samples per second. Both sides draw identical ray
-/// batches (same seed, same draw count per step) against the same
-/// fully-occupied warmup grid, so every paired round does the same
-/// Stage-I work.
+/// in processed samples per second. The trainer first runs, untimed,
+/// through its first occupancy refresh on the default schedule, so the
+/// timed steps are post-warm-up steps. The scalar side then starts
+/// from clones of the trainer's model, occupancy grid and RNG, so both
+/// sides draw identical ray batches against the same refreshed grid,
+/// and every paired round does the same Stage-I work.
 fn bench_train_step(smoke: bool) -> BenchLine {
     let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
     let dataset = Dataset::from_scene(&scene, 4, 64, 0.9);
@@ -312,22 +314,28 @@ fn bench_train_step(smoke: bool) -> BenchLine {
     let config = TrainerConfig {
         rays_per_batch: if smoke { 32 } else { 256 },
         sampler: SamplerConfig { steps_per_diagonal: 96, max_samples_per_ray: 64 },
-        occupancy_warmup: u32::MAX,
         ..TrainerConfig::default()
     };
-    let mut trainer = Trainer::new(model.clone(), config);
+    let mut trainer = Trainer::new(model, config);
     let mut batched_rng = SmallRng::seed_from_u64(29);
+    // Steps 0 through `occupancy_warmup`: the last one refreshes.
+    for _ in 0..=config.occupancy_warmup {
+        trainer.step(&dataset, &mut batched_rng);
+    }
+    // The untimed first round and the timed steps end before the next
+    // refresh, `occupancy_update_interval` steps after the last.
+    let steps = if smoke { 1 } else { 10 };
+    assert!(steps + 1 < config.occupancy_update_interval as usize, "a refresh would be timed");
 
-    let mut scalar_model = model;
+    let mut scalar_model = trainer.model().clone();
     let mut optimizer = ModelOptimizer::new(config.adam, &scalar_model);
     let mut grads = scalar_model.alloc_grads();
-    let mut occupancy = OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
-    occupancy.fill();
+    let occupancy = trainer.occupancy().clone();
     let mut rows = GradRows::default();
-    let mut scalar_rng = SmallRng::seed_from_u64(29);
+    let mut scalar_rng = batched_rng.clone();
 
-    let steps = if smoke { 1 } else { 10 };
     let mut samples = 0usize;
+    let mut scalar_samples = 0usize;
     let mut calls = 0usize;
     let (batched, scalar, speedup) = time_paired(
         steps,
@@ -336,7 +344,7 @@ fn bench_train_step(smoke: bool) -> BenchLine {
             calls += 1;
         },
         || {
-            black_box(scalar_train_step(
+            scalar_samples += black_box(scalar_train_step(
                 &mut scalar_model,
                 &mut optimizer,
                 &mut grads,
@@ -348,8 +356,8 @@ fn bench_train_step(smoke: bool) -> BenchLine {
             ));
         },
     );
-    // Batch contents vary per step; report the mean samples per step
-    // (both sides process the same batches, so one count serves both).
+    assert_eq!(samples, scalar_samples, "both sides must train on the same samples");
+    // Batch contents vary per step; report the mean samples per step.
     let samples = samples / calls.max(1);
     BenchLine {
         name: "train_step",

@@ -13,7 +13,10 @@
 
 use fusion3d_obs::MetricValue;
 use fusion3d_par::set_thread_override;
-use fusion3d_serve::{generate, SceneId, ServeConfig, ServeOutcome, ServeSim, TrafficConfig};
+use fusion3d_serve::{
+    generate, SceneId, ServeConfig, ServeOutcome, ServeSim, TrafficConfig, BUDGET_BYTES, EXECUTORS,
+    MAX_BATCH,
+};
 
 /// Simulated accelerator clock used to convert cycles to seconds in
 /// the derived (`*_ms`, `*_rps`) fields. Cycle counts are primary.
@@ -96,9 +99,9 @@ fn render_json(
     json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
     json.push_str(&format!("  \"clock_ghz\": {:.1},\n", CLOCK_HZ / 1e9));
     json.push_str(&format!("  \"scenes\": {},\n", scene_rows.len()));
-    json.push_str(&format!("  \"budget_bytes\": {},\n", config.budget_bytes));
-    json.push_str(&format!("  \"executors\": {},\n", config.executors));
-    json.push_str(&format!("  \"max_batch\": {},\n", config.max_batch));
+    json.push_str(&format!("  \"budget_bytes\": {BUDGET_BYTES},\n"));
+    json.push_str(&format!("  \"executors\": {EXECUTORS},\n"));
+    json.push_str(&format!("  \"max_batch\": {MAX_BATCH},\n"));
     json.push_str(&format!("  \"queue_capacity\": {},\n", config.queue_capacity));
     json.push_str(&format!("  \"resolution\": {},\n", config.resolution));
     json.push_str(&format!("  \"requests_per_point\": {},\n", traffic.requests));

@@ -273,3 +273,92 @@ fn table6_speedups_and_shape_match_bench_tables() {
     let prose = doc_prose("## Table VI — Technique T1 ablation (`--bin table6`)");
     assert!(prose.contains(&shape), "Table VI prose does not say: {shape}");
 }
+
+/// The cells of the first Markdown table in the `EXPERIMENTS.md`
+/// section whose heading starts with `heading`, for sections whose
+/// table header other sections share.
+fn section_table(heading: &str) -> Vec<Vec<String>> {
+    let rows: Vec<Vec<String>> = EXPERIMENTS
+        .lines()
+        .skip_while(|line| !line.starts_with(heading))
+        .skip_while(|line| !line.starts_with('|'))
+        .skip(2) // header and separator
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            line.trim().trim_matches('|').split('|').map(|c| c.trim().to_string()).collect()
+        })
+        .collect();
+    assert!(!rows.is_empty(), "EXPERIMENTS.md has no table under {heading}");
+    rows
+}
+
+/// Each row's quantity and measured cells, from a three-column
+/// `| Quantity | Paper | Measured |` table.
+fn quantity_and_measured(table: &[Vec<String>]) -> Vec<Vec<String>> {
+    table.iter().map(|row| vec![row[0].clone(), row[2].clone()]).collect()
+}
+
+#[test]
+fn table4_measured_column_matches_bench_tables() {
+    // "    This Work    28 nm       35.0   600     4497      6.0       61.7       30.9      0.6"
+    // -> the last seven fields: area, MHz, SRAM, power, the two M/s/W
+    // figures and bandwidth.
+    let device = |name: &str| -> [f64; 7] {
+        let line = BENCH_TABLES
+            .lines()
+            .skip_while(|line| !line.starts_with("=== Table IV"))
+            .find(|line| line.trim_start().starts_with(name))
+            .unwrap_or_else(|| panic!("Table IV has no {name} row"));
+        let f = fields(line);
+        let last: Vec<f64> =
+            f[f.len() - 7..].iter().map(|x| x.parse().unwrap_or(f64::NAN)).collect();
+        last.try_into().expect("seven fields")
+    };
+    let [area, _, sram, power, inference, training, _] = device("This Work");
+    let neurex = device("NeuRex-Server")[4];
+    let [.., gpu_inference, gpu_training, _] = device("Nvidia 2080Ti");
+    let expected = vec![
+        vec!["Area / SRAM / power".to_string(), format!("{area:.1} / {sram} / {power:.1}")],
+        vec!["Inference throughput/W".to_string(), format!("{inference:.1} M/s/W")],
+        vec!["Training throughput/W".to_string(), format!("{training:.1} M/s/W")],
+        vec![format!("vs NeuRex-Server ({neurex} M/s/W)"), format!("{:.2}×", inference / neurex)],
+        vec![
+            format!("vs 2080 Ti ({gpu_inference} / {gpu_training} M/s/W)"),
+            format!("{:.0}× / {:.0}×", inference / gpu_inference, training / gpu_training),
+        ],
+    ];
+    let doc = section_table("## Table IV");
+    assert_eq!(quantity_and_measured(&doc[..expected.len()]), expected, "Table IV");
+}
+
+#[test]
+fn table5_measured_column_matches_bench_tables() {
+    // "bicycle         5.7x        13.6x        236x        569x       1.07"
+    let rows: Vec<(&str, [&str; 4])> = bench_rows("=== Table V:", 2)
+        .iter()
+        .map(|line| {
+            let [scene, a, b, c, d, _imbalance] = fields(line)[..] else {
+                panic!("Table V row {line}")
+            };
+            (scene, [a, b, c, d].map(|x| x.trim_end_matches('x')))
+        })
+        .collect();
+    // The printed range of column `k` over the scenes, and the scenes
+    // at its ends.
+    let range = |k: usize| {
+        let values: Vec<(String, f64)> =
+            rows.iter().map(|(scene, cells)| (scene.to_string(), number(cells[k]))).collect();
+        let [(lo, _), (hi, _)] = extremes(&values);
+        let cell = |scene: &str| rows.iter().find(|(s, _)| *s == scene).expect("a row").1[k];
+        (format!("{}–{}×", cell(lo), cell(hi)), lo.to_string(), hi.to_string())
+    };
+    let labels =
+        ["Inference speedup", "Training speedup", "Inference energy eff.", "Training energy eff."];
+    let mut expected: Vec<Vec<String>> =
+        labels.iter().enumerate().map(|(k, label)| vec![label.to_string(), range(k).0]).collect();
+    // The best and worst scene by inference speedup.
+    let (_, worst, best) = range(0);
+    expected.push(vec!["Best / worst scene".to_string(), format!("{best} / {worst}")]);
+    let doc = section_table("## Table V —");
+    assert_eq!(quantity_and_measured(&doc), expected, "Table V");
+}

@@ -127,8 +127,6 @@ impl ConflictStats {
         let m = &mut report.metrics;
         let key = |suffix: &str| {
             let mut name = String::from(prefix);
-            // lint: allow(h2): metric keys are built once per report
-            // flush, not per sample; owned strings are the obs interface
             name.push('.');
             name.push_str(suffix);
             name

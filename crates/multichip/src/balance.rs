@@ -75,10 +75,7 @@ impl LoadReport {
     pub fn record(&self, report: &mut fusion3d_obs::Report) {
         let m = &mut report.metrics;
         for (chip, (&samples, &steps)) in self.samples.iter().zip(self.steps.iter()).enumerate() {
-            // lint: allow(h2): per-chip metric keys are formatted once
-            // per report flush, not per sample
             m.counter_add(&format!("chip.{chip}.samples"), "samples", samples);
-            // lint: allow(h2): same — once per report flush
             m.counter_add(&format!("chip.{chip}.steps"), "steps", steps);
             m.observe("balance.chip_samples", "samples", samples);
         }

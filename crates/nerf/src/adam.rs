@@ -2,33 +2,26 @@
 
 use std::ops::Range;
 
-/// Hyper-parameters for [`Adam`].
+/// Exponential decay for the first moment.
+const BETA1: f32 = 0.9;
+/// Exponential decay for the second moment.
+const BETA2: f32 = 0.99;
+/// Numerical-stability epsilon.
+const EPSILON: f32 = 1e-15;
+
+/// Hyper-parameters for [`Adam`]. The moment decays and epsilon are
+/// Instant-NGP's published settings (`β₁ = 0.9`, `β₂ = 0.99`,
+/// `ε = 1e-15`), which suit hash-grid training.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub learning_rate: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub epsilon: f32,
-    /// L2 regularization applied to the parameters (decoupled weight
-    /// decay; zero disables it).
-    pub weight_decay: f32,
 }
 
 impl Default for AdamConfig {
-    /// Instant-NGP's published settings (`lr = 1e-2`, `β₁ = 0.9`,
-    /// `β₂ = 0.99`, `ε = 1e-15`), which suit hash-grid training.
+    /// Instant-NGP's published learning rate, `1e-2`.
     fn default() -> Self {
-        AdamConfig {
-            learning_rate: 1e-2,
-            beta1: 0.9,
-            beta2: 0.99,
-            epsilon: 1e-15,
-            weight_decay: 0.0,
-        }
+        AdamConfig { learning_rate: 1e-2 }
     }
 }
 
@@ -123,10 +116,10 @@ impl Adam {
     /// [`AdamStep::apply`], exactly as [`Adam::step_runs`] would).
     pub(crate) fn begin_step(&mut self) -> (AdamStep, &mut [f32], &mut [f32]) {
         self.t += 1;
-        let c = self.config;
-        let bias1 = 1.0 - c.beta1.powi(self.t as i32);
-        let bias2 = 1.0 - c.beta2.powi(self.t as i32);
-        (AdamStep { config: c, bias1, bias2 }, &mut self.m, &mut self.v)
+        let bias1 = 1.0 - BETA1.powi(self.t as i32);
+        let bias2 = 1.0 - BETA2.powi(self.t as i32);
+        let learning_rate = self.config.learning_rate;
+        (AdamStep { learning_rate, bias1, bias2 }, &mut self.m, &mut self.v)
     }
 
     /// The first and second moment estimates.
@@ -134,22 +127,15 @@ impl Adam {
     pub(crate) fn moments(&self) -> (&[f32], &[f32]) {
         (&self.m, &self.v)
     }
-
-    /// Resets all moment estimates and the step counter.
-    pub fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-    }
 }
 
 /// The coefficients one Adam step shares across its parameter group:
-/// the settings and the step's two bias corrections. Every entry
+/// the learning rate and the step's two bias corrections. Every entry
 /// updates through [`AdamStep::apply`] with the same ones, so how the
 /// group is split into ranges cannot change a bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AdamStep {
-    config: AdamConfig,
+    learning_rate: f32,
     bias1: f32,
     bias2: f32,
 }
@@ -160,18 +146,17 @@ impl AdamStep {
     /// is zero (either sign) keeps its parameter and moments.
     #[inline]
     pub(crate) fn apply(&self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
-        let AdamStep { config: c, bias1, bias2 } = *self;
+        let AdamStep { learning_rate, bias1, bias2 } = *self;
         // Every entry computes its update, and a zero gradient selects
         // the old values back: the same skip as a branch, but the loop
         // vectorizes.
         for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
             let keep = g == 0.0;
-            let g = g + c.weight_decay * *p;
-            let m_new = c.beta1 * *m + (1.0 - c.beta1) * g;
-            let v_new = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_new = BETA1 * *m + (1.0 - BETA1) * g;
+            let v_new = BETA2 * *v + (1.0 - BETA2) * g * g;
             let m_hat = m_new / bias1;
             let v_hat = v_new / bias2;
-            let p_new = *p - c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            let p_new = *p - learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
             *m = if keep { *m } else { m_new };
             *v = if keep { *v } else { v_new };
             *p = if keep { *p } else { p_new };
@@ -187,7 +172,7 @@ mod tests {
     fn minimizes_a_quadratic() {
         // f(x) = (x - 3)^2, df/dx = 2(x - 3).
         let mut params = vec![0.0f32];
-        let mut opt = Adam::new(AdamConfig { learning_rate: 0.1, ..AdamConfig::default() }, 1);
+        let mut opt = Adam::new(AdamConfig { learning_rate: 0.1 }, 1);
         for _ in 0..500 {
             let g = 2.0 * (params[0] - 3.0);
             opt.step(&mut params, &[g]);
@@ -210,7 +195,7 @@ mod tests {
         // A zero gradient must not decay the moments: a second update
         // with the same gradient should act as if the zero step never
         // happened for that entry.
-        let cfg = AdamConfig { learning_rate: 0.01, ..AdamConfig::default() };
+        let cfg = AdamConfig { learning_rate: 0.01 };
         let mut a = vec![1.0f32];
         let mut ob = Adam::new(cfg, 1);
         ob.step(&mut a, &[0.5]);
@@ -232,7 +217,7 @@ mod tests {
         let grads = [0.0, 0.3, -0.2, 0.0, 0.0, 0.7, 0.0, 1e-9, 0.0];
         let mut dense = vec![0.5f32; grads.len()];
         let mut sparse = dense.clone();
-        let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+        let cfg = AdamConfig::default();
         let (mut a, mut b) = (Adam::new(cfg, grads.len()), Adam::new(cfg, grads.len()));
         for _ in 0..3 {
             a.step(&mut dense, &grads);
@@ -255,19 +240,18 @@ mod tests {
         m: &mut [f32],
         v: &mut [f32],
     ) {
-        let bias1 = 1.0 - c.beta1.powi(t as i32);
-        let bias2 = 1.0 - c.beta2.powi(t as i32);
+        let bias1 = 1.0 - BETA1.powi(t as i32);
+        let bias2 = 1.0 - BETA2.powi(t as i32);
         for i in 0..params.len() {
             let g = grads[i];
             if g == 0.0 {
                 continue;
             }
-            let g = g + c.weight_decay * params[i];
-            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
             let m_hat = m[i] / bias1;
             let v_hat = v[i] / bias2;
-            params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
         }
     }
 
@@ -279,7 +263,7 @@ mod tests {
         let grads: Vec<f32> = (0..37)
             .map(|i| specials.get(i % 6).copied().unwrap_or(0.3 * (i as f32).sin()))
             .collect();
-        let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+        let cfg = AdamConfig::default();
         let init: Vec<f32> = (0..grads.len()).map(|i| 0.1 * i as f32 - 1.0).collect();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         // Every entry (in two adjacent runs), then runs with gaps.
@@ -304,27 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_pulls_toward_zero() {
-        let cfg = AdamConfig { learning_rate: 0.05, weight_decay: 0.1, ..AdamConfig::default() };
-        let mut params = vec![5.0f32];
-        let mut opt = Adam::new(cfg, 1);
-        for _ in 0..200 {
-            // True gradient zero; only decay acts. Pass a tiny nonzero
-            // gradient so the entry is not skipped.
-            opt.step(&mut params, &[1e-12]);
-        }
-        assert!(params[0] < 5.0);
-    }
-
-    #[test]
-    fn step_count_and_reset() {
+    fn step_count_counts_steps() {
         let mut opt = Adam::new(AdamConfig::default(), 2);
         let mut p = vec![1.0f32, 1.0];
         opt.step(&mut p, &[0.1, 0.1]);
         opt.step(&mut p, &[0.1, 0.1]);
         assert_eq!(opt.step_count(), 2);
-        opt.reset();
-        assert_eq!(opt.step_count(), 0);
     }
 
     #[test]

@@ -141,10 +141,6 @@ pub struct KernelScratch {
     pub(crate) weights: Vec<f32>,
     /// Samples the scratch is currently sized for.
     pub(crate) batch: usize,
-    /// Hot-path probe counters, accumulated across every batch this
-    /// worker processes (`obs` builds only).
-    #[cfg(feature = "obs")]
-    pub(crate) probes: crate::probes::ProbeCounters,
 }
 
 impl KernelScratch {
@@ -172,12 +168,6 @@ impl KernelScratch {
     #[inline]
     pub fn color(&self) -> &[Vec3] {
         &self.color
-    }
-
-    /// The probe counters accumulated by this worker so far.
-    #[cfg(feature = "obs")]
-    pub fn probes(&self) -> &crate::probes::ProbeCounters {
-        &self.probes
     }
 
     /// Sizes every forward buffer for a batch of `n` samples with the

@@ -82,16 +82,6 @@ impl DirtyBlocks {
         }
     }
 
-    /// Marks every block dirty.
-    pub fn mark_all(&mut self) {
-        self.words.fill(u64::MAX);
-        if let Some(last) = self.words.last_mut() {
-            if !self.blocks.is_multiple_of(64) {
-                *last = (1 << (self.blocks % 64)) - 1;
-            }
-        }
-    }
-
     /// Marks every block clean.
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
@@ -245,7 +235,7 @@ mod tests {
         for len in [0, 1, 16, 17, 1023, 1024, 1025, 64 * 16, 64 * 16 + 5] {
             let mut d = DirtyBlocks::new(len);
             assert!(runs(&d).is_empty(), "len {len}");
-            d.mark_all();
+            d.mark(0, len);
             let expected = if len == 0 { vec![] } else { one(0..len) };
             assert_eq!(runs(&d), expected, "len {len}");
             d.clear();

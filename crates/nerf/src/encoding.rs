@@ -259,11 +259,9 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
     /// structure: dense levels resolve every eight-corner fetch inside
     /// a contiguous per-level row (the local case), hashed levels
     /// scatter corners across the table (the conflict-prone case the
-    /// chip's two-level tiling targets). Drives the gather-locality
-    /// probes; encodings without a grid structure report `(0, 0)`.
-    fn gather_locality(&self) -> (usize, usize) {
-        (0, 0)
-    }
+    /// chip's two-level tiling targets). Drives the probed render's
+    /// gather counts.
+    fn gather_locality(&self) -> (usize, usize);
 
     /// Encodes point `p` into `out` (length [`Encoding::output_dim`]).
     ///
@@ -335,29 +333,20 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
         positions: &[Vec3],
         d_out: &[f32],
         grads: &mut [f32],
-        _scratch: &mut EncodingScratch,
-    ) {
-        let dim = self.output_dim();
-        assert_eq!(d_out.len(), positions.len() * dim, "gradient buffer size mismatch");
-        for (p, row) in positions.iter().zip(d_out.chunks_exact(dim)) {
-            self.backward(*p, row, grads);
-        }
-    }
+        scratch: &mut EncodingScratch,
+    );
 
     /// Reserves `scratch`'s capacity for a batch of `n` points so the
     /// batched kernels never grow a buffer inside their per-sample
     /// loops. Capacity only: corners a forward pass prepared stay
-    /// valid. Default: no scratch is used, nothing to reserve.
-    fn reserve_batch_scratch(&self, _scratch: &mut EncodingScratch, _n: usize) {}
+    /// valid.
+    fn reserve_batch_scratch(&self, scratch: &mut EncodingScratch, n: usize);
 
     /// Marks in `dirty` (over a gradient buffer of
     /// [`Encoding::param_count`] floats) every block the last
     /// [`Encoding::backward_batch`] with `scratch` wrote, so sparse
-    /// gradient merges know what to visit. The default marks the whole
-    /// table, which is right for any encoding.
-    fn mark_written(&self, _scratch: &EncodingScratch, dirty: &mut DirtyBlocks) {
-        dirty.mark_all();
-    }
+    /// gradient merges know what to visit.
+    fn mark_written(&self, scratch: &EncodingScratch, dirty: &mut DirtyBlocks);
 
     /// Number of learnable parameters.
     fn param_count(&self) -> usize;

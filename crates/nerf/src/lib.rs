@@ -56,8 +56,6 @@ pub mod mlp;
 pub mod model;
 pub mod occupancy;
 pub mod pipeline;
-#[cfg(feature = "obs")]
-pub mod probes;
 pub mod quant;
 pub mod reference;
 pub mod render;
@@ -78,50 +76,3 @@ pub use pipeline::{render_image, trace_frame, trace_rays, FrameTrace, PipelineCo
 pub use sampler::{PairJob, RayWorkload, SamplerConfig};
 pub use scenes::{LargeScene, ProceduralScene, SyntheticScene};
 pub use trainer::{DataVolume, Trainer, TrainerConfig};
-
-/// Hot-path probe hook. With the `obs` feature the body is compiled
-/// in verbatim; without it the macro expands to nothing and its
-/// arguments are never evaluated (or even type-checked), so probe
-/// sites cost zero in the default build. Keep bodies to a few integer
-/// adds per *batch* — never per sample (see [`probes`]).
-#[cfg(feature = "obs")]
-macro_rules! probe {
-    ($($body:tt)*) => {
-        $($body)*
-    };
-}
-/// No-op twin of the `obs`-enabled probe hook (see above).
-#[cfg(not(feature = "obs"))]
-macro_rules! probe {
-    ($($body:tt)*) => {};
-}
-pub(crate) use probe;
-
-#[cfg(test)]
-mod probe_macro_tests {
-    #[test]
-    #[cfg(feature = "obs")]
-    fn probe_bodies_run_with_obs() {
-        let mut hits = 0u32;
-        crate::probe!({
-            hits += 1;
-        });
-        assert_eq!(hits, 1);
-    }
-
-    /// The default build must carry zero probe code. The body below
-    /// calls a function that does not exist, so this test *compiling*
-    /// already proves the macro discards its body before type-checking
-    /// — there is nothing left to execute, let alone pay for.
-    #[test]
-    #[cfg(not(feature = "obs"))]
-    fn probe_bodies_compile_out() {
-        #[allow(unused_mut)]
-        let mut hits = 0u32;
-        crate::probe!({
-            hits += 1;
-            calling_a_function_that_does_not_exist();
-        });
-        assert_eq!(hits, 0);
-    }
-}

@@ -500,8 +500,6 @@ impl Mlp {
             .map(|(&d, &y)| {
                 d * self.activation_for_layer(self.layer_count() - 1).derivative_from_output(y)
             })
-            // lint: allow(h2): scalar reference path — hot loops use
-            // backward_batch
             .collect();
 
         for layer in (0..self.layer_count()).rev() {
@@ -526,7 +524,6 @@ impl Mlp {
 
             // Propagate to the previous layer (or the input).
             let weights = &self.params[off..off + in_dim * out_dim];
-            // lint: allow(h2): scalar reference path — hot loops use backward_batch
             let mut d_prev = vec![0.0f32; in_dim];
             for o in 0..out_dim {
                 let d = delta[o];
@@ -544,8 +541,6 @@ impl Mlp {
                     .iter()
                     .zip(cache.activations[layer].iter())
                     .map(|(&d, &y)| d * act.derivative_from_output(y))
-                    // lint: allow(h2): scalar reference path — hot
-                    // loops use backward_batch
                     .collect();
             }
         }

@@ -448,8 +448,6 @@ impl<E: Encoding> NerfModel<E> {
     ) {
         // Color MLP backward.
         let d_rgb = [d_color.x, d_color.y, d_color.z];
-        // lint: allow(h2): scalar reference path — the batched
-        // pipeline uses backward_batch
         let mut d_color_in = vec![0.0f32; self.color_mlp.input_dim()];
         self.color_mlp.backward(&ctx.color_cache, &d_rgb, &mut d_color_in, &mut grads.color);
 
@@ -457,11 +455,9 @@ impl<E: Encoding> NerfModel<E> {
         // (dσ/draw = σ through the exponential, zero where clamped);
         // outputs 1.. are the geometric features feeding the color
         // network.
-        // lint: allow(h2): scalar reference path — see `d_color_in`
         let mut d_density_out = vec![0.0f32; self.density_mlp.output_dim()];
         d_density_out[0] = if ctx.raw_clamped { 0.0 } else { d_sigma * ctx.sigma };
         d_density_out[1..].copy_from_slice(&d_color_in[..self.geo_feature_dim]);
-        // lint: allow(h2): scalar reference path — see `d_color_in`
         let mut d_encoded = vec![0.0f32; self.density_mlp.input_dim()];
         self.density_mlp.backward(
             &ctx.density_cache,
@@ -535,16 +531,6 @@ impl<E: Encoding> NerfModel<E> {
         self.begin_batch(scratch, n, retain);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
-
-        crate::probe!({
-            let (dense, hashed) = self.encoding.gather_locality();
-            scratch.probes.encode_batches += 1;
-            scratch.probes.encode_points += n as u64;
-            scratch.probes.gathers_dense += (dense * n) as u64;
-            scratch.probes.gathers_hashed += (hashed * n) as u64;
-            scratch.probes.mlp_forward_batches += 1;
-            scratch.probes.mlp_forward_samples += n as u64;
-        });
 
         // Stage II: level-major batched gather.
         let enc_dim = self.encoding.output_dim();
@@ -632,11 +618,6 @@ impl<E: Encoding> NerfModel<E> {
         self.encoding.reserve_batch_scratch(&mut scratch.enc, n);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
-
-        crate::probe!({
-            scratch.probes.mlp_backward_batches += 1;
-            scratch.probes.mlp_backward_samples += n as u64;
-        });
 
         // Color MLP backward over the whole batch. Only the geometric
         // features' input gradient flows on; the view encoding's
@@ -869,10 +850,7 @@ mod tests {
         // Push the model to output sigma -> 0 and color -> 1 at a
         // point; a few Adam steps must reduce the loss.
         let mut model = tiny_model(6);
-        let mut opt = ModelOptimizer::new(
-            AdamConfig { learning_rate: 1e-2, ..AdamConfig::default() },
-            &model,
-        );
+        let mut opt = ModelOptimizer::new(AdamConfig { learning_rate: 1e-2 }, &model);
         let p = Vec3::splat(0.5);
         let dir = Vec3::Z;
         let loss_of = |m: &NerfModel| {

@@ -7,8 +7,8 @@
 //! cycle-level simulator in `fusion3d-core` replays.
 //!
 //! Every frame entry point — [`render_image`], [`render_views_into`],
-//! [`render_depth_image`], [`render_layer`] and, in `obs` builds,
-//! `render_image_probed` — is a short caller of one private dispatch
+//! [`render_depth_image`], [`render_layer`] and
+//! [`render_image_probed`] — is a short caller of one private dispatch
 //! that shades each pixel row of each view as one task across the
 //! [`fusion3d_par::Pool`] workers, each worker with its own row
 //! scratch. The tasks and the view-then-row merge order are
@@ -104,10 +104,19 @@ struct RowScratch {
     ray_of: Vec<u32>,
     /// Stage-II/III working memory.
     kernel: KernelScratch,
-    /// Rows this worker shaded in its dispatch: the probed render's
-    /// scheduling diagnostics.
-    #[cfg(feature = "obs")]
+    /// Rows this worker shaded in its dispatch.
     rows_shaded: u64,
+}
+
+/// What shading one row did.
+#[derive(Debug, Clone, Copy)]
+struct RowWork {
+    /// Samples Stage I retained for the row.
+    retained: usize,
+    /// Samples the model evaluated: every round's gather summed.
+    evaluated: usize,
+    /// Wavefront rounds, one model call each.
+    rounds: usize,
 }
 
 /// The render kernel behind every render entry point: shades one row
@@ -131,8 +140,8 @@ struct RowScratch {
 /// every ray composites through [`CompositeState::step`] in the order
 /// `composite_into` uses, so each pixel is bit-identical to shading
 /// its ray on its own. Leaves one finished [`RayState`] per ray in
-/// `scratch.rays`, in the order of `rays`, and returns the number of
-/// samples Stage I retained.
+/// `scratch.rays`, in the order of `rays`, and returns the row's
+/// sample and round counts.
 fn shade_row<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
@@ -140,7 +149,7 @@ fn shade_row<E: Encoding>(
     sampler: &SamplerConfig,
     early_stop: bool,
     scratch: &mut RowScratch,
-) -> usize {
+) -> RowWork {
     let RowScratch {
         row,
         staged,
@@ -150,9 +159,9 @@ fn shade_row<E: Encoding>(
         positions,
         ray_of,
         kernel,
-        #[cfg(feature = "obs")]
         rows_shaded,
     } = scratch;
+    *rows_shaded += 1;
     row.clear();
     row.extend(rays);
     states.clear();
@@ -178,6 +187,7 @@ fn shade_row<E: Encoding>(
     }
 
     let (ts, dts, points) = (samples.ts(), samples.dts(), samples.positions());
+    let mut work = RowWork { retained: samples.len(), evaluated: 0, rounds: 0 };
     while !live.is_empty() {
         let mut n = 0;
         for &r in live.iter() {
@@ -194,6 +204,8 @@ fn shade_row<E: Encoding>(
             kernel,
             false,
         );
+        work.evaluated += n;
+        work.rounds += 1;
 
         let mut at = 0;
         let mut kept = 0;
@@ -221,15 +233,7 @@ fn shade_row<E: Encoding>(
         }
         live.truncate(kept);
     }
-
-    crate::probe!({
-        *rows_shaded += 1;
-        kernel.probes.samples_retained += samples.len() as u64;
-        kernel.probes.rays += states.len() as u64;
-        kernel.probes.rays_saturated +=
-            states.iter().filter(|ray| ray.composite.saturated()).count() as u64;
-    });
-    samples.len()
+    work
 }
 
 /// One pixel row shaded by [`shade_views`].
@@ -240,8 +244,8 @@ struct ShadedRow<T> {
     y: u32,
     /// The caller's output for each ray of the row, left to right.
     rays: Vec<T>,
-    /// Samples Stage I retained for the row.
-    samples: usize,
+    /// The row's sample and round counts.
+    work: RowWork,
 }
 
 /// The one render dispatch behind every frame entry point: shades each
@@ -269,14 +273,14 @@ fn shade_views<'c, E: Encoding, T: Send>(
     let shaded =
         pool.run_tasks(&rows, scratches, |_, &(view, camera, y), scratch: &mut RowScratch| {
             let rays = (0..camera.width()).map(|x| camera.ray_for_pixel(x, y));
-            let samples = shade_row(model, occupancy, rays, sampler, early_stop, scratch);
+            let work = shade_row(model, occupancy, rays, sampler, early_stop, scratch);
             ShadedRow {
                 view,
                 y,
                 // lint: allow(h2): per-task output row — one allocation
                 // per row, amortized over its rays
                 rays: scratch.rays.iter().map(&out).collect(),
-                samples,
+                work,
             }
         });
     (shaded, workers)
@@ -355,56 +359,60 @@ pub fn render_views_into<E: Encoding>(
             dst.copy_from_slice(&row.rays);
         }
         if let Some(slot) = samples_out.get_mut(row.view) {
-            *slot += row.samples as u64;
+            *slot += row.work.retained as u64;
         }
     }
 }
 
-/// [`render_image`] with hot-path probe counters recorded into
-/// `report` (`obs` builds only). Identical pixels to [`render_image`]:
-/// the probes never influence the compute. The kernel counters are
-/// integer sums over the dispatch's worker scratches, so the recorded
-/// totals are identical for any `FUSION3D_THREADS` setting. The rows
-/// each worker shaded are recorded as diagnostic metrics
-/// (`render.worker.{i}.tasks`, `render.workers`, `render.balance`):
-/// work stealing makes them scheduling-dependent, so they stay out of
-/// the deterministic export.
-#[cfg(feature = "obs")]
+/// What one [`render_image_probed`] frame did. Every field but
+/// `rows_per_worker` is an integer sum over the frame's rows, so it is
+/// identical for any `FUSION3D_THREADS` setting; which worker shaded
+/// which row depends on scheduling.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RenderCounters {
+    /// Rays whose transmittance fell below the early-stop threshold.
+    pub rays_saturated: u64,
+    /// Samples Stage I retained.
+    pub samples_retained: u64,
+    /// Samples the model evaluated. With early termination on, rays
+    /// retire before their last samples, so this is at most
+    /// `samples_retained`; with it off, the two are equal.
+    pub samples_evaluated: u64,
+    /// Wavefront rounds, each one batched model forward.
+    pub rounds: u64,
+    /// Rows each worker of the dispatch shaded.
+    pub rows_per_worker: Vec<u64>,
+}
+
+/// [`render_image`] that also returns the frame's [`RenderCounters`].
+/// The pixels are identical to [`render_image`]'s: the counts come from
+/// state the row wavefront keeps anyway.
 pub fn render_image_probed<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
     camera: &Camera,
     config: &PipelineConfig,
-    report: &mut fusion3d_obs::Report,
-) -> Image {
+) -> (Image, RenderCounters) {
     let views = std::iter::once((0, camera));
     let (rows, workers) =
         shade_views(model, occupancy, views, &config.sampler, config.early_stop, |ray| {
-            ray.composite.pixel(config.background)
+            (ray.composite.pixel(config.background), ray.composite.saturated())
         });
     let mut img = Image::new(camera.width(), camera.height());
+    let mut counters = RenderCounters::default();
     let width = camera.width().max(1) as usize;
     for (row, dst) in rows.iter().zip(img.pixels_mut().chunks_exact_mut(width)) {
-        dst.copy_from_slice(&row.rays);
+        for (pixel, &(color, saturated)) in dst.iter_mut().zip(&row.rays) {
+            *pixel = color;
+            counters.rays_saturated += u64::from(saturated);
+        }
+        counters.samples_retained += row.work.retained as u64;
+        counters.samples_evaluated += row.work.evaluated as u64;
+        counters.rounds += row.work.rounds as u64;
     }
-
-    let metrics = &mut report.metrics;
-    let mut totals = crate::probes::ProbeCounters::default();
-    for (i, worker) in workers.iter().enumerate() {
-        totals.add(&worker.kernel.probes);
-        // lint: allow(h2): opt-in observability — one metric name per
-        // worker per probed frame
-        let name = format!("render.worker.{i}.tasks");
-        metrics.diagnostic_counter_add(&name, "tasks", worker.rows_shaded);
-    }
-    totals.record(metrics);
-    // Load balance in (0, 1]: mean rows per worker over the busiest
-    // worker's rows (1.0 = perfectly even).
-    let busiest = workers.iter().map(|w| w.rows_shaded).max().unwrap_or(0).max(1);
-    let balance = rows.len() as f64 / workers.len() as f64 / busiest as f64;
-    metrics.diagnostic_counter_add("render.workers", "threads", workers.len() as u64);
-    metrics.diagnostic_gauge_set("render.balance", "ratio", balance);
-    img
+    // lint: allow(h2): one count per worker, once per frame
+    counters.rows_per_worker = workers.iter().map(|w| w.rows_shaded).collect();
+    (img, counters)
 }
 
 /// Renders a normalized depth map: nearer surfaces brighter, rays

@@ -1,13 +1,8 @@
-//! Probes observe, never perturb: with the `obs` feature enabled,
+//! The probed render observes, never perturbs:
 //! [`fusion3d_nerf::pipeline::render_image_probed`] must return
-//! bitwise-identical pixels to the unprobed [`render_image`], and the
-//! counters it records must be independent of the thread count. (The
-//! complementary guarantee — that the *default* build carries no probe
-//! code at all — is checked by the `probe_macro_tests` unit tests,
-//! whose no-op expansion discards even un-compilable bodies.) The
-//! dispatch diagnostics it records cover every row exactly once and
-//! stay out of the deterministic stream.
-#![cfg(feature = "obs")]
+//! bitwise-identical pixels to the plain [`render_image`], and counters
+//! that are independent of the thread count, apart from how its rows
+//! spread over the workers.
 
 use fusion3d_nerf::camera::{orbit_poses, Camera};
 use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
@@ -17,7 +12,6 @@ use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, render_image_probed, PipelineConfig};
 use fusion3d_nerf::sampler::SamplerConfig;
 use fusion3d_nerf::{ProceduralScene, SyntheticScene};
-use fusion3d_obs::{Metric, MetricValue, Report};
 use fusion3d_par::set_thread_override;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -57,32 +51,19 @@ fn bits(image: &fusion3d_nerf::image::Image) -> Vec<u32> {
 fn probed_render_matches_unprobed_bitwise() {
     let (model, occupancy, camera, config) = setup();
     let plain = render_image(&model, &occupancy, &camera, &config);
-    let mut report = Report::new("probe_parity");
-    let probed = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
-    assert_eq!(bits(&plain), bits(&probed), "probes changed the rendered pixels");
+    let (probed, counters) = render_image_probed(&model, &occupancy, &camera, &config);
+    assert_eq!(bits(&plain), bits(&probed), "probing changed the rendered pixels");
     // The probed run actually observed the work it shadowed.
-    let rays = counter(&report, "kernel.rays");
-    assert_eq!(rays, u64::from(camera.width()) * u64::from(camera.height()));
-}
-
-fn counter(report: &Report, name: &str) -> u64 {
-    match report.metrics.get(name) {
-        Some(Metric { value: MetricValue::Counter(n), .. }) => *n,
-        other => panic!("probed render must record {name}, got {other:?}"),
-    }
+    assert!(counters.rounds > 0 && counters.samples_evaluated > 0, "{counters:?}");
 }
 
 #[test]
 fn early_termination_evaluates_no_more_than_stage_one_retains() {
     let (model, occupancy, camera, config) = setup();
     let evaluated_and_retained = |early_stop| {
-        let mut report = Report::new("probe_parity");
         let config = PipelineConfig { early_stop, ..config };
-        let _ = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
-        (
-            counter(&report, "kernel.encode.points"),
-            counter(&report, "kernel.render.samples_retained"),
-        )
+        let (_, counters) = render_image_probed(&model, &occupancy, &camera, &config);
+        (counters.samples_evaluated, counters.samples_retained)
     };
     let (evaluated, retained) = evaluated_and_retained(true);
     assert!(retained > 0, "Stage I retained no samples");
@@ -96,50 +77,17 @@ fn early_termination_evaluates_no_more_than_stage_one_retains() {
 #[test]
 fn probe_counters_are_thread_count_independent() {
     let (model, occupancy, camera, config) = setup();
-    let stream = |threads| {
+    let counters = |threads: usize| {
         set_thread_override(Some(threads));
-        let mut report = Report::new("probe_parity");
-        let _ = render_image_probed(&model, &occupancy, &camera, &config, &mut report);
+        let (_, mut counters) = render_image_probed(&model, &occupancy, &camera, &config);
         set_thread_override(None);
-        check_dispatch_diagnostics(&report, threads as u64, u64::from(camera.height()));
-        report.deterministic_jsonl()
+        // Which worker shades which row depends on scheduling; that
+        // every row is shaded once, by at most `threads` workers, does
+        // not.
+        let rows = std::mem::take(&mut counters.rows_per_worker);
+        assert_eq!(rows.iter().sum::<u64>(), u64::from(camera.height()), "threads={threads}");
+        assert!(!rows.is_empty() && rows.len() <= threads, "threads={threads}: {rows:?}");
+        counters
     };
-    assert_eq!(stream(1), stream(4), "probe stream diverged between 1 and 4 threads");
-}
-
-/// The probed render's scheduling diagnostics: per-worker row counts
-/// that cover every row exactly once, a worker count within the thread
-/// and row counts, a balance in (0, 1] — all diagnostic, so none of
-/// them reaches the deterministic stream.
-fn check_dispatch_diagnostics(report: &Report, threads: u64, rows: u64) {
-    let per_worker: Vec<u64> = report
-        .metrics
-        .iter()
-        .filter(|(name, _)| name.starts_with("render.worker."))
-        .map(|(name, metric)| {
-            assert!(name.ends_with(".tasks") && metric.diagnostic, "{name}: {metric:?}");
-            match metric.value {
-                MetricValue::Counter(n) => n,
-                ref other => panic!("{name} must be a counter, got {other:?}"),
-            }
-        })
-        .collect();
-    assert_eq!(per_worker.iter().sum::<u64>(), rows, "threads={threads}: every row shaded once");
-    let workers = match report.metrics.get("render.workers") {
-        Some(Metric { value: MetricValue::Counter(n), diagnostic: true, .. }) => *n,
-        other => panic!("render.workers must be a diagnostic counter, got {other:?}"),
-    };
-    assert_eq!(workers, per_worker.len() as u64, "threads={threads}");
-    assert!(workers <= threads && workers <= rows, "threads={threads}: {workers} workers");
-    let balance = match report.metrics.get("render.balance") {
-        Some(Metric { value: MetricValue::Gauge(g), diagnostic: true, .. }) => *g,
-        other => panic!("render.balance must be a diagnostic gauge, got {other:?}"),
-    };
-    assert!(balance > 0.0 && balance <= 1.0, "threads={threads}: balance {balance}");
-
-    let stream = report.deterministic_jsonl();
-    assert!(stream.contains("kernel.rays"), "the kernel counters are deterministic");
-    for name in ["render.worker.", "render.workers", "render.balance"] {
-        assert!(!stream.contains(name), "diagnostic {name} leaked into the deterministic stream");
-    }
+    assert_eq!(counters(1), counters(4), "counters diverged between 1 and 4 threads");
 }

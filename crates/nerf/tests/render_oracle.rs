@@ -6,6 +6,8 @@
 //! rays retire inside the first wavefront round and inside later ones,
 //! and the camera sees rays that miss the occupied ball (zero samples)
 //! and rays through its middle (at the `max_samples_per_ray` cap).
+//! `render_image_probed` must also return the counters the oracle's
+//! saturation points imply.
 
 use fusion3d_nerf::camera::{orbit_poses, Camera};
 use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
@@ -13,7 +15,8 @@ use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{
-    render_depth_image, render_image, render_layer, render_views_into, PipelineConfig,
+    render_depth_image, render_image, render_image_probed, render_layer, render_views_into,
+    PipelineConfig, RenderCounters,
 };
 use fusion3d_nerf::reference::{model_forward, render_ray};
 use fusion3d_nerf::render::{composite, ShadedSample};
@@ -105,6 +108,39 @@ fn saturation_point(
     (shaded.len(), stop)
 }
 
+/// The counters `render_image_probed` must return for `camera`, less
+/// the per-worker rows: each round evaluates the next four samples of
+/// every live ray; with early termination a ray retires after the
+/// round that saturates it, and a row runs as many rounds as its
+/// longest ray needs.
+fn oracle_counters(
+    model: &NerfModel<HashGrid>,
+    occupancy: &OccupancyGrid,
+    camera: &Camera,
+    config: &PipelineConfig,
+) -> RenderCounters {
+    let mut counters = RenderCounters::default();
+    let width = camera.width() as usize;
+    for row in rays(camera).chunks(width) {
+        let mut rounds = 0;
+        for ray in row {
+            let (n, stop) = saturation_point(model, occupancy, ray, config);
+            let evaluated = match stop {
+                Some(i) if config.early_stop => (i.div_ceil(4) * 4).min(n),
+                _ => n,
+            };
+            let shaded = shaded_ray(model, occupancy, ray, &config.sampler);
+            let transmittance = composite(&shaded, config.background, false).final_transmittance;
+            counters.rays_saturated += u64::from(transmittance < 1e-4);
+            counters.samples_retained += n as u64;
+            counters.samples_evaluated += evaluated as u64;
+            rounds = rounds.max(evaluated.div_ceil(4));
+        }
+        counters.rounds += rounds as u64;
+    }
+    counters
+}
+
 fn ball() -> OccupancyGrid {
     OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.42)
 }
@@ -145,6 +181,8 @@ fn every_entry_point_matches_the_scalar_oracle() {
                     rays(c).iter().map(|r| render_ray(&model, &occupancy, r, &config)).collect()
                 })
                 .collect();
+            let counters: Vec<RenderCounters> =
+                cameras.iter().map(|c| oracle_counters(&model, &occupancy, c, &config)).collect();
             if early_stop {
                 for ray in cameras.iter().flat_map(rays) {
                     let (n, stop) = saturation_point(&model, &occupancy, &ray, &config);
@@ -206,22 +244,17 @@ fn every_entry_point_matches_the_scalar_oracle() {
                         .map(|(color, transmittance)| layer_bits(color, transmittance))
                         .collect();
                     assert_eq!(layer, layer_oracle[v], "render_layer, view {v}, {what}");
-                    #[cfg(feature = "obs")]
-                    {
-                        let mut report = fusion3d_obs::Report::new("render_oracle");
-                        let probed = fusion3d_nerf::pipeline::render_image_probed(
-                            &model,
-                            &occupancy,
-                            camera,
-                            &config,
-                            &mut report,
-                        );
-                        assert_eq!(
-                            bits(probed.pixels()),
-                            bits(&colors),
-                            "render_image_probed, {what}"
-                        );
-                    }
+                    let (probed, mut got) =
+                        render_image_probed(&model, &occupancy, camera, &config);
+                    assert_eq!(
+                        bits(probed.pixels()),
+                        bits(&colors),
+                        "render_image_probed, view {v}, {what}"
+                    );
+                    let rows = std::mem::take(&mut got.rows_per_worker);
+                    assert_eq!(got, counters[v], "render_image_probed counters, view {v}, {what}");
+                    assert_eq!(rows.iter().sum::<u64>(), u64::from(camera.height()), "{what}");
+                    assert!(rows.len() <= threads, "{} workers, {what}", rows.len());
                 }
                 set_thread_override(None);
             }

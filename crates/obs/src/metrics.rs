@@ -164,8 +164,6 @@ impl Metrics {
     /// Set the gauge `name` to `value` (last write wins).
     pub fn gauge_set(&mut self, name: &str, unit: &'static str, value: f64) {
         self.entries.insert(
-            // lint: allow(h2): metric names are owned map keys;
-            // recording runs per report flush, not per sample
             name.to_string(),
             Metric { unit, diagnostic: false, value: MetricValue::Gauge(value) },
         );
@@ -174,7 +172,6 @@ impl Metrics {
     /// Diagnostic-class variant of [`Metrics::gauge_set`].
     pub fn diagnostic_gauge_set(&mut self, name: &str, unit: &'static str, value: f64) {
         self.entries.insert(
-            // lint: allow(h2): owned map key — see gauge_set
             name.to_string(),
             Metric { unit, diagnostic: true, value: MetricValue::Gauge(value) },
         );
@@ -187,7 +184,6 @@ impl Metrics {
 
     /// Record `n` identical samples into the histogram `name`.
     pub fn observe_n(&mut self, name: &str, unit: &'static str, value: u64, n: u64) {
-        // lint: allow(h2): owned map key — see gauge_set
         let entry = self.entries.entry(name.to_string()).or_insert_with(|| Metric {
             unit,
             diagnostic: false,
@@ -240,7 +236,6 @@ impl Metrics {
     }
 
     fn counter_entry(&mut self, name: &str, unit: &'static str, diagnostic: bool, delta: u64) {
-        // lint: allow(h2): owned map key — see gauge_set
         let entry = self.entries.entry(name.to_string()).or_insert_with(|| Metric {
             unit,
             diagnostic,

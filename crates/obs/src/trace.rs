@@ -59,8 +59,8 @@ impl Trace {
             None => 0,
         };
         let idx = self.spans.len();
-        // lint: allow(h2): span records are the trace's product;
-        // tracing is opt-in via the obs feature
+        // lint: allow(h2): span records are the trace's product,
+        // one per span, never per sample
         self.spans.push(SpanRecord {
             // lint: allow(h2): owned span name — see above
             name: name.to_string(),

@@ -38,6 +38,9 @@ pub enum ServeError {
         /// The accepted range.
         expected: String,
     },
+    /// A trace replay's simulated clock would pass `u64::MAX`: its
+    /// arrivals lie too close to the end of the cycle range.
+    CycleOverflow,
 }
 
 impl std::fmt::Display for ServeError {
@@ -54,6 +57,7 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidConfig { field, value, expected } => {
                 write!(f, "serve config `{field}` = {value} is outside {expected}")
             }
+            ServeError::CycleOverflow => write!(f, "simulated clock overflowed u64 cycles"),
         }
     }
 }

@@ -51,6 +51,6 @@ pub mod traffic;
 pub use error::ServeError;
 pub use queue::AdmissionQueue;
 pub use registry::SceneRegistry;
-pub use scheduler::{ServeConfig, ServeOutcome, ServeSim};
+pub use scheduler::{ServeConfig, ServeOutcome, ServeSim, BUDGET_BYTES, EXECUTORS, MAX_BATCH};
 pub use store::{SceneId, SceneStore};
 pub use traffic::{generate, Request, TrafficConfig};

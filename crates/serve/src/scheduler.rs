@@ -20,15 +20,32 @@ use fusion3d_obs::Report;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
 
+/// Registry residency budget in container bytes.
+pub const BUDGET_BYTES: u64 = 192 * 1024;
+/// Simulated batch engines draining the queue concurrently.
+pub const EXECUTORS: usize = 2;
+/// Most requests coalesced into one kernel dispatch.
+pub const MAX_BATCH: usize = 4;
+
+/// Service cost: cycles per retained Stage-II/III sample.
+const CYCLES_PER_SAMPLE: u64 = 2;
+/// Fixed cycles per kernel dispatch (scheduling + launch).
+const BATCH_OVERHEAD_CYCLES: u64 = 2_000;
+/// Fixed cycles per request (response readout).
+const REQUEST_OVERHEAD_CYCLES: u64 = 500;
+/// Container-load bandwidth in bytes per cycle (the paper's USB-link
+/// streaming model).
+const LOAD_BYTES_PER_CYCLE: u64 = 1;
+
 /// Largest frame side [`ServeSim::new`] accepts, the CLI's render
 /// bound.
 const MAX_RESOLUTION: u32 = 4096;
 /// Most response-frame pixels [`ServeSim::new`] preallocates, as
-/// `max_batch` frames of `resolution²`: one frame at the largest side.
+/// [`MAX_BATCH`] frames of `resolution²`: one frame at the largest
+/// side.
 const MAX_FRAME_PIXELS: u64 = MAX_RESOLUTION as u64 * MAX_RESOLUTION as u64;
-/// Largest `executors`, `max_batch` and `path_len`, each of which
-/// [`ServeSim::new`] preallocates per unit.
-const MAX_UNITS: usize = 4096;
+/// Largest `path_len`; [`ServeSim::new`] builds one camera per pose.
+const MAX_PATH_LEN: usize = 4096;
 /// Largest per-scene `queue_capacity`; every scene's FIFO is reserved
 /// at that capacity up front.
 const MAX_QUEUE_CAPACITY: usize = 1 << 16;
@@ -36,19 +53,12 @@ const MAX_QUEUE_CAPACITY: usize = 1 << 16;
 /// Operating parameters of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Registry residency budget in container bytes.
-    pub budget_bytes: u64,
-    /// Simulated batch engines draining the queue concurrently, in
-    /// `1..=4096`.
-    pub executors: usize,
-    /// Maximum requests coalesced into one kernel dispatch, in
-    /// `1..=4096`; `max_batch × resolution²` is at most `4096²`.
-    pub max_batch: usize,
     /// Admission FIFO capacity per scene, in `1..=65536`; arrivals
     /// beyond it shed.
     pub queue_capacity: usize,
     /// Rendered frame side length in pixels (frames are square),
-    /// in `1..=4096`.
+    /// in `1..=4096`, with at most `4096²` pixels in [`MAX_BATCH`]
+    /// frames.
     pub resolution: u32,
     /// Vertical field of view of the replayed cameras, radians, in
     /// (0, π).
@@ -56,32 +66,11 @@ pub struct ServeConfig {
     /// Length of the orbit camera path requests replay, in
     /// `1..=4096`.
     pub path_len: usize,
-    /// Service cost: cycles per retained Stage-II/III sample.
-    pub cycles_per_sample: u64,
-    /// Fixed cycles per kernel dispatch (scheduling + launch).
-    pub batch_overhead_cycles: u64,
-    /// Fixed cycles per request (response readout).
-    pub request_overhead_cycles: u64,
-    /// Container-load bandwidth in bytes per cycle (the paper's
-    /// USB-link streaming model; values below 1 are clamped to 1).
-    pub load_bytes_per_cycle: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            budget_bytes: 192 * 1024,
-            executors: 2,
-            max_batch: 4,
-            queue_capacity: 64,
-            resolution: 32,
-            fov_y: 0.8,
-            path_len: 12,
-            cycles_per_sample: 2,
-            batch_overhead_cycles: 2_000,
-            request_overhead_cycles: 500,
-            load_bytes_per_cycle: 1,
-        }
+        Self { queue_capacity: 64, resolution: 32, fov_y: 0.8, path_len: 12 }
     }
 }
 
@@ -161,12 +150,11 @@ pub struct ServeSim {
     store: SceneStore,
     registry: SceneRegistry,
     queue: AdmissionQueue,
-    config: ServeConfig,
     /// The shared orbit camera path (poses are scene-independent).
     path: Vec<Camera>,
     /// Per-scene pipeline settings (each scene keeps its background).
     pipelines: Vec<PipelineConfig>,
-    /// `max_batch` recycled response frame buffers.
+    /// [`MAX_BATCH`] recycled response frame buffers.
     frames: Vec<Vec<Vec3>>,
     /// Per-view retained-sample counts of the last dispatch.
     samples: Vec<u64>,
@@ -203,12 +191,11 @@ impl ServeSim {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`], before anything is allocated,
-    /// for a `fov_y` outside (0, π), a `resolution` outside
-    /// `1..=4096`, an `executors`, `max_batch` or `path_len` outside
-    /// `1..=4096`, a `queue_capacity` outside `1..=65536`, or more than
-    /// `4096²` response pixels (`max_batch × resolution²`); otherwise
-    /// propagates [`SceneRegistry::new`] failures: oversized or
-    /// malformed containers.
+    /// for a `fov_y` outside (0, π), a `resolution` or `path_len`
+    /// outside `1..=4096`, a `queue_capacity` outside `1..=65536`, or
+    /// more than `4096²` response pixels ([`MAX_BATCH`]
+    /// `× resolution²`); otherwise propagates [`SceneRegistry::new`]
+    /// failures: oversized or malformed containers.
     pub fn new(store: SceneStore, config: &ServeConfig) -> Result<Self, ServeError> {
         // `Camera::new` asserts the same field-of-view range; NaN fails
         // both comparisons.
@@ -220,15 +207,13 @@ impl ServeSim {
             });
         }
         check_range("resolution", config.resolution, 1..=MAX_RESOLUTION)?;
-        check_range("executors", config.executors, 1..=MAX_UNITS)?;
-        check_range("max_batch", config.max_batch, 1..=MAX_UNITS)?;
         check_range("queue_capacity", config.queue_capacity, 1..=MAX_QUEUE_CAPACITY)?;
-        check_range("path_len", config.path_len, 1..=MAX_UNITS)?;
+        check_range("path_len", config.path_len, 1..=MAX_PATH_LEN)?;
         let resolution = config.resolution;
-        // Both factors are bounded above, so the product cannot wrap.
-        let frame_pixels = config.max_batch as u64 * u64::from(resolution) * u64::from(resolution);
-        check_range("max_batch × resolution²", frame_pixels, 1..=MAX_FRAME_PIXELS)?;
-        let registry = SceneRegistry::new(&store, config.budget_bytes)?;
+        // The resolution is bounded above, so the product cannot wrap.
+        let frame_pixels = MAX_BATCH as u64 * u64::from(resolution) * u64::from(resolution);
+        check_range("MAX_BATCH × resolution²", frame_pixels, 1..=MAX_FRAME_PIXELS)?;
+        let registry = SceneRegistry::new(&store, BUDGET_BYTES)?;
         let queue = AdmissionQueue::new(store.len(), config.queue_capacity);
         let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len)
             .iter()
@@ -240,20 +225,18 @@ impl ServeSim {
                 ..PipelineConfig::default()
             })
             .collect();
-        let max_batch = config.max_batch;
         let pixels = resolution as usize * resolution as usize;
         Ok(Self {
             store,
             registry,
             queue,
-            config: *config,
             path,
             pipelines,
-            frames: (0..max_batch).map(|_| vec![Vec3::ZERO; pixels]).collect(),
-            samples: vec![0; max_batch],
-            batch: Vec::with_capacity(max_batch),
-            batch_cameras: Vec::with_capacity(max_batch),
-            executors: vec![0; config.executors],
+            frames: (0..MAX_BATCH).map(|_| vec![Vec3::ZERO; pixels]).collect(),
+            samples: vec![0; MAX_BATCH],
+            batch: Vec::with_capacity(MAX_BATCH),
+            batch_cameras: Vec::with_capacity(MAX_BATCH),
+            executors: vec![0; EXECUTORS],
         })
     }
 
@@ -285,9 +268,15 @@ impl ServeSim {
     ///
     /// Propagates registry failures: a request for a scene id outside
     /// the store, or a container that fails to decode on a miss.
+    /// [`ServeError::CycleOverflow`] when a response would finish past
+    /// cycle `u64::MAX`. The requests a failed replay left queued are
+    /// dropped by the next call, not served.
     pub fn run_trace(&mut self, trace: &[Request]) -> Result<ServeOutcome, ServeError> {
         for executor in self.executors.iter_mut() {
             *executor = 0;
+        }
+        while let Some(scene) = self.queue.oldest_scene() {
+            self.queue.pop_batch_into(scene, MAX_BATCH, &mut self.batch);
         }
         let stats0 = self.registry.stats();
         let qstats0 = self.queue.stats();
@@ -328,24 +317,22 @@ impl ServeSim {
             // waited longest, drained FIFO up to the batch limit.
             let Some(scene) = self.queue.oldest_scene() else { continue };
             let (hit, loaded) = self.registry.ensure_resident(&self.store, scene)?;
-            let load_cycles =
-                if hit { 0 } else { loaded.div_ceil(self.config.load_bytes_per_cycle.max(1)) };
-            let max_batch = self.config.max_batch.max(1);
+            let load_cycles = if hit { 0 } else { loaded.div_ceil(LOAD_BYTES_PER_CYCLE) };
             let mut batch = std::mem::take(&mut self.batch);
-            self.queue.pop_batch_into(scene, max_batch, &mut batch);
+            self.queue.pop_batch_into(scene, MAX_BATCH, &mut batch);
             self.batch = batch;
             debug_assert!(!self.batch.is_empty(), "oldest_scene() implies a waiting ticket");
 
             let batch_span = report.trace.begin("serve/batch", now);
+            let render_start = cycle_add(now, load_cycles)?;
             if load_cycles > 0 {
-                report.trace.record("serve/load", now, now + load_cycles);
+                report.trace.record("serve/load", now, render_start);
             }
-            let render_start = now + load_cycles;
             self.render_batch(scene);
 
             // Service cost: fixed dispatch overhead, then each
             // response pays for its retained samples plus readout.
-            let mut done = render_start + self.config.batch_overhead_cycles;
+            let mut done = cycle_add(render_start, BATCH_OVERHEAD_CYCLES)?;
             for k in 0..self.batch.len() {
                 let ticket = self.batch.get(k).copied().unwrap_or(Ticket {
                     arrival_cycle: now,
@@ -353,8 +340,11 @@ impl ServeSim {
                     seq: 0,
                 });
                 let samples = self.samples.get(k).copied().unwrap_or(0);
-                done +=
-                    samples * self.config.cycles_per_sample + self.config.request_overhead_cycles;
+                // A view holds at most its pixels times the sampler's
+                // cap of samples, so only the clock, which starts from
+                // the trace's arrival cycles, can pass `u64::MAX`.
+                let cost = samples * CYCLES_PER_SAMPLE + REQUEST_OVERHEAD_CYCLES;
+                done = cycle_add(done, cost)?;
                 let latency = done.saturating_sub(ticket.arrival_cycle);
                 latencies.push(latency);
                 report.metrics.observe("serve.latency_cycles", "cycles", latency);
@@ -466,7 +456,7 @@ impl ServeSim {
             let camera =
                 self.path.get(ticket.pose as usize % path_len).copied().unwrap_or(first_pose);
             // lint: allow(h2): refills the recycled view table within
-            // its preallocated `max_batch` capacity, once per dispatch
+            // its preallocated `MAX_BATCH` capacity, once per dispatch
             self.batch_cameras.push(camera);
         }
         let n = self.batch_cameras.len().min(self.frames.len());
@@ -489,6 +479,12 @@ impl ServeSim {
             samples,
         );
     }
+}
+
+/// `a + b` in simulated cycles, or [`ServeError::CycleOverflow`] past
+/// `u64::MAX`.
+fn cycle_add(a: u64, b: u64) -> Result<u64, ServeError> {
+    a.checked_add(b).ok_or(ServeError::CycleOverflow)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -562,20 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn new_rejects_executors_out_of_range() {
-        let configs = [0, MAX_UNITS + 1, usize::MAX]
-            .map(|executors| ServeConfig { executors, ..small_config() });
-        assert_rejected("executors", &configs);
-    }
-
-    #[test]
-    fn new_rejects_max_batch_out_of_range() {
-        let configs = [0, MAX_UNITS + 1, usize::MAX]
-            .map(|max_batch| ServeConfig { max_batch, ..small_config() });
-        assert_rejected("max_batch", &configs);
-    }
-
-    #[test]
     fn new_rejects_queue_capacity_out_of_range() {
         let configs = [0, MAX_QUEUE_CAPACITY + 1, usize::MAX]
             .map(|queue_capacity| ServeConfig { queue_capacity, ..small_config() });
@@ -584,17 +566,17 @@ mod tests {
 
     #[test]
     fn new_rejects_path_len_out_of_range() {
-        let configs = [0, MAX_UNITS + 1, usize::MAX]
+        let configs = [0, MAX_PATH_LEN + 1, usize::MAX]
             .map(|path_len| ServeConfig { path_len, ..small_config() });
         assert_rejected("path_len", &configs);
     }
 
     #[test]
     fn new_rejects_more_frame_pixels_than_one_largest_frame() {
-        // Each field in range, their product of pixels not.
-        let configs = [(2, MAX_RESOLUTION), (MAX_UNITS, 65), (5, 2048)]
-            .map(|(max_batch, resolution)| ServeConfig { max_batch, resolution, ..small_config() });
-        assert_rejected("max_batch × resolution²", &configs);
+        // The resolution in range, `MAX_BATCH` frames of it not.
+        let configs = [2049, 3000, MAX_RESOLUTION]
+            .map(|resolution| ServeConfig { resolution, ..small_config() });
+        assert_rejected("MAX_BATCH × resolution²", &configs);
     }
 
     #[test]
@@ -624,7 +606,7 @@ mod tests {
     #[test]
     fn overload_sheds_and_zero_offered_load_idles() {
         // Overload: everything arrives at cycle 0 against one tiny FIFO.
-        let config = ServeConfig { queue_capacity: 2, executors: 1, ..small_config() };
+        let config = ServeConfig { queue_capacity: 2, ..small_config() };
         let mut sim = ServeSim::synthetic(1, &config).expect("sim");
         let burst: Vec<Request> =
             (0..16).map(|k| Request { cycle: 0, scene: SceneId(0), pose: k as u32 }).collect();
@@ -656,5 +638,73 @@ mod tests {
         let outcome = sim.run_trace(&trace).expect("run");
         assert_eq!(outcome.rejected, 1);
         assert_eq!(outcome.completed, 0);
+    }
+
+    /// Sixteen requests over eight scenes.
+    fn traffic() -> TrafficConfig {
+        TrafficConfig { requests: 16, path_len: 6, ..TrafficConfig::smoke(8) }
+    }
+
+    #[test]
+    fn arrivals_past_the_cycle_range_return_err() {
+        // An infinite gap puts every arrival at `u64::MAX`. A 1e18 gap
+        // walks the arrivals up towards it, and for some seeds past it,
+        // where they saturate at `u64::MAX`. A response that would
+        // finish past `u64::MAX` fails the replay; any other pays at
+        // least the fixed dispatch and readout cycles, so no latency
+        // wrapped.
+        let mut overflows = [0; 2];
+        for (k, mean_interarrival_cycles) in [f64::INFINITY, 1e18].into_iter().enumerate() {
+            for seed in 0..8 {
+                let config = TrafficConfig { mean_interarrival_cycles, ..traffic() };
+                let mut sim = ServeSim::synthetic(8, &small_config()).expect("sim");
+                match sim.run_trace(&generate(&config, seed)) {
+                    Err(err) => {
+                        assert_eq!(err, ServeError::CycleOverflow, "{config:?}, seed {seed}");
+                        // The failed trace's queued requests do not
+                        // complete in the next replay.
+                        let next = sim.run_trace(&[]).expect("an empty replay");
+                        assert_eq!(next.completed, 0, "{config:?}, seed {seed}");
+                        overflows[k] += 1;
+                    }
+                    Ok(outcome) => {
+                        let least = BATCH_OVERHEAD_CYCLES + REQUEST_OVERHEAD_CYCLES;
+                        assert!(
+                            outcome.latencies.iter().all(|&latency| latency >= least),
+                            "{config:?}, seed {seed}: {:?}",
+                            outcome.latencies
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(overflows[0], 8, "every all-`u64::MAX` trace overflows");
+        assert!(overflows[1] > 0 && overflows[1] < 8, "1e18 gaps: {} of 8 overflow", overflows[1]);
+    }
+
+    #[test]
+    fn degenerate_traffic_configs_give_traces_that_replay() {
+        let base = traffic();
+        let configs = [
+            TrafficConfig { mean_interarrival_cycles: f64::NAN, ..base },
+            TrafficConfig { mean_interarrival_cycles: -1.0, ..base },
+            TrafficConfig { mean_interarrival_cycles: 0.0, ..base },
+            TrafficConfig { zipf_exponent: f64::NAN, ..base },
+            TrafficConfig { zipf_exponent: -3.0, ..base },
+            TrafficConfig { scene_count: 0, ..base },
+            TrafficConfig { path_len: 0, ..base },
+        ];
+        for config in configs {
+            let trace = generate(&config, 3);
+            assert_eq!(trace.len(), config.requests, "{config:?}");
+            assert!(trace.windows(2).all(|w| w[0].cycle <= w[1].cycle), "{config:?}");
+            for r in &trace {
+                assert!((r.scene.0 as usize) < config.scene_count.max(1), "{config:?}: {r:?}");
+                assert!(r.pose < config.path_len.max(1), "{config:?}: {r:?}");
+            }
+            let mut sim = ServeSim::synthetic(8, &small_config()).expect("sim");
+            let outcome = sim.run_trace(&trace).unwrap_or_else(|e| panic!("{config:?}: {e}"));
+            assert_eq!(outcome.completed, 16, "{config:?}");
+        }
     }
 }
