@@ -27,12 +27,6 @@ impl HardwareCost {
     pub fn new(area: f64, activity: f64) -> Self {
         HardwareCost { area, power: area * activity }
     }
-
-    /// Approximate silicon area in µm² at 28 nm (≈ 0.6 µm² per
-    /// NAND2-equivalent; one full adder ≈ 6 NAND2).
-    pub fn area_um2(&self) -> f64 {
-        self.area * 6.0 * 0.6
-    }
 }
 
 impl std::ops::Add for HardwareCost {
@@ -185,11 +179,6 @@ mod tests {
         assert_eq!(c.power, 20.0);
         let s: HardwareCost = [a, b, c].into_iter().sum();
         assert_eq!(s.area, 30.0);
-    }
-
-    #[test]
-    fn area_um2_positive() {
-        assert!(fpmul_f32().area_um2() > 100.0);
     }
 
     #[test]

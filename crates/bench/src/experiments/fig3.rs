@@ -4,8 +4,9 @@
 //! The paper measures ~155 GB of intermediate data (12.5 GB/s of
 //! inter-stage plus 77.5 GB/s of intra-stage traffic over a 2-second
 //! training run) against only ~700 MB of true end-to-end I/O. We
-//! project the same quantities from the trainer's byte-exact ledger,
-//! scaled to the paper-scale model and batch schedule.
+//! project the same quantities with `estimate_step_volume`, the
+//! per-step volume formula, over the paper-scale model and batch
+//! schedule.
 
 use crate::support::print_table;
 use fusion3d_core::bandwidth::{required_bandwidth_gbs, DesignBoundary, USB_BANDWIDTH_GBS};

@@ -362,3 +362,121 @@ fn table5_measured_column_matches_bench_tables() {
     let doc = section_table("## Table V —");
     assert_eq!(quantity_and_measured(&doc), expected, "Table V");
 }
+
+/// The `[quantity, measured]` cells of the rows labelled `quantities`
+/// in the `| Quantity | Paper | Measured |` table of the section whose
+/// heading starts with `heading`.
+fn measured_rows(heading: &str, quantities: &[&str]) -> Vec<Vec<String>> {
+    let doc = quantity_and_measured(&section_table(heading));
+    quantities
+        .iter()
+        .map(|&quantity| {
+            doc.iter()
+                .find(|row| row[0] == quantity)
+                .cloned()
+                .unwrap_or_else(|| panic!("{heading} has no {quantity} row"))
+        })
+        .collect()
+}
+
+/// The Fig. 3 design-boundary lines as printed:
+/// `(boundary, GB/s, verdict)`.
+fn fig3_boundaries() -> Vec<(&'static str, &'static str, &'static str)> {
+    // "  Stages II+III                4.55 GB/s  (exceeds USB)"
+    bench_rows("Design boundaries", 0)
+        .iter()
+        .map(|line| {
+            let (boundary, rest) = line.trim().split_once("  ").expect("Fig. 3 boundary line");
+            let [bandwidth, "GB/s", ..] = fields(rest)[..] else {
+                panic!("Fig. 3 boundary line {line}")
+            };
+            let verdict = rest.split_once('(').expect("a verdict").1.trim_end_matches(')');
+            (boundary, bandwidth, verdict)
+        })
+        .collect()
+}
+
+/// Fig. 3's end-to-end boundary bandwidth as printed, e.g. `0.39`.
+fn fig3_end_to_end_gbs() -> &'static str {
+    let end_to_end = fig3_boundaries().into_iter().find(|(b, ..)| b.starts_with("End-to-end"));
+    end_to_end.expect("an end-to-end boundary").1
+}
+
+#[test]
+fn table1_measured_column_matches_bench_tables() {
+    // "    RT-NeRF (Edge)             No    LPDDR4-1600       17.0": the
+    // columns are right-aligned, so a row's Training cell ends where
+    // the header's does. Prior accelerators read Yes or No there; edge
+    // platforms read "-" and this work "Yes (Instant)".
+    let lines = bench_rows("=== Table I:", 0);
+    let training_end = lines[0].find("Training").expect("a Training column") + "Training".len();
+    let bandwidth = |line: &'static str| *fields(line).last().expect("a bandwidth");
+    let prior: Vec<(String, f64)> = lines[2..]
+        .iter()
+        .filter(|line| matches!(line[..training_end].rsplit(' ').next(), Some("Yes" | "No")))
+        .map(|line| (bandwidth(line).to_string(), number(bandwidth(line))))
+        .collect();
+    let [(lo, _), (hi, hi_gbs)] = extremes(&prior);
+    let this_work = lines.iter().find(|line| line.trim_start().starts_with("This Work"));
+    let this_work = number(bandwidth(this_work.expect("a This Work row")));
+    // "Every prior accelerator exceeds the 0.625 GB/s USB budget (worst
+    // case 512 GB/s = 819x over); ..."
+    let verdict = bench_line("=== Table I:", "Every prior accelerator");
+    let (_, rest) = verdict.split_once("exceeds the ").expect("a budget");
+    let [usb, "GB/s", "USB", "budget", "(worst", "case", worst, "GB/s", "=", gap, ..] =
+        fields(rest)[..]
+    else {
+        panic!("Table I verdict {verdict}")
+    };
+    assert_eq!(number(worst), hi_gbs, "the worst case is the largest prior bandwidth");
+    let expected = vec![
+        vec!["Prior accelerators' bandwidth".to_string(), format!("{lo}–{hi} GB/s")],
+        vec!["Edge USB budget".to_string(), format!("{usb} GB/s")],
+        vec![
+            "This work".to_string(),
+            format!(
+                "{this_work:.1} GB/s ({} GB/s at Fig. 3's end-to-end boundary)",
+                fig3_end_to_end_gbs()
+            ),
+        ],
+        vec!["Gap".to_string(), format!("worst case {} over USB", times(gap))],
+    ];
+    let quantities = ["Prior accelerators' bandwidth", "Edge USB budget", "This work", "Gap"];
+    assert_eq!(measured_rows("## Table I —", &quantities), expected, "Table I");
+}
+
+#[test]
+fn fig3_measured_column_matches_bench_tables() {
+    // "      Total intermediate        187.6               93.8" -> the
+    // volume in GB; "   End-to-end I/O (ours)         0.77  ..." -> MB.
+    let volume = |prefix: &str| {
+        let f = fields(bench_line("=== Fig. 3", prefix));
+        f[f.len() - 2]
+    };
+    let (intermediate, io) = (volume("      Total intermediate"), volume("   End-to-end I/O"));
+    let partial: Vec<(String, f64)> = fig3_boundaries()
+        .into_iter()
+        .filter(|(boundary, ..)| !boundary.starts_with("End-to-end"))
+        .map(|(_, bandwidth, verdict)| {
+            assert_eq!(verdict, "exceeds USB", "a partial boundary fits USB");
+            (bandwidth.to_string(), number(bandwidth))
+        })
+        .collect();
+    let [(lo, _), (hi, _)] = extremes(&partial);
+    let expected = vec![
+        vec!["Total intermediate volume".to_string(), format!("{intermediate} GB")],
+        vec!["End-to-end I/O".to_string(), format!("{:.0} MB", number(io) * 1e3)],
+        vec![
+            "End-to-end boundary bandwidth (2 s)".to_string(),
+            format!("{} GB/s", fig3_end_to_end_gbs()),
+        ],
+        vec!["Partial-design boundaries".to_string(), format!("{lo}–{hi} GB/s")],
+    ];
+    let quantities = [
+        "Total intermediate volume",
+        "End-to-end I/O",
+        "End-to-end boundary bandwidth (2 s)",
+        "Partial-design boundaries",
+    ];
+    assert_eq!(measured_rows("## Fig. 3 —", &quantities), expected, "Fig. 3");
+}

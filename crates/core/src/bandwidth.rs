@@ -43,7 +43,7 @@ impl DesignBoundary {
     }
 
     /// The bytes that cross this design boundary for a training run
-    /// with the given data-volume ledger.
+    /// that moves `volume`.
     pub fn offchip_bytes(self, volume: &DataVolume) -> u64 {
         match self {
             // Sample coordinates stream in, encoded features and
@@ -88,7 +88,7 @@ pub struct ModelSizePoint {
 
 /// Computes the off-chip bandwidth an end-to-end accelerator needs
 /// when training a model of `param_bytes` within `seconds`, given the
-/// run's volume ledger and the chip's usable parameter SRAM.
+/// run's data volumes and the chip's usable parameter SRAM.
 ///
 /// While the parameters fit on-chip, only the end-to-end I/O crosses
 /// the boundary. Once they spill, the Stage-II table traffic spills

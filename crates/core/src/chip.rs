@@ -221,22 +221,6 @@ impl FusionChip {
     pub fn simulate_training_step(&self, trace: &FrameTrace) -> SimReport {
         self.stage_report(trace, simulate_sampling(&self.sampling, trace).cycles, true)
     }
-
-    /// Frames per second for a frame workload.
-    pub fn fps(&self, trace: &FrameTrace) -> f64 {
-        let report = self.simulate_frame(trace);
-        if report.seconds > 0.0 {
-            1.0 / report.seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Wall-clock seconds for `iterations` training steps of the given
-    /// batch workload.
-    pub fn training_seconds(&self, trace: &FrameTrace, iterations: u64) -> f64 {
-        self.simulate_training_step(trace).seconds * iterations as f64
-    }
 }
 
 #[cfg(test)]
@@ -311,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn fps_and_training_time_scale() {
-        let chip = FusionChip::scaled_up();
-        let trace = synthetic_trace(4096, 12, 18);
-        let fps = chip.fps(&trace);
-        assert!(fps.is_finite() && fps > 0.0);
-        let t1 = chip.training_seconds(&trace, 100);
-        let t2 = chip.training_seconds(&trace, 200);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn bottleneck_detection() {
         let s = StageCycles { sampling: 10, interpolation: 30, post_processing: 20 };
         assert_eq!(s.pipelined(), 30);
@@ -338,6 +311,5 @@ mod tests {
         let report = chip.simulate_frame(&FrameTrace::default());
         assert_eq!(report.cycles, 0);
         assert_eq!(report.points_per_second(), 0.0);
-        assert_eq!(chip.fps(&FrameTrace::default()), f64::INFINITY);
     }
 }

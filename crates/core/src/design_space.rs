@@ -167,6 +167,13 @@ mod tests {
     fn dvfs_trades_throughput_for_efficiency() {
         let t = probe();
         let points = sweep_voltage(&t, &[0.7, 0.95, 1.1]);
+        // Power scales as (V/V₀)² · f/f₀ along the measured V/F curve:
+        // the calibrated 0.95 V point draws nominal power, and 0.7 V
+        // less than half of it.
+        let nominal = ChipConfig::scaled_up().typical_power_w;
+        assert!((points[1].power_w - nominal).abs() < 1e-9, "0.95 V power {}", points[1].power_w);
+        assert!(points[0].power_w < 0.5 * nominal, "0.7 V power {}", points[0].power_w);
+        assert!(points[2].power_w > nominal, "1.1 V power {}", points[2].power_w);
         // Higher voltage: faster but less efficient.
         assert!(points[2].inference_pts > points[0].inference_pts);
         assert!(

@@ -3,7 +3,7 @@
 //! per-point energies (2.5 nJ inference, 7.4 nJ training on the
 //! scaled-up chip).
 
-use crate::config::{frequency_at_voltage_mhz, ChipConfig, Module};
+use crate::config::{ChipConfig, Module};
 
 /// Dynamic-power scaling model for a chip: `P = P₀ · (V/V₀)² ·
 /// (f/f₀)` around the calibrated operating point.
@@ -26,19 +26,6 @@ impl EnergyModel {
     /// Total power at the nominal operating point, in watts.
     pub fn nominal_power_w(&self) -> f64 {
         self.chip.typical_power_w
-    }
-
-    /// Power at a different supply voltage, with the frequency taken
-    /// from the measured V/F curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the voltage is below the device threshold.
-    pub fn power_at_voltage_w(&self, voltage: f64) -> f64 {
-        let freq = frequency_at_voltage_mhz(voltage);
-        self.chip.typical_power_w
-            * (voltage / self.chip.core_voltage).powi(2)
-            * (freq / self.chip.clock_mhz)
     }
 
     /// Energy for a run of `cycles` at the nominal clock, in joules.
@@ -71,17 +58,6 @@ mod tests {
     fn nominal_point_matches_silicon() {
         let m = EnergyModel::new(ChipConfig::prototype());
         assert_eq!(m.nominal_power_w(), 1.21);
-        // Scaling to the calibrated voltage reproduces nominal power.
-        assert!((m.power_at_voltage_w(0.95) - 1.21).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lower_voltage_cuts_power_superlinearly() {
-        let m = EnergyModel::new(ChipConfig::prototype());
-        let p_low = m.power_at_voltage_w(0.7);
-        let p_high = m.power_at_voltage_w(1.05);
-        assert!(p_low < 0.5 * m.nominal_power_w(), "0.7 V power {p_low}");
-        assert!(p_high > m.nominal_power_w(), "1.05 V power {p_high}");
     }
 
     #[test]

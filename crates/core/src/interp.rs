@@ -14,7 +14,7 @@
 //! compute slot to run an inference gather "for free" alongside
 //! training.
 
-use fusion3d_mem::banks::{BankMapping, ConflictStats};
+use fusion3d_mem::banks::BankMapping;
 
 /// What the shared pipeline is executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,8 @@ pub struct InterpModuleConfig {
     /// Bank mapping of the feature SRAM groups.
     pub mapping: BankMapping,
     /// Mean cycles per eight-corner gather group (1.0 under two-level
-    /// tiling; measured from a [`ConflictStats`] under naive banking).
+    /// tiling; measured from a [`fusion3d_mem::banks::ConflictStats`]
+    /// under naive banking).
     pub mean_gather_cycles: f64,
 }
 
@@ -51,17 +52,6 @@ impl InterpModuleConfig {
             levels,
             mapping: BankMapping::TwoLevelTiling,
             mean_gather_cycles: 1.0,
-        }
-    }
-
-    /// A naive-banking configuration whose gather cost comes from a
-    /// measured conflict distribution.
-    pub fn with_conflicts(cores: usize, levels: usize, stats: &ConflictStats) -> Self {
-        InterpModuleConfig {
-            cores,
-            levels,
-            mapping: BankMapping::LowOrderBits,
-            mean_gather_cycles: stats.mean_cycles().max(1.0),
         }
     }
 
@@ -162,15 +152,6 @@ pub fn reconfigured_area_fraction() -> f64 {
     DATAPATH_BLOCKS.iter().filter(|b| !b.directly_shared).map(|b| b.area_fraction).sum()
 }
 
-/// Area saving of the shared/reconfigurable pipeline versus
-/// instantiating separate inference and training datapaths: a
-/// duplicated design pays for every block twice.
-pub fn sharing_area_saving() -> f64 {
-    let unified: f64 = DATAPATH_BLOCKS.iter().map(|b| b.area_fraction).sum();
-    let duplicated = 2.0 * unified;
-    1.0 - unified / duplicated
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,8 +176,12 @@ mod tests {
         // An adversarial access pattern: all corners in one bank.
         let group = group_from_addresses([0, 8, 16, 24, 32, 40, 48, 56]);
         let stats = simulate_groups(BankMapping::LowOrderBits, [group.as_slice()]);
-        let naive = InterpModuleConfig::with_conflicts(10, 10, &stats);
         let tiled = InterpModuleConfig::fusion3d(10, 10);
+        let naive = InterpModuleConfig {
+            mapping: BankMapping::LowOrderBits,
+            mean_gather_cycles: stats.mean_cycles(),
+            ..tiled
+        };
         assert!(
             naive.points_per_cycle(PipelineMode::Inference)
                 < tiled.points_per_cycle(PipelineMode::Inference) / 4.0
@@ -228,7 +213,5 @@ mod tests {
         assert!((shared - 0.874).abs() < 1e-9, "shared {shared}");
         assert!((reconf - 0.126).abs() < 1e-9, "reconfigured {reconf}");
         assert!((shared + reconf - 1.0).abs() < 1e-9);
-        // Versus duplicated datapaths, sharing halves the area.
-        assert!((sharing_area_saving() - 0.5).abs() < 1e-9);
     }
 }

@@ -48,7 +48,6 @@ pub mod observe;
 pub mod pipeline_sim;
 pub mod postproc;
 pub mod sampling;
-pub mod stacked_memory;
 pub mod training_schedule;
 pub mod transfer;
 

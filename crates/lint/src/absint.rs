@@ -54,9 +54,9 @@ use crate::rules::{test_mask, AllowUsage, Finding};
 use crate::SourceFile;
 
 /// Files under the A2/A3/A4 contract: the FIEM multiply plus every
-/// cycle/energy/byte accounting module. The float-heavy
-/// balance/moe/system models in `multichip` are out of scope — their
-/// results are `f64` end to end.
+/// cycle/energy/byte accounting module. The float-heavy moe/system
+/// models in `multichip` are out of scope — their results are `f64`
+/// end to end.
 const ACCOUNTING_FILES: &[&str] = &[
     "crates/arith/src/cost.rs",
     "crates/arith/src/fiem.rs",
@@ -64,7 +64,6 @@ const ACCOUNTING_FILES: &[&str] = &[
     "crates/core/src/energy.rs",
     "crates/core/src/pipeline_sim.rs",
     "crates/mem/src/banks.rs",
-    "crates/mem/src/energy.rs",
     "crates/mem/src/interconnect.rs",
     "crates/mem/src/sram.rs",
     "crates/multichip/src/chiplet.rs",
@@ -2785,4 +2784,21 @@ fn skip_generics(toks: &[Token], open: usize, end: usize) -> usize {
         i += 1;
     }
     end
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ACCOUNTING_FILES;
+    use std::path::Path;
+
+    /// A renamed or deleted accounting file would silently narrow
+    /// A2–A4.
+    #[test]
+    fn every_accounting_file_exists() {
+        let root = crate::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("the lint crate lives in the workspace");
+        for path in ACCOUNTING_FILES {
+            assert!(root.join(path).is_file(), "accounting file {path} does not exist");
+        }
+    }
 }

@@ -48,6 +48,7 @@ use std::collections::BTreeSet;
 
 use crate::graph::{direct_spans, fn_item, CallGraph};
 use crate::lexer::{match_close, Token, TokenKind};
+use crate::parse::FnItem;
 use crate::rules::{AllowUsage, Finding, RESULT_BEARING_CRATES};
 use crate::SourceFile;
 
@@ -365,6 +366,18 @@ fn index_involves_param(
 
 // ---------------------------------------------------------------- H2
 
+/// Whether `item`, a fn of crate `krate`, is an H2 entry point.
+fn is_h2_entry(krate: &str, item: &FnItem) -> bool {
+    (krate == "nerf"
+        && H2_ENTRY_NAMES.contains(&item.name.as_str())
+        // Bare `step` is a common method name; only the training
+        // loop's own impl is a hot-path entry. The outer `train` epoch
+        // loop is deliberately *not* one: model/dataset construction
+        // before the first step may allocate freely.
+        && (item.name != "step" || item.self_type.as_deref() == Some("Trainer")))
+        || (krate == "serve" && SERVE_H2_ENTRY_NAMES.contains(&item.name.as_str()))
+}
+
 fn check_h2(
     files: &[SourceFile],
     graph: &CallGraph,
@@ -372,19 +385,7 @@ fn check_h2(
     findings: &mut Vec<Finding>,
 ) {
     let entries: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&n| {
-            let node = &graph.nodes[n];
-            let item = fn_item(files, node);
-            (node.krate == "nerf"
-                && H2_ENTRY_NAMES.contains(&item.name.as_str())
-                // Bare `step` is a common method name; only the
-                // training loop's own impl is a hot-path entry. The
-                // outer `train` epoch loop is deliberately *not* one:
-                // model/dataset construction before the first step may
-                // allocate freely.
-                && (item.name != "step" || item.self_type.as_deref() == Some("Trainer")))
-                || (node.krate == "serve" && SERVE_H2_ENTRY_NAMES.contains(&item.name.as_str()))
-        })
+        .filter(|&n| is_h2_entry(&graph.nodes[n].krate, fn_item(files, &graph.nodes[n])))
         .collect();
     let parents = graph.reachable_from(&entries);
 
@@ -629,4 +630,52 @@ pub fn check_unused(files: &[SourceFile], usage: &[AllowUsage]) -> Vec<Finding> 
         }
     }
     findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// Every fn parsed from `crates/{krate}/src` of this workspace.
+    fn crate_fns(krate: &str) -> Vec<FnItem> {
+        let root = crate::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("the lint crate lives in the workspace");
+        let mut paths = Vec::new();
+        crate::collect_rs_files(&root.join("crates").join(krate).join("src"), &mut paths)
+            .expect("crate sources are readable");
+        paths
+            .iter()
+            .flat_map(|path| {
+                let source = std::fs::read_to_string(path).expect("source is readable");
+                crate::parse::parse_file(&crate::lexer::lex(&source)).fns
+            })
+            .collect()
+    }
+
+    /// A renamed or deleted entry point would silently narrow H2.
+    #[test]
+    fn every_h2_entry_names_a_non_test_fn() {
+        for (krate, names) in [("nerf", H2_ENTRY_NAMES), ("serve", SERVE_H2_ENTRY_NAMES)] {
+            let fns = crate_fns(krate);
+            for name in names {
+                assert!(
+                    fns.iter().any(|f| f.name == *name && !f.is_test && is_h2_entry(krate, f)),
+                    "H2 entry `{name}` is no non-test fn of {krate}"
+                );
+            }
+        }
+    }
+
+    /// A renamed or deleted combinator would silently narrow D5.
+    #[test]
+    fn every_par_combinator_names_a_pub_fn_of_par() {
+        let fns = crate_fns("par");
+        for name in PAR_COMBINATORS {
+            assert!(
+                fns.iter().any(|f| f.name == *name && f.is_pub && !f.is_test),
+                "D5 combinator `{name}` is no pub fn of par"
+            );
+        }
+    }
 }

@@ -2,14 +2,12 @@
 //!
 //! The on-chip memory substrate of the Fusion-3D reproduction:
 //!
-//! * [`sram`] — SRAM bank/cluster capacity and access accounting plus
-//!   the ping-pong buffer mechanism of the chip's Memory Clusters;
+//! * [`sram`] — the geometry of the SRAM arrays in the chip's Memory
+//!   Clusters;
 //! * [`banks`] — bank mappings and conflict simulation for Stage II
 //!   feature fetches, including the paper's two-level hash tiling
 //!   (Technique T4) that makes every eight-corner fetch exactly one
 //!   cycle;
-//! * [`energy`] — SRAM access-energy scaling calibrated to the chip's
-//!   measured memory power share;
 //! * [`interconnect`] — crossbar vs. one-to-one fabric cost models
 //!   behind the Fig. 12(b)/(c) area and latency savings.
 //!
@@ -26,10 +24,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod banks;
-pub mod energy;
 pub mod interconnect;
 pub mod sram;
 
 pub use banks::{simulate_groups, BankMapping, ConflictStats, VertexRequest};
 pub use interconnect::{compare as compare_interconnect, InterconnectComparison};
-pub use sram::{MemoryCluster, PingPongBuffer, SramBank, SramSpec};
+pub use sram::SramSpec;

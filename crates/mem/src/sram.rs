@@ -1,11 +1,9 @@
-//! SRAM bank and memory-cluster bookkeeping.
+//! SRAM array geometry.
 //!
 //! The accelerator's Memory Clusters are software-configurable groups
-//! of SRAM arrays shared by the three computing modules, organized as
-//! ping-pong pairs so one array is filled while the other is drained
-//! (Sec. III-A). This module models capacity, access counting, and the
-//! ping-pong mechanism; cycle-level conflicts are modelled in
-//! [`crate::banks`].
+//! of SRAM arrays shared by the three computing modules (Sec. III-A).
+//! A chip configuration describes each array with a [`SramSpec`];
+//! cycle-level bank conflicts are modelled in [`crate::banks`].
 
 /// Static description of one SRAM array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,196 +37,6 @@ impl SramSpec {
     }
 }
 
-/// One SRAM bank with access counters.
-#[derive(Debug, Clone)]
-pub struct SramBank {
-    spec: SramSpec,
-    reads: u64,
-    writes: u64,
-}
-
-impl SramBank {
-    /// Creates a bank.
-    pub fn new(spec: SramSpec) -> Self {
-        SramBank { spec, reads: 0, writes: 0 }
-    }
-
-    /// The bank's spec.
-    pub fn spec(&self) -> &SramSpec {
-        &self.spec
-    }
-
-    /// Records a read of `address`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn read(&mut self, address: u32) {
-        assert!(address < self.spec.words, "read address {address} out of range");
-        self.reads += 1;
-    }
-
-    /// Records a write to `address`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn write(&mut self, address: u32) {
-        assert!(address < self.spec.words, "write address {address} out of range");
-        self.writes += 1;
-    }
-
-    /// Reads performed.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Resets the counters.
-    pub fn reset(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
-    }
-}
-
-/// Which half of a ping-pong pair is currently the front (producer
-/// target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PingPongSide {
-    /// Array A is the front.
-    A,
-    /// Array B is the front.
-    B,
-}
-
-/// A ping-pong buffer: two identical SRAM arrays alternating between
-/// producer (front) and consumer (back) roles, hiding fill latency
-/// behind drain latency.
-#[derive(Debug, Clone)]
-pub struct PingPongBuffer {
-    a: SramBank,
-    b: SramBank,
-    front: PingPongSide,
-    swaps: u64,
-}
-
-impl PingPongBuffer {
-    /// Creates a buffer of two arrays with the given spec.
-    pub fn new(spec: SramSpec) -> Self {
-        PingPongBuffer {
-            a: SramBank::new(spec),
-            b: SramBank::new(spec),
-            front: PingPongSide::A,
-            swaps: 0,
-        }
-    }
-
-    /// The currently-front side.
-    pub fn front_side(&self) -> PingPongSide {
-        self.front
-    }
-
-    /// The producer-facing array.
-    pub fn front(&mut self) -> &mut SramBank {
-        match self.front {
-            PingPongSide::A => &mut self.a,
-            PingPongSide::B => &mut self.b,
-        }
-    }
-
-    /// The consumer-facing array.
-    pub fn back(&mut self) -> &mut SramBank {
-        match self.front {
-            PingPongSide::A => &mut self.b,
-            PingPongSide::B => &mut self.a,
-        }
-    }
-
-    /// Swaps the roles of the two arrays.
-    pub fn swap(&mut self) {
-        self.front = match self.front {
-            PingPongSide::A => PingPongSide::B,
-            PingPongSide::B => PingPongSide::A,
-        };
-        self.swaps += 1;
-    }
-
-    /// Number of swaps performed.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
-    }
-
-    /// Total capacity of both arrays in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.a.spec().bytes() + self.b.spec().bytes()
-    }
-}
-
-/// A memory cluster: a set of SRAM arrays with total-capacity and
-/// aggregate-access accounting, matching the "Memory Clusters" block
-/// of the chip.
-#[derive(Debug, Clone)]
-pub struct MemoryCluster {
-    banks: Vec<SramBank>,
-}
-
-impl MemoryCluster {
-    /// Creates a cluster of `count` identical arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn new(count: usize, spec: SramSpec) -> Self {
-        assert!(count > 0, "a cluster needs at least one bank");
-        MemoryCluster { banks: (0..count).map(|_| SramBank::new(spec)).collect() }
-    }
-
-    /// The banks of the cluster.
-    pub fn banks(&self) -> &[SramBank] {
-        &self.banks
-    }
-
-    /// Mutable bank access.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is not a valid bank index, like slice
-    /// indexing.
-    pub fn bank_mut(&mut self, index: usize) -> &mut SramBank {
-        debug_assert!(index < self.banks.len(), "bank index out of range");
-        &mut self.banks[index]
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Total capacity in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.banks.iter().map(|b| b.spec().bytes()).sum()
-    }
-
-    /// Total capacity in kilobytes.
-    pub fn kilobytes(&self) -> f64 {
-        self.bytes() as f64 / 1024.0
-    }
-
-    /// Total accesses across all banks.
-    pub fn accesses(&self) -> u64 {
-        self.banks.iter().map(|b| b.accesses()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,53 +54,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn spec_rejects_zero() {
         SramSpec::new(0, 8);
-    }
-
-    #[test]
-    fn bank_counters() {
-        let mut bank = SramBank::new(SramSpec::new(128, 32));
-        bank.read(0);
-        bank.read(127);
-        bank.write(5);
-        assert_eq!(bank.reads(), 2);
-        assert_eq!(bank.writes(), 1);
-        assert_eq!(bank.accesses(), 3);
-        bank.reset();
-        assert_eq!(bank.accesses(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bank_bounds_checked() {
-        let mut bank = SramBank::new(SramSpec::new(128, 32));
-        bank.read(128);
-    }
-
-    #[test]
-    fn ping_pong_alternates() {
-        let mut pp = PingPongBuffer::new(SramSpec::new(64, 32));
-        assert_eq!(pp.front_side(), PingPongSide::A);
-        pp.front().write(0);
-        pp.swap();
-        assert_eq!(pp.front_side(), PingPongSide::B);
-        // The array written before the swap is now the back.
-        assert_eq!(pp.back().writes(), 1);
-        pp.swap();
-        assert_eq!(pp.front_side(), PingPongSide::A);
-        assert_eq!(pp.swaps(), 2);
-        assert_eq!(pp.bytes(), 2 * 64 * 4);
-    }
-
-    #[test]
-    fn cluster_totals() {
-        // The paper's hash storage: 2 clusters × 5 arrays × 64 KB.
-        let spec = SramSpec::new(16384, 32); // 64 KB
-        let cluster = MemoryCluster::new(5, spec);
-        assert_eq!(cluster.bank_count(), 5);
-        assert_eq!(cluster.kilobytes(), 320.0);
-        let mut cluster = cluster;
-        cluster.bank_mut(0).read(3);
-        cluster.bank_mut(4).write(9);
-        assert_eq!(cluster.accesses(), 2);
     }
 }

@@ -11,8 +11,6 @@
 //! * [`system`] — the assembled four-chip + I/O-module system with the
 //!   measured PCB link model: performance, power, energy, and workload
 //!   balance (Tables IV/V);
-//! * [`balance`] — per-chip load measurement and gate rebalancing
-//!   (Challenge C4);
 //! * [`chiplet`] — the Sec. VIII chiplet buffer-area trade-off
 //!   (Fig. 14(b)).
 //!
@@ -28,13 +26,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod balance;
 pub mod chiplet;
 pub mod comm;
 pub mod moe;
 pub mod system;
 
-pub use balance::{rebalance_gates, BalanceError, LoadReport};
 pub use comm::{layer_split_bytes, moe_bytes, moe_communication_saving, FrameWorkload};
 pub use moe::{Expert, MoeNerf, MoeTrainer};
 pub use system::{LinkModel, MultiChipConfig, MultiChipSystem, SystemReport};

@@ -27,12 +27,6 @@ impl LinkModel {
         LinkModel { offboard_gbs: 0.6, intra_gbs: 2.4, latency_us: 1.0, energy_pj_per_bit: 2.0 }
     }
 
-    /// A chiplet-class in-package interconnect (Sec. VIII): an order
-    /// of magnitude more bandwidth at a fraction of the energy.
-    pub fn chiplet() -> Self {
-        LinkModel { offboard_gbs: 0.6, intra_gbs: 89.6, latency_us: 0.05, energy_pj_per_bit: 0.062 }
-    }
-
     /// Seconds to move `bytes` over the intra-system links.
     pub fn intra_transfer_seconds(&self, bytes: u64) -> f64 {
         self.latency_us * 1e-6 + bytes as f64 / (self.intra_gbs * 1e9)
@@ -190,12 +184,6 @@ impl MultiChipSystem {
         &self.chips
     }
 
-    /// Throughput per watt in points per second per watt, the Table IV
-    /// metric.
-    pub fn points_per_second_per_watt(&self, points_per_second: f64) -> f64 {
-        points_per_second / self.config.total_power_w()
-    }
-
     /// Simulates one frame (or training batch) given each chip's
     /// Stage-I trace, as produced by `MoeNerf::per_chip_workloads`.
     ///
@@ -270,15 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_per_watt_matches_table_iv_scale() {
-        let sys = MultiChipSystem::fusion3d();
-        // At the single-chip sustained rate of ~591 M pts/s the system
-        // delivers ~98.5 M pts/s/W.
-        let per_watt = sys.points_per_second_per_watt(591e6);
-        assert!((per_watt / 1e6 - 98.5).abs() < 2.0, "{per_watt}");
-    }
-
-    #[test]
     fn balanced_workloads_have_unit_imbalance() {
         let sys = MultiChipSystem::fusion3d();
         let report = sys.simulate(&uniform_chip_workloads(4, 256, 12), false);
@@ -331,15 +310,6 @@ mod tests {
             naive.total_seconds,
             tiled.total_seconds
         );
-    }
-
-    #[test]
-    fn chiplet_link_cuts_comm_time_and_energy() {
-        let pcb = LinkModel::pcb();
-        let chiplet = LinkModel::chiplet();
-        let bytes = 10_000_000;
-        assert!(chiplet.intra_transfer_seconds(bytes) < pcb.intra_transfer_seconds(bytes));
-        assert!(chiplet.transfer_energy_j(bytes) < pcb.transfer_energy_j(bytes) / 10.0);
     }
 
     #[test]

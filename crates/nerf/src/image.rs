@@ -153,31 +153,6 @@ impl fmt::Display for Image {
     }
 }
 
-/// Computes PSNR between two raw pixel slices (peak 1.0), used where
-/// full [`Image`] buffers are unnecessary.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn psnr_slices(a: &[Vec3], b: &[Vec3]) -> f64 {
-    assert_eq!(a.len(), b.len(), "pixel slices differ in length");
-    assert!(!a.is_empty(), "cannot compute PSNR of empty slices");
-    let sum: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = *x - *y;
-            (d.x as f64).powi(2) + (d.y as f64).powi(2) + (d.z as f64).powi(2)
-        })
-        .sum();
-    let mse = sum / (a.len() as f64 * 3.0);
-    if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        -10.0 * mse.log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,13 +199,6 @@ mod tests {
         let close = Image::filled(8, 8, Vec3::splat(0.52));
         let far = Image::filled(8, 8, Vec3::splat(0.8));
         assert!(close.psnr(&reference) > far.psnr(&reference));
-    }
-
-    #[test]
-    fn slice_psnr_matches_image_psnr() {
-        let a = Image::filled(4, 4, Vec3::splat(0.2));
-        let b = Image::filled(4, 4, Vec3::splat(0.4));
-        assert!((psnr_slices(a.pixels(), b.pixels()) - a.psnr(&b)).abs() < 1e-12);
     }
 
     #[test]

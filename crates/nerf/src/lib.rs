@@ -15,8 +15,8 @@
 //!   density/color MLPs and differentiable volumetric compositing.
 //!
 //! On top of the stages sit the [`pipeline`] (end-to-end inference and
-//! workload tracing), the [`trainer`] (instant reconstruction with a
-//! byte-accurate data-volume ledger), INT8 [`quant`]ization
+//! workload tracing), the [`trainer`] (instant reconstruction, and the
+//! per-step data volumes behind Fig. 3), INT8 [`quant`]ization
 //! experiments, and procedural [`scenes`]/[`dataset`]s standing in for
 //! NeRF-Synthetic and NeRF-360.
 //!

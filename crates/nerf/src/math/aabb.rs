@@ -1,21 +1,24 @@
 //! Axis-aligned bounding boxes and ray–box intersection.
 //!
-//! This module implements both intersection paths that the paper's
-//! Technique T1-1 (*Model Normalization & Partitioning*) contrasts:
+//! The paper's Technique T1-1 (*Model Normalization & Partitioning*)
+//! contrasts two intersection paths:
 //!
 //! * [`Aabb::intersect_general`] — the general ray–box test against an
 //!   arbitrary box, which on the standard pipeline costs solving six
 //!   linear plane equations (18 divisions, 54 multiplications, and 54
 //!   additions per the paper's accounting of [26]);
-//! * [`Aabb::intersect_unit_cube`] — the simplified test against the
-//!   *normalized* `[0,1]^3` model cube, which costs only 3
-//!   multiplications and 3 multiply-accumulate operations because the
-//!   box planes are the constants `0` and `1` and the reciprocal
-//!   direction is precomputed once per ray.
+//! * the simplified test against the *normalized* `[0,1]^3` model
+//!   cube, which costs only 3 multiplications and 3 multiply-accumulate
+//!   operations because the box planes are constants and the
+//!   reciprocal direction is computed once per ray. The host runs it as
+//!   [`crate::sampler::ray_cube_pairs`], against all eight
+//!   [`Aabb::octants`] of the cube at once; `intersect_general` over
+//!   the octants is its oracle.
 //!
-//! Both report their arithmetic cost through [`OpCount`] so that the
-//! accelerator simulator and the T1 ablation (Table VI) can account for
-//! the computational saving.
+//! [`GENERAL_INTERSECT_COST`] and [`NORMALIZED_INTERSECT_COST`] give
+//! both paths' arithmetic as an [`OpCount`] so that the accelerator
+//! simulator and the T1 ablation (Table VI) can account for the
+//! computational saving.
 
 use super::{Ray, TSpan, Vec3};
 
@@ -101,7 +104,7 @@ pub const NORMALIZED_INTERSECT_COST: OpCount = OpCount::new(0, 3, 0, 3);
 ///
 /// let unit = Aabb::unit_cube();
 /// let ray = Ray::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::X);
-/// let span = unit.intersect_unit_cube(&ray).expect("ray hits the cube");
+/// let span = unit.intersect_general(&ray).expect("ray hits the cube");
 /// assert!((span.t_near - 1.0).abs() < 1e-6);
 /// assert!((span.t_far - 2.0).abs() < 1e-6);
 /// ```
@@ -148,12 +151,6 @@ impl Aabb {
         self.max - self.min
     }
 
-    /// Surface diagonal length.
-    #[inline]
-    pub fn diagonal(&self) -> f32 {
-        self.extent().length()
-    }
-
     /// Whether `p` lies inside the box (inclusive bounds).
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
@@ -163,12 +160,6 @@ impl Aabb {
             && p.y <= self.max.y
             && p.z >= self.min.z
             && p.z <= self.max.z
-    }
-
-    /// The smallest box containing both `self` and `other`.
-    #[inline]
-    pub fn union(&self, other: &Aabb) -> Aabb {
-        Aabb::new(self.min.min(other.min), self.max.max(other.max))
     }
 
     /// The affine map taking this box onto the unit cube, returned as
@@ -196,17 +187,6 @@ impl Aabb {
         (p - offset).hadamard(scale)
     }
 
-    /// Maps a world-space ray into normalized model coordinates.
-    ///
-    /// The direction is *not* re-normalized to unit length: keeping the
-    /// scaled direction makes `t` values in normalized space correspond
-    /// to the same parametric positions as in world space.
-    #[inline]
-    pub fn normalize_ray(&self, ray: &Ray) -> Ray {
-        let (scale, offset) = self.normalization();
-        Ray::new((ray.origin - offset).hadamard(scale), ray.direction.hadamard(scale))
-    }
-
     /// General slab-method ray–box intersection against an arbitrary
     /// box. Returns the entry/exit span, or `None` when the ray misses.
     ///
@@ -227,44 +207,6 @@ impl Aabb {
                 let inv = 1.0 / d;
                 let (t0, t1) = ((lo - o) * inv, (hi - o) * inv);
                 span = span.intersect(&TSpan::new(t0.min(t1), t0.max(t1)));
-            }
-        }
-        if span.is_valid() {
-            Some(span.clamped_to_front())
-        } else {
-            None
-        }
-    }
-
-    /// Simplified intersection against the normalized unit cube with a
-    /// precomputed reciprocal direction (Technique T1-1).
-    ///
-    /// Because the cube planes are the constants 0 and 1, the six plane
-    /// equations collapse to `t = -o * inv` and `t = (1 - o) * inv`,
-    /// i.e. 3 multiplications plus 3 MACs per cube; each call accounts
-    /// for [`NORMALIZED_INTERSECT_COST`].
-    ///
-    /// The receiver's own bounds are ignored — the test is always
-    /// against `[0,1]^3`. Call through [`Aabb::unit_cube()`] for
-    /// clarity.
-    pub fn intersect_unit_cube(&self, ray: &Ray) -> Option<TSpan> {
-        let mut span = TSpan::new(f32::NEG_INFINITY, f32::INFINITY);
-        for axis in 0..3 {
-            let (o, d) = (ray.origin[axis], ray.direction[axis]);
-            if d == 0.0 {
-                // Axis-parallel ray: hardware handles this with a
-                // comparator, no arithmetic.
-                if !(0.0..=1.0).contains(&o) {
-                    return None;
-                }
-            } else {
-                // t_lo = −o · inv (one MUL); t_hi = (1 − o) · inv =
-                // inv − o · inv (one MAC reusing the product) — the
-                // paper's 3 MUL + 3 MAC accounting.
-                let inv = 1.0 / d;
-                let t_lo = -o * inv;
-                let t_hi = inv + t_lo;
-                span = span.intersect(&TSpan::new(t_lo.min(t_hi), t_lo.max(t_hi)));
             }
         }
         if span.is_valid() {
@@ -344,9 +286,6 @@ mod tests {
         assert!(b.contains(Vec3::new(1.0, 1.0, 1.0)));
         assert!(b.contains(b.min) && b.contains(b.max));
         assert!(!b.contains(Vec3::new(-0.1, 1.0, 1.0)));
-        let u = b.union(&Aabb::new(Vec3::splat(-1.0), Vec3::splat(0.5)));
-        assert_eq!(u.min, Vec3::splat(-1.0));
-        assert_eq!(u.max, Vec3::new(2.0, 4.0, 6.0));
     }
 
     #[test]
@@ -355,18 +294,6 @@ mod tests {
         assert_eq!(b.normalize_point(b.min), Vec3::ZERO);
         assert_eq!(b.normalize_point(b.max), Vec3::ONE);
         assert_eq!(b.normalize_point(b.center()), Vec3::splat(0.5));
-    }
-
-    #[test]
-    fn normalized_ray_hits_match_world_hits() {
-        let b = Aabb::new(Vec3::new(-3.0, -1.0, 2.0), Vec3::new(5.0, 7.0, 10.0));
-        let ray = Ray::new(Vec3::new(-10.0, 3.0, 6.0), Vec3::X);
-        let world = b.intersect_general(&ray).unwrap();
-        let nray = b.normalize_ray(&ray);
-        let norm = Aabb::unit_cube().intersect_unit_cube(&nray).unwrap();
-        // t parameters agree because the direction is scaled, not
-        // re-normalized.
-        assert_span_close(norm, world.t_near, world.t_far);
     }
 
     #[test]
@@ -382,36 +309,6 @@ mod tests {
         // Origin inside the box: near clamps to zero.
         let inside = b.intersect_general(&Ray::new(Vec3::splat(0.5), Vec3::X)).unwrap();
         assert_span_close(inside, 0.0, 0.5);
-    }
-
-    #[test]
-    fn unit_cube_fast_path_matches_general() {
-        let cube = Aabb::unit_cube();
-        let rays = [
-            Ray::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::X),
-            Ray::new(Vec3::new(0.5, 0.5, 0.5), Vec3::new(1.0, 1.0, 1.0).normalize()),
-            Ray::new(Vec3::new(2.0, 2.0, 2.0), Vec3::new(-1.0, -1.0, -1.0).normalize()),
-            Ray::new(Vec3::new(-0.5, -0.5, 0.5), Vec3::new(1.0, 0.3, 0.1).normalize()),
-            Ray::new(Vec3::new(0.5, -1.0, 0.5), Vec3::Y),
-        ];
-        for ray in rays {
-            let g = cube.intersect_general(&ray);
-            let f = cube.intersect_unit_cube(&ray);
-            match (g, f) {
-                (Some(a), Some(b)) => assert_span_close(b, a.t_near, a.t_far),
-                (None, None) => {}
-                other => panic!("fast path disagrees with general: {other:?} for {ray:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn axis_parallel_ray_outside_slab_misses() {
-        let cube = Aabb::unit_cube();
-        // Direction has zero Y component and origin outside the Y slab.
-        let ray = Ray::new(Vec3::new(-1.0, 2.0, 0.5), Vec3::X);
-        assert!(cube.intersect_unit_cube(&ray).is_none());
-        assert!(cube.intersect_general(&ray).is_none());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! three-stage pipeline forward, computes an L2 photometric loss,
 //! backpropagates through compositing, the MLPs, and the hash grid,
 //! and applies Adam. The trainer also maintains the occupancy grid
-//! (periodically refreshed from the current density field) and keeps a
-//! byte-accurate ledger of inter- and intra-stage data volumes — the
-//! quantities behind the paper's Fig. 3 bandwidth analysis. The one
-//! step ([`TrainState::fused_step`]) trains any number of experts whose
-//! pixels add: [`Trainer`] runs it over one, the multi-chip MoE over
-//! several.
+//! (periodically refreshed from the current density field). Each step
+//! reports its batch statistics, from which [`estimate_step_volume`]
+//! gives the inter- and intra-stage data volumes behind the paper's
+//! Fig. 3 bandwidth analysis. The one step ([`TrainState::fused_step`])
+//! trains any number of experts whose pixels add: [`Trainer`] runs it
+//! over one, the multi-chip MoE over several.
 
 use crate::adam::{AdamConfig, AdamStep};
 use crate::batch::{KernelScratch, SampleBatch};
@@ -48,8 +48,8 @@ const REFRESH_CHUNK: usize = 512;
 /// task owns it, neither this nor the thread count can move a bit.
 const MERGE_CHUNK_WORDS: usize = 8;
 
-/// Byte ledger of the data volumes moved by training, split along the
-/// paper's Fig. 3 stage boundaries.
+/// Bytes moved by training, split along the paper's Fig. 3 stage
+/// boundaries.
 ///
 /// "Internal" volumes are the partial sums that a stage-local
 /// accelerator would have to spill off-chip; "boundary" volumes are
@@ -78,16 +78,6 @@ impl DataVolume {
     pub fn total_intermediate(&self) -> u64 {
         self.stage1_to_stage2 + self.stage2_internal + self.stage2_to_stage3 + self.stage3_internal
     }
-
-    /// Sum of the stage-boundary hand-offs only.
-    pub fn inter_stage(&self) -> u64 {
-        self.stage1_to_stage2 + self.stage2_to_stage3
-    }
-
-    /// Sum of the within-stage partial-sum traffic only.
-    pub fn intra_stage(&self) -> u64 {
-        self.stage2_internal + self.stage3_internal
-    }
 }
 
 impl std::ops::Add for DataVolume {
@@ -103,24 +93,20 @@ impl std::ops::Add for DataVolume {
     }
 }
 
-/// Estimates the data volume one training step moves, from the model
-/// architecture alone — the analytic form of the trainer's ledger,
-/// used to project Fig. 3 / Fig. 13(b) volumes to paper scale without
-/// running a full-size training job.
+/// The data volume one training step moves, from the model
+/// architecture and the step's batch statistics alone, so Fig. 3 /
+/// Fig. 13(b) volumes project to paper scale without running a
+/// full-size training job.
 ///
-/// `rays` and `samples` are the step's batch statistics. The formula
-/// matches the trainer's per-step accounting exactly.
+/// `rays` and `samples` are the step's batch statistics (a
+/// [`StepStats`]'s `rays` and `samples`). The end-to-end I/O is not a
+/// per-step volume, so it reads 0.
 pub fn estimate_step_volume(
     config: &crate::model::ModelConfig,
     rays: u64,
     samples: u64,
 ) -> DataVolume {
-    estimate_step_volume_dims(config.grid.output_dim() as u64, rays, samples)
-}
-
-/// [`estimate_step_volume`] in terms of the encoded feature dimension
-/// alone, usable with any [`crate::encoding::Encoding`].
-pub fn estimate_step_volume_dims(enc_dim: u64, rays: u64, samples: u64) -> DataVolume {
+    let enc_dim = config.grid.output_dim() as u64;
     DataVolume {
         // Stage I → II: position (12 B) + t (4 B) + δt (4 B) per
         // sample, plus a per-ray direction.
@@ -690,7 +676,6 @@ impl TrainState {
 pub struct Trainer<E: Encoding = HashGrid> {
     expert: Expert<E>,
     state: TrainState,
-    volume: DataVolume,
 }
 
 impl<E: Encoding> Trainer<E> {
@@ -702,7 +687,7 @@ impl<E: Encoding> Trainer<E> {
         occupancy.fill();
         let expert = Expert { model, occupancy };
         let state = TrainState::new(config, std::slice::from_ref(&expert));
-        Trainer { expert, state, volume: DataVolume::default() }
+        Trainer { expert, state }
     }
 
     /// The model being trained.
@@ -735,41 +720,15 @@ impl<E: Encoding> Trainer<E> {
         self.state.iteration()
     }
 
-    /// The cumulative data-volume ledger.
-    #[inline]
-    pub fn data_volume(&self) -> &DataVolume {
-        &self.volume
-    }
-
     /// Consumes the trainer, returning the trained model and occupancy
     /// grid.
     pub fn into_parts(self) -> (NerfModel<E>, OccupancyGrid) {
         (self.expert.model, self.expert.occupancy)
     }
 
-    /// Registers the one-time end-to-end input volume (the training
-    /// images). Call once before training when tracking Fig. 3
-    /// volumes.
-    pub fn record_dataset_input(&mut self, dataset: &Dataset) {
-        // RGB f32 pixels plus 12 floats of camera pose per view.
-        let pixels: u64 = dataset.total_rays();
-        self.volume.end_to_end_io += pixels * 12 + dataset.views().len() as u64 * 48;
-    }
-
-    /// Registers the one-time end-to-end output volume (the trained
-    /// parameters). Call once after training when tracking Fig. 3
-    /// volumes.
-    pub fn record_model_output(&mut self) {
-        self.volume.end_to_end_io += self.expert.model.param_count() as u64 * 4;
-    }
-
     /// Runs one optimization step on a random batch from `dataset`.
     pub fn step<R: Rng>(&mut self, dataset: &Dataset, rng: &mut R) -> StepStats {
-        let stats = self.state.fused_step(std::slice::from_mut(&mut self.expert), dataset, rng);
-        let enc_dim = self.expert.model.grid().output_dim() as u64;
-        self.volume = self.volume
-            + estimate_step_volume_dims(enc_dim, stats.rays as u64, stats.samples as u64);
-        stats
+        self.state.fused_step(std::slice::from_mut(&mut self.expert), dataset, rng)
     }
 
     /// Runs `iterations` steps and returns the mean loss of the final
@@ -829,22 +788,22 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn test_model(seed: u64) -> NerfModel {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        NerfModel::new(
-            ModelConfig {
-                grid: HashGridConfig {
-                    levels: 4,
-                    features_per_level: 2,
-                    log2_table_size: 11,
-                    base_resolution: 4,
-                    max_resolution: 32,
-                },
-                hidden_dim: 16,
-                geo_feature_dim: 7,
+    fn test_model_config() -> ModelConfig {
+        ModelConfig {
+            grid: HashGridConfig {
+                levels: 4,
+                features_per_level: 2,
+                log2_table_size: 11,
+                base_resolution: 4,
+                max_resolution: 32,
             },
-            &mut rng,
-        )
+            hidden_dim: 16,
+            geo_feature_dim: 7,
+        }
+    }
+
+    fn test_model(seed: u64) -> NerfModel {
+        NerfModel::new(test_model_config(), &mut SmallRng::seed_from_u64(seed))
     }
 
     fn test_config() -> TrainerConfig {
@@ -868,8 +827,6 @@ mod tests {
             end_to_end_io: 5,
         };
         assert_eq!(v.total_intermediate(), 330);
-        assert_eq!(v.inter_stage(), 30);
-        assert_eq!(v.intra_stage(), 300);
         let sum = v + v;
         assert_eq!(sum.total_intermediate(), 660);
         assert_eq!(sum.end_to_end_io, 10);
@@ -906,27 +863,19 @@ mod tests {
     }
 
     #[test]
-    fn volume_ledger_grows_every_step() {
+    fn step_volumes_grow_every_step() {
         let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
         let dataset = Dataset::from_scene(&scene, 3, 16, 0.9);
         let mut trainer = Trainer::new(test_model(5), test_config());
         let mut rng = SmallRng::seed_from_u64(6);
-        trainer.record_dataset_input(&dataset);
-        let io_before = trainer.data_volume().end_to_end_io;
-        assert!(io_before > 0);
-        trainer.step(&dataset, &mut rng);
-        let v1 = *trainer.data_volume();
-        trainer.step(&dataset, &mut rng);
-        let v2 = *trainer.data_volume();
+        let mut step_volume = || {
+            let stats = trainer.step(&dataset, &mut rng);
+            estimate_step_volume(&test_model_config(), stats.rays as u64, stats.samples as u64)
+        };
+        let v1 = step_volume();
+        let v2 = v1 + step_volume();
         assert!(v2.total_intermediate() > v1.total_intermediate());
         assert!(v1.stage2_internal > v1.stage2_to_stage3, "gathers dominate hand-offs");
-        trainer.record_model_output();
-        assert!(trainer.data_volume().end_to_end_io > io_before);
-        // The key Fig. 3 relation: intermediate volume dwarfs the
-        // end-to-end I/O even after a handful of iterations.
-        assert!(
-            trainer.data_volume().total_intermediate() > trainer.data_volume().end_to_end_io / 100
-        );
     }
 
     #[test]

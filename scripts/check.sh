@@ -39,6 +39,14 @@ for workload in render_orbit serve_zipf chip_eval; do
     --workload "$workload" --seconds 1 > /dev/null \
     || { echo "benchmark workload $workload failed at full size"; exit 1; }
 done
+# The serving report cannot move silently: regenerate the full sweep
+# (~9 s at one thread) and hold it byte-identical to the committed
+# BENCH_serve.json.
+cargo run --release -q -p fusion3d-bench --bin serve -- --out target/BENCH_serve.json > /dev/null
+cmp target/BENCH_serve.json BENCH_serve.json \
+  || { echo "serving report changed: regenerate BENCH_serve.json with"
+       echo "  cargo run --release -q -p fusion3d-bench --bin serve"
+       echo "and give the reason for every changed line in the PR"; exit 1; }
 # Keep the throughput harness runnable; the smoke run takes ~a second
 # and writes its report under target/ (full runs write BENCH_perf.json).
 cargo run --release -q -p fusion3d-bench --bin perf -- --smoke --out target/BENCH_perf_smoke.json

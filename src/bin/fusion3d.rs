@@ -146,15 +146,7 @@ fn cli_model_config() -> ModelConfig {
 }
 
 fn cli_trainer_config(background: Vec3) -> TrainerConfig {
-    TrainerConfig {
-        rays_per_batch: 128,
-        sampler: SamplerConfig { steps_per_diagonal: 96, max_samples_per_ray: 64 },
-        occupancy_resolution: 24,
-        occupancy_update_interval: 24,
-        occupancy_warmup: 48,
-        background,
-        ..TrainerConfig::default()
-    }
+    TrainerConfig { background, ..TrainerConfig::default() }
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {

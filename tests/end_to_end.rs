@@ -6,29 +6,30 @@ use fusion3d::core::bandwidth::{required_bandwidth_gbs, DesignBoundary, USB_BAND
 use fusion3d::core::chip::FusionChip;
 use fusion3d::nerf::encoding::HashGridConfig;
 use fusion3d::nerf::pipeline::trace_frame;
+use fusion3d::nerf::trainer::estimate_step_volume;
 use fusion3d::nerf::{
-    Dataset, ModelConfig, NerfModel, ProceduralScene, SamplerConfig, SyntheticScene, Trainer,
-    TrainerConfig,
+    DataVolume, Dataset, ModelConfig, NerfModel, ProceduralScene, SamplerConfig, SyntheticScene,
+    Trainer, TrainerConfig,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn small_model(seed: u64) -> NerfModel {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    NerfModel::new(
-        ModelConfig {
-            grid: HashGridConfig {
-                levels: 4,
-                features_per_level: 2,
-                log2_table_size: 11,
-                base_resolution: 4,
-                max_resolution: 32,
-            },
-            hidden_dim: 16,
-            geo_feature_dim: 7,
+fn small_config() -> ModelConfig {
+    ModelConfig {
+        grid: HashGridConfig {
+            levels: 4,
+            features_per_level: 2,
+            log2_table_size: 11,
+            base_resolution: 4,
+            max_resolution: 32,
         },
-        &mut rng,
-    )
+        hidden_dim: 16,
+        geo_feature_dim: 7,
+    }
+}
+
+fn small_model(seed: u64) -> NerfModel {
+    NerfModel::new(small_config(), &mut SmallRng::seed_from_u64(seed))
 }
 
 fn quick_config() -> TrainerConfig {
@@ -109,13 +110,18 @@ fn end_to_end_boundary_fits_usb() {
     let scene = ProceduralScene::synthetic(SyntheticScene::Chair);
     let dataset = Dataset::from_scene(&scene, 4, 20, 0.9);
     let mut trainer = Trainer::new(small_model(5), quick_config());
-    trainer.record_dataset_input(&dataset);
     let mut rng = SmallRng::seed_from_u64(6);
+    let mut volume = DataVolume::default();
     for _ in 0..120 {
-        trainer.step(&dataset, &mut rng);
+        let stats = trainer.step(&dataset, &mut rng);
+        volume =
+            volume + estimate_step_volume(&small_config(), stats.rays as u64, stats.samples as u64);
     }
-    trainer.record_model_output();
-    let volume = *trainer.data_volume();
+    // End-to-end I/O: the training images in (RGB f32 pixels plus 12
+    // floats of camera pose per view) and the trained parameters out.
+    volume.end_to_end_io = dataset.total_rays() * 12
+        + dataset.views().len() as u64 * 48
+        + trainer.model().param_count() as u64 * 4;
 
     // Scale the measured run to the paper's sample budget.
     let scale = 398e6 / (120.0 * 96.0 * 20.0); // paper samples / run samples
